@@ -16,9 +16,10 @@
 // plus PTO_SVC_* (shards, structure, batch, key popularity, mix, open-loop
 // rate — service/loadgen.h documents the full list).
 //
-// Output: figure table on stdout, svc_kv.csv, BENCH_svc.json (one point per
-// series x thread count; tools/check_svc_speed.py gates CI on it), and
-// schema-v2 BenchPoints on PTO_STATS.
+// Output: figure table on stdout, svc_kv.csv, BENCH_svc.json (the host's
+// nproc, HTM backend and git sha, then one point per series x thread count;
+// tools/check_svc_speed.py gates CI on it), and schema-v2 BenchPoints on
+// PTO_STATS.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -30,6 +31,8 @@
 
 #include "benchutil/native_runner.h"
 #include "benchutil/series.h"
+#include "common/buildinfo.h"
+#include "htm/htm.h"
 #include "obs/obs.h"
 #include "obs/tsc.h"
 #include "platform/native_platform.h"
@@ -197,7 +200,11 @@ int main() {
   fig.write_csv("svc_kv.csv");
 
   std::ofstream json("BENCH_svc.json");
-  json << "{\"bench\":\"svc_kv\",\"shards\":" << so.shards << ",\"struct\":\""
+  json << "{\"bench\":\"svc_kv\",\"nproc\":" << svc::Runtime::allowed_cpus()
+       << ",\"htm_backend\":\""
+       << (pto::htm::backend() == pto::htm::Backend::kRTM ? "rtm" : "soft")
+       << "\",\"git_sha\":\"" << pto::build_git_sha()
+       << "\",\"shards\":" << so.shards << ",\"struct\":\""
        << svc::structure_name(so.structure) << "\",\"dist\":\""
        << svc::dist_name(so.workload.dist) << "\",\"theta\":"
        << so.workload.theta << ",\"batch\":" << so.batch

@@ -26,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "core/prefix.h"
 #include "platform/platform.h"
@@ -466,6 +467,12 @@ class EllenBST {
     take_shells(ctx, key, new_leaf, sibling, internal);
     Node* replaced = nullptr;
     std::uintptr_t displaced = 0;
+    // The attempt reads `leaf` and `key` with plain loads. A strongly atomic
+    // transaction aborts if such a node is freed mid-attempt; SoftHTM
+    // validates only atomic reads, so a node freed and reused mid-attempt
+    // could decide the result there. Pin the epoch; RTM and simx elide it.
+    std::optional<typename EpochDomain<P>::Guard> pin;
+    if (!P::strongly_atomic()) pin.emplace(ctx.epoch);
     // 1 = inserted, 2 = key already present, 0 = fell back.
     int r = prefix<P>(
         pto1_policy_,
@@ -519,6 +526,9 @@ class EllenBST {
     Node* removed_p = nullptr;
     Node* removed_l = nullptr;
     std::uintptr_t displaced_gp = 0, displaced_p = 0;
+    // Plain reads in the attempt: pinned as in insert_pto1.
+    std::optional<typename EpochDomain<P>::Guard> pin;
+    if (!P::strongly_atomic()) pin.emplace(ctx.epoch);
     // 1 = removed, 2 = key absent, 0 = fell back.
     int r = prefix<P>(
         pto1_policy_,

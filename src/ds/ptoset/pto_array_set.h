@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "core/prefix.h"
 #include "platform/platform.h"
@@ -174,6 +175,11 @@ class PTOArraySet {
 
   bool update(ThreadCtx& ctx, std::int64_t key, bool is_insert,
               PrefixPolicy pol) {
+    // SoftHTM validates the attempt's reads but, unlike a strongly atomic
+    // transaction, does not stop a retired block from being freed under
+    // it; pin the epoch there. RTM and simx elide the guard.
+    std::optional<typename EpochDomain<P>::Guard> pin;
+    if (!P::strongly_atomic()) pin.emplace(ctx.epoch);
     // Fast path: one transaction, in-place shift, version bump.
     // 1 = done, 2 = no-op, 3 = full, 0 = fall back.
     int r = prefix<P>(

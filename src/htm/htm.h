@@ -36,8 +36,8 @@ enum class Backend { kRTM, kSoft };
 Backend backend();
 
 /// True when transactions are strongly atomic with respect to plain
-/// non-transactional accesses (RTM: yes; SoftHTM: only via its nt_* wrappers,
-/// and epoch elision is additionally unsafe there — see reclaim/epoch.h).
+/// non-transactional accesses (RTM: yes; SoftHTM: only for atomics, via its
+/// nt_* wrappers, so epoch elision is unsafe there — see reclaim/epoch.h).
 inline bool strongly_atomic() { return backend() == Backend::kRTM; }
 
 /// Checkpoint for software aborts; pto::prefix() arms it with setjmp before

@@ -2,121 +2,135 @@
 
 #include "htm/htm.h"
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define PTO_CPU_RELAX() _mm_pause()
-#else
-#define PTO_CPU_RELAX() ((void)0)
-#endif
-
 namespace pto::softhtm {
 
+namespace detail {
+alignas(kCacheLine) Stripe g_stripes[kStripes];
+constinit thread_local Tx t_tx{};
+}  // namespace detail
+
 namespace {
-/// The global NOrec sequence lock. Even = quiescent, odd = a writer (a
-/// committing transaction or a non-transactional store) owns shared memory.
-alignas(kCacheLine) std::atomic<std::uint64_t> g_clock{0};
-thread_local Tx g_tx;
 thread_local unsigned char g_last_user_code = TX_CODE_NONE;
+
+using detail::t_tx;
+
+/// Whether one of writes[0, n) took the lock on `s` during this commit.
+bool owns(const Tx& tx, const Stripe* s, unsigned n) {
+  for (unsigned i = 0; i < n; ++i) {
+    if (tx.writes[i].stripe == s && tx.writes[i].owner) return true;
+  }
+  return false;
+}
+
+/// Release the stripes taken by writes[0, n): at version + 2 once the
+/// write-back is done, or at the old version when nothing was written (a
+/// reader that saw the old version then still reads the old data).
+void release(Tx& tx, unsigned n, std::uint64_t bump) {
+  for (unsigned i = 0; i < n; ++i) {
+    const WriteEntry& w = tx.writes[i];
+    if (w.owner) w.stripe->store(w.version + bump, std::memory_order_release);
+  }
+}
 }  // namespace
 
-Tx& tls_tx() { return g_tx; }
-std::atomic<std::uint64_t>& global_clock() { return g_clock; }
 unsigned char last_user_code() { return g_last_user_code; }
 
 namespace detail {
 
-std::uint64_t await_even_clock() {
-  for (;;) {
-    std::uint64_t c = g_clock.load(std::memory_order_seq_cst);
-    if ((c & 1) == 0) return c;
-    PTO_CPU_RELAX();
-  }
-}
-
-std::uint64_t lock_clock() {
-  for (;;) {
-    std::uint64_t c = g_clock.load(std::memory_order_seq_cst);
-    if ((c & 1) == 0 &&
-        g_clock.compare_exchange_weak(c, c + 1, std::memory_order_seq_cst)) {
-      return c;
+void log_read(Tx& tx, const Stripe& s, std::uint64_t v) {
+  // Re-validate every earlier read after this one: each stripe kept its
+  // version from its own read until now, and this read lies inside all of
+  // those intervals, so the whole read set is a snapshot as of this read.
+  bool logged = false;
+  for (unsigned i = 0; i < tx.nreads; ++i) {
+    const ReadEntry& r = tx.reads[i];
+    if (r.stripe->load(std::memory_order_acquire) != r.version) {
+      abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
     }
-    PTO_CPU_RELAX();
+    logged |= r.stripe == &s;
   }
-}
-
-void unlock_clock(std::uint64_t even_value) {
-  g_clock.store(even_value + 2, std::memory_order_seq_cst);
-}
-
-void validate_or_abort(Tx& tx) {
-  for (;;) {
-    std::uint64_t c = await_even_clock();
-    bool ok = true;
-    for (const LogEntry& e : tx.reads) {
-      if (e.rd(e.obj) != e.val) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
-    if (g_clock.load(std::memory_order_seq_cst) == c) {
-      tx.snapshot = c;
-      return;
-    }
+  if (logged) return;  // its version equals v, or the check above aborted
+  if (PTO_UNLIKELY(tx.nreads == kReadCapacity)) {
+    abort_tx(TX_ABORT_CAPACITY, TX_CODE_NONE);
   }
+  tx.reads[tx.nreads++] = {&s, v};
 }
 
 }  // namespace detail
 
 unsigned begin() {
-  Tx& tx = g_tx;
+  Tx& tx = t_tx;
   if (tx.active) {
     ++tx.depth;  // flat nesting
     return TX_STARTED;
   }
-  tx.reads.clear();
-  tx.writes.clear();
+  tx.nreads = 0;
+  tx.nwrites = 0;
   tx.depth = 0;
-  tx.user_code = TX_CODE_NONE;
-  tx.snapshot = detail::await_even_clock();
   tx.active = true;
   return TX_STARTED;
 }
 
+// Commit memory orders. Locks are taken with seq_cst CASes and the read set
+// is validated with seq_cst loads, so two committers that each read what the
+// other writes cannot both miss the other's lock (the Dekker pattern of
+// write-skew), and neither can a non-transactional writer, which takes its
+// stripe with the same CAS. The CAS also orders the validation loads and the
+// write-back after the locks. Write-back stores and the final unlock are
+// release stores: a reader that sees a written value or the new version
+// sees the whole write-back, and one that reads mid-write-back sees an odd
+// lock and retries.
+//
+// The commit linearizes at the first validation load: every write stripe is
+// locked by then, and every read stripe holds its logged version from its
+// read until its own (later) validation load.
 void commit() {
-  Tx& tx = g_tx;
+  Tx& tx = t_tx;
   if (tx.depth > 0) {
     --tx.depth;
     return;
   }
-  if (tx.writes.empty()) {
-    // Read-only transactions are already consistent at `snapshot`.
-    tx.active = false;
-    tx.reads.clear();
-    return;
+  if (tx.nwrites != 0) {
+    for (unsigned i = 0; i < tx.nwrites; ++i) {
+      WriteEntry& w = tx.writes[i];
+      w.owner = !owns(tx, w.stripe, i);
+      if (!w.owner) continue;  // two words on one line, or a hash collision
+      std::uint64_t v = w.stripe->load(std::memory_order_relaxed);
+      if ((v & 1) != 0 ||
+          !w.stripe->compare_exchange_strong(v, v + 1,
+                                             std::memory_order_seq_cst,
+                                             std::memory_order_relaxed)) {
+        release(tx, i, 0);
+        abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
+      }
+      w.version = v;
+    }
+    for (unsigned i = 0; i < tx.nreads; ++i) {
+      const ReadEntry& r = tx.reads[i];
+      const std::uint64_t cur = r.stripe->load(std::memory_order_seq_cst);
+      // A stripe we locked reads version + 1; it is valid if we locked it at
+      // the version the read saw.
+      if (cur != r.version &&
+          !(cur == r.version + 1 && owns(tx, r.stripe, tx.nwrites))) {
+        release(tx, tx.nwrites, 0);
+        abort_tx(TX_ABORT_CONFLICT, TX_CODE_NONE);
+      }
+    }
+    for (unsigned i = 0; i < tx.nwrites; ++i) {
+      const WriteEntry& w = tx.writes[i];
+      w.wr(w.obj, w.val);
+    }
+    release(tx, tx.nwrites, 2);
   }
-  auto& clock = global_clock();
-  std::uint64_t c = tx.snapshot;
-  while (!clock.compare_exchange_strong(c, c + 1, std::memory_order_seq_cst)) {
-    // Someone committed since our snapshot: re-validate, then retry from the
-    // validated clock value.
-    detail::validate_or_abort(tx);
-    c = tx.snapshot;
-  }
-  for (const LogEntry& e : tx.writes) e.wr(e.obj, e.val);
-  clock.store(c + 2, std::memory_order_seq_cst);
+  // A read-only transaction validated its whole read set at its last read.
   tx.active = false;
-  tx.reads.clear();
-  tx.writes.clear();
 }
 
 void abort_tx(unsigned cause, unsigned char user_code) {
-  Tx& tx = g_tx;
+  Tx& tx = t_tx;
   g_last_user_code = user_code;
   tx.active = false;
   tx.depth = 0;
-  tx.reads.clear();
-  tx.writes.clear();
   // The longjmp bypasses htm::tx_begin's abort-return path, so the facade's
   // telemetry site is fed here (writes are buffered, nothing to roll back).
   if (PTO_UNLIKELY(::pto::telemetry::enabled())) {

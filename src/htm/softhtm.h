@@ -1,21 +1,37 @@
 // SoftHTM: a software stand-in for best-effort hardware transactional memory,
 // used on machines without working Intel TSX.
 //
-// Design: NOrec-style STM [Dalessandro et al., PPoPP'10] with one global
-// versioned sequence lock. Transactional reads are validated by value against
-// the global clock; writes are buffered and applied at commit while holding
-// the clock (odd = write-back in progress).
+// Design: a word-based STM over a fixed table of kStripes 64-bit versioned
+// locks. Every shared word maps to the lock of its 64-byte line (the line
+// address is hashed into the table), so conflicts are detected at cache-line
+// granularity, as on RTM. A lock word holds an even version while it is free
+// and version + 1 while a writer owns it.
+//
+// Transactions keep a redo log in fixed-capacity arrays. Each read logs
+// (stripe, version) and re-validates the whole read set, so the body never
+// acts on an inconsistent snapshot (opacity). That costs time quadratic in
+// the read set, which kReadCapacity bounds; most prefix transactions read a
+// few stripes. Writes are buffered. Commit try-locks the write stripes (a
+// busy stripe aborts the attempt, nothing waits), validates the reads,
+// writes back and releases each stripe at version + 2. A read-only
+// transaction is consistent as of its last read and commits with no further
+// work. Overflowing either log aborts with TX_ABORT_CAPACITY, like a
+// hardware capacity abort; the bounded sets keep the descriptor
+// allocation-free and every scan short.
 //
 // Strong atomicity: the paper's PTO technique requires that transactions and
-// *non-transactional* lock-free code interoperate. SoftHTM achieves this by
-// routing every non-transactional access to shared `std::atomic` objects
-// through accessors that respect the same sequence lock: loads are
-// seqlock-stable reads, and stores/CAS/RMW briefly acquire the clock. This is
-// correct but serializes writers on one cache line, so SoftHTM is a
-// *correctness* substrate (tests, portability) — performance claims are only
-// made on real RTM or on the simulator, which both provide true strong
-// atomicity. Note also that the global lock technically weakens lock-freedom;
-// see DESIGN.md §2.
+// *non-transactional* lock-free code interoperate (Theorem 2). SoftHTM routes
+// every non-transactional access to a shared `std::atomic` through accessors
+// that respect the same locks: a load is a seqlock read of its own stripe,
+// and a store, CAS or fetch-add holds its own stripe for that one access.
+// Threads working on different lines touch no common word, so the backend
+// scales with threads. Two caveats remain. A lock holder that is preempted
+// stalls every access to its stripes, which technically weakens
+// lock-freedom (DESIGN.md §2). And plain (non-atomic) fields read inside a
+// transaction are not logged, so a node freed and reused during an attempt
+// is not detected the way hardware detects it: strongly_atomic() is false
+// for this backend, and data structures keep their epoch guards around
+// attempts.
 //
 // Restrictions (same as real RTM): code inside a transaction must be
 // trivially unwindable — aborts longjmp to the checkpoint installed by
@@ -24,10 +40,9 @@
 
 #include <atomic>
 #include <csetjmp>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
-#include <vector>
 
 #include "common/bits.h"
 #include "common/defs.h"
@@ -35,31 +50,60 @@
 
 namespace pto::softhtm {
 
-using ReadFn = std::uint64_t (*)(const void*);
+/// Versioned locks in the stripe table: 2^16 words, 512 KiB.
+inline constexpr unsigned kStripeBits = 16;
+inline constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
+/// Distinct stripes one transaction may read, and words it may write.
+inline constexpr unsigned kReadCapacity = 512;
+inline constexpr unsigned kWriteCapacity = 128;
+
+using Stripe = std::atomic<std::uint64_t>;
 using WriteFn = void (*)(void*, std::uint64_t);
 
-/// One logged access. `obj` points at a std::atomic<T>; `rd`/`wr` are the
-/// type-erased accessors for that T.
-struct LogEntry {
-  void* obj;
-  std::uint64_t val;
-  ReadFn rd;
-  WriteFn wr;
+struct ReadEntry {
+  const Stripe* stripe;
+  std::uint64_t version;  ///< even version the read was validated against
 };
 
-/// Per-thread transaction descriptor.
+struct WriteEntry {
+  void* obj;  ///< the std::atomic<T> written
+  std::uint64_t val;
+  WriteFn wr;  ///< typed write-back for obj
+  Stripe* stripe;
+  /// Commit only: whether this entry took its stripe's lock (an earlier
+  /// entry on the same stripe already holds it otherwise), and the version
+  /// the lock was taken at.
+  bool owner;
+  std::uint64_t version;
+};
+
+/// Per-thread transaction descriptor. Trivially constructible, so the
+/// thread-local instance needs no dynamic initialization.
 struct Tx {
-  bool active = false;
-  int depth = 0;  ///< flat nesting depth beyond the outermost begin
-  std::uint64_t snapshot = 0;
-  unsigned char user_code = TX_CODE_NONE;
-  std::vector<LogEntry> reads;
-  std::vector<LogEntry> writes;
+  bool active;
+  int depth;  ///< flat nesting depth beyond the outermost begin
+  unsigned nreads;
+  unsigned nwrites;
+  ReadEntry reads[kReadCapacity];
+  WriteEntry writes[kWriteCapacity];
   std::jmp_buf env;  ///< abort checkpoint, armed by pto::prefix()
 };
 
-Tx& tls_tx();
-std::atomic<std::uint64_t>& global_clock();
+namespace detail {
+extern Stripe g_stripes[kStripes];
+extern constinit thread_local Tx t_tx;
+}  // namespace detail
+
+inline Tx& tls_tx() { return detail::t_tx; }
+
+/// The lock guarding the 64-byte line that holds `p` (Fibonacci hashing of
+/// the line address spreads neighbouring lines over the table).
+inline Stripe& stripe_of(const void* p) {
+  const auto line = static_cast<std::uint64_t>(
+      reinterpret_cast<std::uintptr_t>(p) / kCacheLine);
+  return detail::g_stripes[(line * 0x9E3779B97F4A7C15ull) >>
+                           (64 - kStripeBits)];
+}
 
 /// Begin a transaction (or nest into the active one). Returns TX_STARTED.
 /// The caller must have armed tls_tx().env with setjmp *before* calling.
@@ -68,11 +112,11 @@ unsigned begin();
 /// Commit the innermost begin; the outermost commit validates and writes back.
 void commit();
 
-/// Abort the active transaction: roll back buffered state and longjmp to the
+/// Abort the active transaction: discard buffered state and longjmp to the
 /// checkpoint with `cause`.
 [[noreturn]] void abort_tx(unsigned cause, unsigned char user_code);
 
-inline bool in_tx() { return tls_tx().active; }
+inline bool in_tx() { return detail::t_tx.active; }
 
 /// User payload of the last explicit abort on this thread.
 unsigned char last_user_code();
@@ -86,28 +130,54 @@ constexpr void check_type() {
 }
 
 template <class T>
-std::uint64_t erased_read(const void* p) {
-  return ::pto::widen<T>(
-      static_cast<const std::atomic<T>*>(p)->load(std::memory_order_seq_cst));
-}
-
-template <class T>
 void erased_write(void* p, std::uint64_t v) {
   static_cast<std::atomic<T>*>(p)->store(::pto::narrow<T>(v),
-                                         std::memory_order_seq_cst);
+                                         std::memory_order_release);
 }
 
-/// Re-validate the read set until the clock is stable; abort on mismatch.
-/// On success, tx.snapshot equals the validated clock value.
-void validate_or_abort(Tx& tx);
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
 
-/// Spin until the clock is even (no write-back in progress); returns it.
-std::uint64_t await_even_clock();
+/// Log a read of `s` at even version `v` and re-validate the whole read
+/// set; aborts with TX_ABORT_CONFLICT or TX_ABORT_CAPACITY.
+void log_read(Tx& tx, const Stripe& s, std::uint64_t v);
 
-/// Acquire the clock as a writer lock (even -> odd). Returns the even value.
-std::uint64_t lock_clock();
+/// Take `s` for one non-transactional write (even -> odd); returns the
+/// version it was taken at. Spins while another writer holds it.
+inline std::uint64_t lock_stripe(Stripe& s) {
+  std::uint64_t v = s.load(std::memory_order_relaxed);
+  for (;;) {
+    if ((v & 1) == 0 &&
+        s.compare_exchange_weak(v, v + 1, std::memory_order_seq_cst,
+                                std::memory_order_relaxed)) {
+      return v;
+    }
+    cpu_relax();
+    v = s.load(std::memory_order_relaxed);
+  }
+}
 
-void unlock_clock(std::uint64_t even_value);
+/// Seqlock read of `a` under its stripe `s`: returns the value and stores
+/// the even version it is consistent with in `version`.
+template <class T>
+T stable_read(const std::atomic<T>& a, const Stripe& s,
+              std::uint64_t& version) {
+  for (;;) {
+    const std::uint64_t v1 = s.load(std::memory_order_seq_cst);
+    if ((v1 & 1) == 0) {
+      const T v = a.load(std::memory_order_acquire);
+      // The acquire load above keeps this re-read after the data read.
+      if (s.load(std::memory_order_relaxed) == v1) {
+        version = v1;
+        return v;
+      }
+    }
+    cpu_relax();
+  }
+}
 
 }  // namespace detail
 
@@ -118,78 +188,89 @@ void unlock_clock(std::uint64_t even_value);
 template <class T>
 T tx_load(const std::atomic<T>& a) {
   detail::check_type<T>();
-  Tx& tx = tls_tx();
-  // Read-own-writes: scan the write buffer newest-first.
-  for (auto it = tx.writes.rbegin(); it != tx.writes.rend(); ++it) {
-    if (it->obj == const_cast<std::atomic<T>*>(&a)) {
-      return ::pto::narrow<T>(it->val);
-    }
+  Tx& tx = detail::t_tx;
+  // Read-own-writes: the write log holds one entry per address.
+  for (unsigned i = 0; i < tx.nwrites; ++i) {
+    if (tx.writes[i].obj == &a) return ::pto::narrow<T>(tx.writes[i].val);
   }
-  auto& clock = global_clock();
-  for (;;) {
-    T v = a.load(std::memory_order_seq_cst);
-    std::uint64_t c = clock.load(std::memory_order_seq_cst);
-    if (c == tx.snapshot) {
-      tx.reads.push_back({const_cast<std::atomic<T>*>(&a), ::pto::widen(v),
-                          &detail::erased_read<T>, nullptr});
-      return v;
-    }
-    detail::validate_or_abort(tx);  // extends snapshot or aborts
-  }
+  const Stripe& s = stripe_of(&a);
+  std::uint64_t version;
+  const T v = detail::stable_read(a, s, version);
+  detail::log_read(tx, s, version);
+  return v;
 }
 
 template <class T>
 void tx_store(std::atomic<T>& a, T v) {
   detail::check_type<T>();
-  Tx& tx = tls_tx();
-  for (auto& e : tx.writes) {
-    if (e.obj == &a) {
-      e.val = ::pto::widen(v);
+  Tx& tx = detail::t_tx;
+  for (unsigned i = 0; i < tx.nwrites; ++i) {
+    if (tx.writes[i].obj == &a) {
+      tx.writes[i].val = ::pto::widen(v);
       return;
     }
   }
-  tx.writes.push_back({&a, ::pto::widen(v), nullptr, &detail::erased_write<T>});
+  if (PTO_UNLIKELY(tx.nwrites == kWriteCapacity)) {
+    abort_tx(TX_ABORT_CAPACITY, TX_CODE_NONE);
+  }
+  WriteEntry& w = tx.writes[tx.nwrites++];
+  w.obj = &a;
+  w.val = ::pto::widen(v);
+  w.wr = &detail::erased_write<T>;
+  w.stripe = &stripe_of(&a);
 }
 
 // ---------------------------------------------------------------------------
 // Strongly-atomic non-transactional accessors
 // ---------------------------------------------------------------------------
+//
+// Writers hold the stripe (a seq_cst CAS) around one access and publish the
+// data with a release store before releasing the stripe with another, so a
+// seqlock reader whose acquire load sees the new value also sees the stripe
+// taken. A failed CAS writes nothing and releases the stripe at its old
+// version.
 
 template <class T>
 T nt_load(const std::atomic<T>& a) {
   detail::check_type<T>();
-  auto& clock = global_clock();
-  for (;;) {
-    std::uint64_t c1 = detail::await_even_clock();
-    T v = a.load(std::memory_order_seq_cst);
-    if (clock.load(std::memory_order_seq_cst) == c1) return v;
-  }
+  std::uint64_t version;
+  return detail::stable_read(a, stripe_of(&a), version);
 }
 
 template <class T>
 void nt_store(std::atomic<T>& a, T v) {
   detail::check_type<T>();
-  std::uint64_t c = detail::lock_clock();
-  a.store(v, std::memory_order_seq_cst);
-  detail::unlock_clock(c);
+  Stripe& s = stripe_of(&a);
+  const std::uint64_t ver = detail::lock_stripe(s);
+  a.store(v, std::memory_order_release);
+  s.store(ver + 2, std::memory_order_release);
 }
 
 template <class T>
 bool nt_cas(std::atomic<T>& a, T& expected, T desired) {
   detail::check_type<T>();
-  std::uint64_t c = detail::lock_clock();
-  bool ok = a.compare_exchange_strong(expected, desired,
-                                      std::memory_order_seq_cst);
-  detail::unlock_clock(c);
-  return ok;
+  Stripe& s = stripe_of(&a);
+  const std::uint64_t ver = detail::lock_stripe(s);
+  // Every writer of `a` holds `s`, so the relaxed load sees the latest value.
+  const T cur = a.load(std::memory_order_relaxed);
+  if (::pto::widen(cur) != ::pto::widen(expected)) {
+    s.store(ver, std::memory_order_release);
+    expected = cur;
+    return false;
+  }
+  a.store(desired, std::memory_order_release);
+  s.store(ver + 2, std::memory_order_release);
+  return true;
 }
 
 template <class T>
 T nt_fetch_add(std::atomic<T>& a, T delta) {
   detail::check_type<T>();
-  std::uint64_t c = detail::lock_clock();
-  T old = a.fetch_add(delta, std::memory_order_seq_cst);
-  detail::unlock_clock(c);
+  Stripe& s = stripe_of(&a);
+  const std::uint64_t ver = detail::lock_stripe(s);
+  const T old = a.load(std::memory_order_relaxed);
+  a.store(static_cast<T>(old + delta), std::memory_order_release);
+  s.store(ver + 2, std::memory_order_release);
   return old;
 }
 

@@ -1,8 +1,10 @@
 // NativePlatform: Platform implementation for real threads, backed by
 // std::atomic plus the native HTM facade (RTM when available, SoftHTM
 // otherwise). Under SoftHTM every access is routed through the strongly-
-// atomic accessors (see htm/softhtm.h); under RTM accesses compile to plain
-// std::atomic operations.
+// atomic accessors (see htm/softhtm.h): transactional accesses go to the
+// redo log, and non-transactional ones take or seqlock-read only the
+// versioned lock of their own cache line's stripe. Under RTM accesses
+// compile to plain std::atomic operations.
 #pragma once
 
 #include <atomic>
@@ -106,8 +108,9 @@ struct NativePlatform {
   static std::jmp_buf& tx_checkpoint() { return htm::checkpoint(); }
   static unsigned char last_user_code() { return htm::last_user_code(); }
 
-  /// Only real RTM gives strong atomicity; under SoftHTM value-based
-  /// validation could be fooled by memory reuse, so epoch reservations are
+  /// Only real RTM gives strong atomicity for every access; SoftHTM logs
+  /// and validates only the atomics, so a plain field of a node freed and
+  /// reused mid-transaction goes unnoticed. Epoch reservations are therefore
   /// NOT elided there (reclaim/epoch.h consults this).
   static bool strongly_atomic() { return htm::strongly_atomic(); }
 

@@ -6,8 +6,9 @@
 // Guard constructed inside a transaction reserves nothing — any free() of a
 // line the transaction has touched aborts the transaction, so reservation is
 // unnecessary. Under SoftHTM (not strongly atomic) this is unsafe; data
-// structures therefore take a FallbackGuard *before* entering prefix(), which
-// reserves only on such platforms. Guards nest via a per-handle depth count.
+// structures therefore take a Guard *before* entering prefix() when
+// !P::strongly_atomic(), so only such platforms pay for the reservation.
+// Guards nest via a per-handle depth count.
 //
 // Reclamation rule: a node retired at epoch e is freed once the global epoch
 // reaches e+2; the epoch only advances when every active reservation equals
@@ -16,6 +17,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 #include <vector>
 
@@ -58,9 +61,12 @@ class EpochDomain {
         return Handle(this, i);
       }
     }
-    // Out of slots: a misconfigured harness; fail loudly.
-    assert(false && "EpochDomain: more than kMaxThreads concurrent handles");
-    return Handle(this, 0);
+    // Out of slots. Sharing a slot would let this handle's destructor
+    // un-claim a slot another thread still uses, so stop in every build.
+    std::fprintf(stderr,
+                 "EpochDomain: more than %u concurrent handles (kMaxThreads)\n",
+                 kMaxThreads);
+    std::abort();
   }
 
   /// RAII reservation. See file comment for the elision rules.
@@ -156,10 +162,9 @@ class EpochDomain {
       if (limbo_.size() >= kReclaimBatch) reclaim_some();
     }
 
-    /// Best-effort: advance the epoch and free what is safe. noinline so the
-    /// frame is present in sanitizer free-stacks: the TSan suppression for
-    /// guard-less optimistic prefix reads (tools/tsan.supp) anchors on this
-    /// symbol, and inlining it into retire() would make the match flaky.
+    /// Best-effort: advance the epoch and free what is safe. noinline keeps
+    /// the rare scan out of retire()'s inlined fast path, and the frame
+    /// visible in sanitizer free-stacks.
     PTO_NOINLINE void reclaim_some() {
       EpochDomain& d = *domain_;
       std::uint64_t g = d.global_epoch_.load(std::memory_order_acquire);

@@ -1,5 +1,6 @@
 #include "service/runtime.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/warn.h"
@@ -48,6 +49,18 @@ void Runtime::pin_to_cpu(unsigned tid) {
   (void)tid;
   warn_once("service.pin", "no CPU affinity API on this platform; unpinned");
 #endif
+}
+
+unsigned Runtime::allowed_cpus() {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0 &&
+      CPU_COUNT(&allowed) > 0) {
+    return static_cast<unsigned>(CPU_COUNT(&allowed));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 Runtime::Runtime(RuntimeOptions opts) : opts_(opts) {

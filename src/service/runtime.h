@@ -45,6 +45,10 @@ class Runtime {
   /// platform has no affinity API or the syscall fails.
   static void pin_to_cpu(unsigned tid);
 
+  /// CPUs in the process affinity mask (what `nproc` prints); the online
+  /// CPU count where the platform has no affinity API.
+  static unsigned allowed_cpus();
+
  private:
   void worker(unsigned tid);
 

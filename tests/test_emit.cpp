@@ -139,15 +139,19 @@ TEST(Emit, CsvHeaderEmittedOnce) {
 }
 
 TEST(Emit, CsvHeaderResetsWithFormat) {
+  // Pinned timestamps: emit-time defaults could straddle a millisecond
+  // between the two emissions and differ for that reason alone.
+  BenchPoint p = sample_point();
+  p.ts_start = p.ts_end = "2026-01-01T00:00:00.000Z";
   std::string first, second;
   {
     Capture cap(StatsFormat::kCsv);
-    telemetry::emit_bench_point(sample_point());
+    telemetry::emit_bench_point(p);
     first = cap.os.str();
   }
   {
     Capture cap(StatsFormat::kCsv);
-    telemetry::emit_bench_point(sample_point());
+    telemetry::emit_bench_point(p);
     second = cap.os.str();
   }
   // A fresh format selection re-emits the header (new file, new header).

@@ -2,6 +2,8 @@
 // elision, handle lifecycle, and custom disposers.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/prefix.h"
 #include "platform/native_platform.h"
 #include "platform/sim_platform.h"
@@ -168,6 +170,23 @@ TEST(Epoch, SlotReuseAfterHandleDeath) {
   }
   auto h2 = dom.register_thread();
   EXPECT_EQ(h2.slot(), first_slot);
+}
+
+// One handle past kMaxThreads must stop the process in every build type:
+// sharing slot 0 would let the extra handle's destructor un-claim a slot
+// another thread still uses.
+TEST(EpochDeathTest, ExhaustingSlotsAborts) {
+  using Domain = EpochDomain<pto::NativePlatform>;
+  EXPECT_DEATH(
+      {
+        Domain dom;
+        std::vector<Domain::Handle> hs;
+        hs.reserve(pto::kMaxThreads + 1);
+        for (unsigned i = 0; i <= pto::kMaxThreads; ++i) {
+          hs.push_back(dom.register_thread());
+        }
+      },
+      "more than 1024 concurrent handles");
 }
 
 TEST(Epoch, NativePlatformBasics) {

@@ -15,12 +15,18 @@ ops_per_sec is >= MIN. CI uses this to enforce the service's headline
 acceptance number (1M ops/sec aggregate at 4 shards / 4 threads) rather than
 just relative drift.
 
+--min-scaling HI:LO:R gates thread scaling on one host, which no baseline
+from another host can: in every series of the current run, throughput at HI
+threads must be at least R times throughput at LO threads. The check needs
+the `nproc` that svc_kv records; on a host with fewer than HI CPUs it prints
+a skip, since the HI-thread point then measures time-slicing.
+
 Usage:
   check_svc_speed.py BASELINE CURRENT [--tolerance 0.4]
-                     [--require 4:4:1000000] ...
+                     [--require 4:4:1000000] ... [--min-scaling 4:1:1.5] ...
 
 Exit status: 0 when every matched point is within tolerance and every
---require floor holds, 1 otherwise.
+--require floor and --min-scaling ratio holds, 1 otherwise.
 """
 
 import argparse
@@ -48,6 +54,50 @@ def parse_require(spec):
         raise SystemExit(f"bad --require spec '{spec}' (want THREADS:SHARDS:MIN)")
 
 
+def parse_scaling(spec):
+    try:
+        hi, lo, r = spec.split(":")
+        return int(hi), int(lo), float(r)
+    except ValueError:
+        raise SystemExit(f"bad --min-scaling spec '{spec}' (want HI:LO:RATIO)")
+
+
+def check_scaling(doc, spec):
+    """True when every series scales from LO to HI threads by at least R."""
+    hi, lo, want = parse_scaling(spec)
+    if "nproc" not in doc:
+        print(f"FAIL: --min-scaling {spec}: the current run records no nproc "
+              "(written by svc_kv since the field was added)", file=sys.stderr)
+        return False
+    nproc = int(doc["nproc"])
+    if nproc < hi:
+        print(f"skip --min-scaling {spec}: nproc {nproc} < {hi} threads")
+        return True
+    by_series = {}
+    for p in doc.get("points", []):
+        by_series.setdefault(p["series"], {})[int(p["threads"])] = float(
+            p["ops_per_sec"])
+    if not by_series:
+        print(f"FAIL: --min-scaling {spec}: no points", file=sys.stderr)
+        return False
+    ok = True
+    for series, pts in sorted(by_series.items()):
+        if hi not in pts or lo not in pts or pts[lo] <= 0:
+            print(f"FAIL: {series}: no usable points at threads={lo} and "
+                  f"threads={hi}", file=sys.stderr)
+            ok = False
+            continue
+        ratio = pts[hi] / pts[lo]
+        if ratio < want:
+            print(f"FAIL: {series}: {hi}t/{lo}t = {ratio:.2f}, below the "
+                  f"required {want:.2f} (nproc {nproc}, "
+                  f"{doc.get('htm_backend', '?')} backend)", file=sys.stderr)
+            ok = False
+        else:
+            print(f"scaling {series}: {hi}t/{lo}t = {ratio:.2f} >= {want:.2f}  OK")
+    return ok
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("baseline")
@@ -66,6 +116,14 @@ def main():
         metavar="T:S:MIN",
         help="absolute floor: current run must have a point with threads=T, "
         "shards=S and ops_per_sec >= MIN (repeatable)",
+    )
+    ap.add_argument(
+        "--min-scaling",
+        action="append",
+        default=[],
+        metavar="HI:LO:R",
+        help="every series must reach R x its LO-thread throughput at HI "
+        "threads; skipped when the run's nproc < HI (repeatable)",
     )
     args = ap.parse_args()
 
@@ -132,6 +190,8 @@ def main():
             ok = False
         else:
             print(f"require {spec}: best {best:.3e} >= {floor:.3e}  OK")
+    for spec in args.min_scaling:
+        ok = check_scaling(cur_doc, spec) and ok
     return 0 if ok else 1
 
 
