@@ -28,8 +28,8 @@ struct MindFixture {
   void thread_body(unsigned tid, std::uint64_t ops) {
     for (std::uint64_t i = 0; i < ops; i += 2) {
       auto v = static_cast<std::int32_t>(pto::sim::rnd() % 1'000'000);
-      mind.arrive_pto(tid, v, nullptr, pol);
-      mind.depart_pto(tid, nullptr, pol);
+      mind.arrive_pto(tid, v, pol);
+      mind.depart_pto(tid, pol);
       pto::sim::op_done(2);
     }
   }

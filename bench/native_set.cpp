@@ -52,10 +52,10 @@ std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
     bool pto_path) {
   // Latency sites: one per op class, shared by both series (the series label
   // in the emitted record disambiguates).
-  pto::obs::LatencySite* ins = pto::obs::intern_latency_site("native_set.insert");
-  pto::obs::LatencySite* rem = pto::obs::intern_latency_site("native_set.remove");
-  pto::obs::LatencySite* look =
-      pto::obs::intern_latency_site("native_set.contains");
+  auto& reg = pto::telemetry::Registry::instance();
+  pto::telemetry::Site* ins = reg.intern("native_set.insert");
+  pto::telemetry::Site* rem = reg.intern("native_set.remove");
+  pto::telemetry::Site* look = reg.intern("native_set.contains");
   return [pto_path, ins, rem, look] {
     auto set = std::make_shared<SkipList<NativePlatform>>();
     {

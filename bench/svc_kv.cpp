@@ -13,7 +13,7 @@
 // included — no coordinated omission).
 //
 // Configuration: PTO_BENCH_* (threads sweep, ops, trials — benchutil/runner)
-// plus PTO_SVC_* (shards, structure, batch, key popularity, mix, open-loop
+// plus PTO_SVC_* (shards, structure, key popularity, mix, open-loop
 // rate — service/loadgen.h documents the full list).
 //
 // Output: figure table on stdout, svc_kv.csv, BENCH_svc.json (the host's
@@ -99,11 +99,7 @@ std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
     return [kv, so, sites, streams, gaps, openloop](unsigned tid,
                                                     std::uint64_t ops) {
       const std::vector<svc::Op>& st = (*streams)[tid];
-      if (so.batch > 0) {
-        svc::BatchingClient<KV> bc(*kv, so.batch, &sites);
-        for (std::uint64_t i = 0; i < ops; ++i) bc.exec(st[i % st.size()]);
-        bc.flush_all();
-      } else if (openloop) {
+      if (openloop) {
         auto client = kv->make_client();
         const std::vector<std::uint64_t>& g = (*gaps)[tid];
         std::uint64_t sched = pto::obs::now_ticks();
@@ -207,8 +203,7 @@ int main() {
        << "\",\"shards\":" << so.shards << ",\"struct\":\""
        << svc::structure_name(so.structure) << "\",\"dist\":\""
        << svc::dist_name(so.workload.dist) << "\",\"theta\":"
-       << so.workload.theta << ",\"batch\":" << so.batch
-       << ",\"openloop_rate\":" << so.workload.openloop_rate << ",\"points\":[";
+       << so.workload.theta << ",\"openloop_rate\":" << so.workload.openloop_rate << ",\"points\":[";
   for (std::size_t i = 0; i < recs.size(); ++i) {
     const PointRec& r = recs[i];
     json << (i ? "," : "") << "{\"series\":\"" << r.series

@@ -8,7 +8,7 @@
 // fallback is used transparently. It shows:
 //   1. the prefix() combinator on its own (a multi-word atomic update),
 //   2. a PTO-accelerated data structure (the Ellen BST),
-//   3. reading the per-thread statistics PTO collects.
+//   3. reading the per-site statistics PTO collects (telemetry sites).
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -17,11 +17,14 @@
 #include "ds/bst/ellen_bst.h"
 #include "htm/htm.h"
 #include "platform/native_platform.h"
+#include "telemetry/registry.h"
 
 using pto::Atom;
 using pto::NativePlatform;
 
 int main() {
+  // Arm the site counters (PTO_STATS / PTO_TELEMETRY do the same).
+  pto::telemetry::set_enabled(true);
   std::printf("HTM backend: %s\n",
               pto::htm::backend() == pto::htm::Backend::kRTM
                   ? "Intel RTM (hardware transactions)"
@@ -31,7 +34,7 @@ int main() {
   Atom<NativePlatform, long> checking, savings;
   checking.init(1000);
   savings.init(0);
-  pto::PrefixStats transfer_stats;
+  pto::telemetry::Site* transfer = PTO_TELEMETRY_SITE("quickstart.transfer");
   for (int i = 0; i < 100; ++i) {
     pto::prefix<NativePlatform>(
         /*attempts=*/4,
@@ -45,8 +48,9 @@ int main() {
           checking.fetch_add(-10);
           savings.fetch_add(10);
         },
-        &transfer_stats);
+        transfer);
   }
+  const pto::PrefixStats transfer_stats = transfer->snapshot();
   std::printf("transfer: checking=%ld savings=%ld  (tx commits=%llu, "
               "fallbacks=%llu)\n",
               checking.load(), savings.load(),
@@ -60,7 +64,7 @@ int main() {
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&set, t] {
-      auto ctx = set.make_ctx();  // one per thread: epoch handle + stats
+      auto ctx = set.make_ctx();  // one per thread: epoch handle + spares
       for (int i = 0; i < 10'000; ++i) {
         long k = (t * 10'000 + i) % 4096;
         // PTO1+PTO2: whole-operation transaction, then update-phase
@@ -85,6 +89,7 @@ int main() {
     hits += set.contains(ctx, k, Mode::kPto12);
   }
   std::printf("lookup sweep: %d present, lookup tx commits=%llu\n", hits,
-              static_cast<unsigned long long>(ctx.lookup_stats.commits));
+              static_cast<unsigned long long>(
+                  PTO_TELEMETRY_SITE("bst.lookup")->snapshot().commits));
   return 0;
 }

@@ -18,10 +18,6 @@
 
 namespace pto::check {
 
-namespace detail {
-std::atomic<bool> g_on{false};
-}  // namespace detail
-
 namespace {
 
 constexpr unsigned kNoTid = 0xFFFFFFFFu;
@@ -160,7 +156,7 @@ struct CheckState {
                      "PTO_CHECK=%s not recognized (1|report); checking on\n",
                      v);
       }
-      detail::g_on.store(true, std::memory_order_relaxed);
+      telemetry::set_tap(telemetry::kTapCheck, true);
       report_at_exit = true;
     }
     if (const char* v = std::getenv("PTO_CHECK_OUT");
@@ -355,7 +351,7 @@ const char* finding_kind_name(FindingKind k) {
 }
 
 void set_enabled(bool on) {
-  detail::g_on.store(on, std::memory_order_relaxed);
+  telemetry::set_tap(telemetry::kTapCheck, on);
 }
 
 void reset() {
@@ -631,15 +627,6 @@ void on_op_done(unsigned tid) {
 
 namespace {
 
-void push_span(const telemetry::Site* site, bool fallback) {
-  if (!sim::active()) return;
-  CheckState& S = state();
-  if (!S.active) return;
-  ThreadState& t = S.threads[sim::thread_id() % kMaxThreads];
-  if (t.depth >= kMaxSpans) return;
-  t.spans[t.depth++] = SpanRef{site, fallback};
-}
-
 /// Pop the innermost span matching (site, kind), discarding spans above it —
 /// attempts abandoned when an abort longjmp'd through their frames.
 ///
@@ -651,11 +638,8 @@ void push_span(const telemetry::Site* site, bool fallback) {
 /// operation re-derives state from the structure, and values that merely
 /// *equal* a stale pointer (a thread-local node cache, a re-inserted key)
 /// would be false positives.
-void pop_span(const telemetry::Site* site, bool fallback, bool call_done) {
-  if (!sim::active()) return;
-  CheckState& S = state();
-  if (!S.active) return;
-  ThreadState& t = S.threads[sim::thread_id() % kMaxThreads];
+void pop_span(ThreadState& t, const telemetry::Site* site, bool fallback,
+              bool call_done) {
   for (unsigned i = t.depth; i-- > 0;) {
     if (t.spans[i].site == site && t.spans[i].fallback == fallback) {
       t.depth = i;
@@ -673,27 +657,30 @@ void pop_span(const telemetry::Site* site, bool fallback, bool call_done) {
 
 }  // namespace
 
-void on_site_attempt(const telemetry::Site* site) { push_span(site, false); }
-
-void on_site_commit(const telemetry::Site* site) {
-  pop_span(site, false, /*call_done=*/true);
+void on_event(const telemetry::Site* site, unsigned event, unsigned) {
   if (!sim::active()) return;
   CheckState& S = state();
   if (!S.active) return;
-  auto it = S.site_caps.find(site);
-  if (it != S.site_caps.end()) ++it->second.commits;
-  else S.site_caps[site].commits = 1;
-}
-
-void on_site_abort(const telemetry::Site* site, unsigned cause) {
-  (void)cause;
-  pop_span(site, false, /*call_done=*/false);
-}
-
-void on_site_fallback(const telemetry::Site* site) { push_span(site, true); }
-
-void on_site_fallback_end(const telemetry::Site* site) {
-  pop_span(site, true, /*call_done=*/true);
+  ThreadState& t = S.threads[sim::thread_id() % kMaxThreads];
+  switch (event) {
+    case telemetry::kEventAttempt:
+    case telemetry::kEventFallback:
+      if (t.depth < kMaxSpans) {
+        t.spans[t.depth++] =
+            SpanRef{site, event == telemetry::kEventFallback};
+      }
+      return;
+    case telemetry::kEventAbort:
+      pop_span(t, site, false, /*call_done=*/false);
+      return;
+    case telemetry::kEventFallbackEnd:
+      pop_span(t, site, true, /*call_done=*/true);
+      return;
+    case telemetry::kEventCommit:
+      pop_span(t, site, false, /*call_done=*/true);
+      ++S.site_caps[site].commits;
+      return;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@
 //     A **plain** access is a relaxed, non-transactional one. Two concurrent
 //     plain accesses to the same address, at least one a write, with no HB
 //     path are reported with both sites (prefix-site attribution reuses the
-//     StatsHandle span machinery the profiler introduced).
+//     span machinery the profiler introduced, fed by the checker's tap of
+//     the telemetry event gate).
 //
 //  2. **Opacity / doomed-read checker.** Each transactional read is logged
 //     (address, observed value). When a transaction is doomed by a conflict,
@@ -63,24 +64,18 @@
 //   PTO_CHECK_MAX=N    distinct findings kept (default 100)
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-namespace pto::telemetry {
-class Site;
-}  // namespace pto::telemetry
+#include "telemetry/taps.h"
 
 namespace pto::check {
 
-namespace detail {
-extern std::atomic<bool> g_on;
-}  // namespace detail
-
-/// Cheap gate for every instrumentation point in the simulator.
-inline bool on() { return detail::g_on.load(std::memory_order_relaxed); }
+/// Cheap gate for every instrumentation point in the simulator (the
+/// checker's tap).
+inline bool on() { return telemetry::tap_on(telemetry::kTapCheck); }
 
 /// Programmatic control (tests). Enabling does not clear accumulated
 /// findings; call reset() for a clean slate.
@@ -164,16 +159,8 @@ void on_tx_self_abort(unsigned tid, unsigned cause, std::size_t rset,
                       std::size_t wset);
 void on_op_done(unsigned tid);
 
-// ---------------------------------------------------------------------------
-// Prefix-side hooks, forwarded by the StatsHandle telemetry hooks in
-// telemetry/registry.cpp (same path that feeds pto::prof). No-ops outside a
-// simulation.
-// ---------------------------------------------------------------------------
-
-void on_site_attempt(const telemetry::Site* site);
-void on_site_commit(const telemetry::Site* site);
-void on_site_abort(const telemetry::Site* site, unsigned cause);
-void on_site_fallback(const telemetry::Site* site);
-void on_site_fallback_end(const telemetry::Site* site);
+/// One prefix event (telemetry/taps.h), dispatched by telemetry::on_event
+/// (the same path that feeds pto::prof). A no-op outside a simulation.
+void on_event(const telemetry::Site* site, unsigned event, unsigned cause);
 
 }  // namespace pto::check

@@ -15,18 +15,25 @@
 //
 // Composition (paper §2.5): nest by making `slow` itself call prefix —
 // e.g. BST PTO1+PTO2 is prefix(2, wholeOp, [&]{ return insertPTO2(...); }).
+//
+// Telemetry: the optional last argument names the call site
+// (PTO_TELEMETRY_SITE("name"), telemetry/registry.h). Every attempt, commit,
+// abort and fallback passes telemetry::emit (telemetry/taps.h) — one relaxed
+// load and one branch while no subscriber is armed.
 #pragma once
 
 #include <csetjmp>
 #include <cstdint>
+#include <functional>
 #include <type_traits>
 
 #include "htm/txcode.h"
 #include "platform/platform.h"
+#include "telemetry/taps.h"
 
 namespace pto {
 
-/// Per-call-site statistics. Not thread-safe: keep one per thread and sum.
+/// Per-call-site statistics: the value telemetry::Site::snapshot() returns.
 struct PrefixStats {
   std::uint64_t attempts = 0;
   std::uint64_t commits = 0;
@@ -38,12 +45,19 @@ struct PrefixStats {
     for (auto a : aborts) n += a;
     return n;
   }
-  void accumulate(const PrefixStats& o) {
-    attempts += o.attempts;
-    commits += o.commits;
-    fallbacks += o.fallbacks;
-    for (unsigned i = 0; i < kTxCodeCount; ++i) aborts[i] += o.aborts[i];
+  /// Field-wise f(mine, theirs), e.g. a delta against an earlier sample.
+  template <class F>
+  PrefixStats zip(const PrefixStats& o, F f) const {
+    PrefixStats r;
+    r.attempts = f(attempts, o.attempts);
+    r.commits = f(commits, o.commits);
+    r.fallbacks = f(fallbacks, o.fallbacks);
+    for (unsigned i = 0; i < kTxCodeCount; ++i) {
+      r.aborts[i] = f(aborts[i], o.aborts[i]);
+    }
+    return r;
   }
+  void accumulate(const PrefixStats& o) { *this = zip(o, std::plus<>()); }
 };
 
 struct PrefixPolicy {
@@ -58,62 +72,10 @@ struct PrefixPolicy {
   constexpr explicit PrefixPolicy(int n) : attempts(n) {}
 };
 
-namespace telemetry {
-class Site;
-// Telemetry hooks, defined in telemetry/registry.cpp (declared here to keep
-// the core header free of the registry dependency). Each is a no-op unless
-// telemetry is enabled (PTO_STATS / PTO_TRACE / PTO_TELEMETRY env vars or
-// telemetry::set_enabled).
-void site_attempt(Site* site);
-void site_commit(Site* site);
-void site_abort(Site* site, unsigned cause);
-void site_fallback(Site* site);
-void site_fallback_end(Site* site);
-}  // namespace telemetry
-
-/// Statistics sink for prefix(): an optional exact per-thread PrefixStats
-/// plus an optional process-wide telemetry Site (see telemetry/registry.h).
-/// Implicitly constructible from a bare PrefixStats* so existing call sites
-/// keep working; data structures pass {local, PTO_TELEMETRY_SITE("name")} so
-/// every prefix call site reports into the registry without extra plumbing.
-class StatsHandle {
- public:
-  constexpr StatsHandle() = default;
-  constexpr StatsHandle(PrefixStats* local) : local_(local) {}
-  constexpr StatsHandle(telemetry::Site* site) : site_(site) {}
-  constexpr StatsHandle(PrefixStats* local, telemetry::Site* site)
-      : local_(local), site_(site) {}
-
-  void attempt() const {
-    if (local_ != nullptr) ++local_->attempts;
-    if (site_ != nullptr) telemetry::site_attempt(site_);
-  }
-  void commit() const {
-    if (local_ != nullptr) ++local_->commits;
-    if (site_ != nullptr) telemetry::site_commit(site_);
-  }
-  void abort(unsigned cause) const {
-    if (local_ != nullptr) ++local_->aborts[cause];
-    if (site_ != nullptr) telemetry::site_abort(site_, cause);
-  }
-  void fallback() const {
-    if (local_ != nullptr) ++local_->fallbacks;
-    if (site_ != nullptr) telemetry::site_fallback(site_);
-  }
-  /// Closes the fallback/fallback_done bracket so the profiler
-  /// (telemetry/prof.h) can attribute the slow path's cycles; counts nothing.
-  void fallback_done() const {
-    if (site_ != nullptr) telemetry::site_fallback_end(site_);
-  }
-
- private:
-  PrefixStats* local_ = nullptr;
-  telemetry::Site* site_ = nullptr;
-};
-
 template <class P, class Fast, class Slow>
 auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
-            StatsHandle st = {}) -> std::invoke_result_t<Slow&> {
+            telemetry::Site* site = nullptr) -> std::invoke_result_t<Slow&> {
+  using telemetry::emit;
   using R = std::invoke_result_t<Slow&>;
   static_assert(std::is_same_v<R, std::invoke_result_t<Fast&>>,
                 "fast and slow paths must return the same type");
@@ -124,7 +86,7 @@ auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
     const int i = vi;
     if (i >= pol.attempts) break;
     vi = i + 1;
-    st.attempt();
+    emit(site, telemetry::kEventAttempt);
     unsigned s;
     if (!P::in_tx()) {
       // Software backends abort via longjmp; arm the checkpoint in THIS
@@ -138,12 +100,12 @@ auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
       if constexpr (std::is_void_v<R>) {
         fast();
         P::tx_end();
-        st.commit();
+        emit(site, telemetry::kEventCommit);
         return;
       } else {
         R r = fast();
         P::tx_end();
-        st.commit();
+        emit(site, telemetry::kEventCommit);
         return r;
       }
     }
@@ -154,21 +116,21 @@ auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
     // DURATION is budget-gated exactly like CAPACITY whether it arrives from
     // the simulator's quantum check or from a software backend's longjmp.
     const unsigned cause = (s >= 1 && s < kTxCodeCount) ? s : TX_ABORT_OTHER;
-    st.abort(cause);
+    emit(site, telemetry::kEventAbort, cause);
     if (cause == TX_ABORT_EXPLICIT && !pol.retry_on_explicit) break;
     if ((cause == TX_ABORT_CAPACITY || cause == TX_ABORT_DURATION) &&
         !pol.retry_on_capacity) {
       break;
     }
   }
-  st.fallback();
+  emit(site, telemetry::kEventFallback);
   if constexpr (std::is_void_v<R>) {
     slow();
-    st.fallback_done();
+    emit(site, telemetry::kEventFallbackEnd);
     return;
   } else {
     R r = slow();
-    st.fallback_done();
+    emit(site, telemetry::kEventFallbackEnd);
     return r;
   }
 }
@@ -176,9 +138,9 @@ auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
 /// Convenience overload: attempts only.
 template <class P, class Fast, class Slow>
 auto prefix(int attempts, Fast&& fast, Slow&& slow,
-            StatsHandle st = {}) -> std::invoke_result_t<Slow&> {
+            telemetry::Site* site = nullptr) -> std::invoke_result_t<Slow&> {
   return prefix<P>(PrefixPolicy(attempts), static_cast<Fast&&>(fast),
-                   static_cast<Slow&&>(slow), st);
+                   static_cast<Slow&&>(slow), site);
 }
 
 }  // namespace pto

@@ -68,7 +68,6 @@ class EllenBST {
       }
     }
     typename EpochDomain<P>::Handle epoch;
-    PrefixStats pto1_stats, pto2_stats, lookup_stats;
     /// Unpublished node shells cached between PTO insert attempts, so an
     /// insert that finds its key already present costs no allocator round
     /// trip (otherwise PTO1 would pay three wasted allocations per no-op
@@ -127,7 +126,7 @@ class EllenBST {
           Search s = search(key);
           return s.l->key == key;
         },
-        {&ctx.lookup_stats, PTO_TELEMETRY_SITE("bst.lookup")});
+        PTO_TELEMETRY_SITE("bst.lookup"));
   }
 
   bool insert(ThreadCtx& ctx, std::int64_t key, Mode mode = Mode::kLockfree) {
@@ -510,7 +509,7 @@ class EllenBST {
           replaced = l;
           return 1;
         },
-        [&]() -> int { return 0; }, {&ctx.pto1_stats, PTO_TELEMETRY_SITE("bst.insert.pto1")});
+        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.insert.pto1"));
     if (r == 1) {
       retire_displaced(ctx, displaced);
       ctx.epoch.retire(replaced);
@@ -564,7 +563,7 @@ class EllenBST {
           removed_l = l;
           return 1;
         },
-        [&]() -> int { return 0; }, {&ctx.pto1_stats, PTO_TELEMETRY_SITE("bst.remove.pto1")});
+        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.remove.pto1"));
     if (r == 1) {
       retire_displaced(ctx, displaced_gp);
       retire_displaced(ctx, displaced_p);
@@ -621,7 +620,7 @@ class EllenBST {
             s.p->update.store(fresh_clean_word());
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.pto2_stats, PTO_TELEMETRY_SITE("bst.insert.pto2")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.insert.pto2"));
       if (r == 1) {
         retire_displaced(ctx, s.pupdate);
         ctx.epoch.retire(s.l);
@@ -669,7 +668,7 @@ class EllenBST {
             s.p->update.store(pack(&dummy_, kMark));
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.pto2_stats, PTO_TELEMETRY_SITE("bst.remove.pto2")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.remove.pto2"));
       if (r == 1) {
         retire_displaced(ctx, s.gpupdate);
         retire_displaced(ctx, s.pupdate);

@@ -49,7 +49,6 @@ class FSetHash {
   struct ThreadCtx {
     explicit ThreadCtx(FSetHash& h) : epoch(h.dom_.register_thread()) {}
     typename EpochDomain<P>::Handle epoch;
-    PrefixStats lookup_stats, update_stats;
   };
 
   FSetHash() { head_.init(make_table(kInitialBuckets, nullptr)); }
@@ -95,7 +94,7 @@ class FSetHash {
               typename EpochDomain<P>::Guard g(ctx.epoch);
               return lookup_double_check(key);
             },
-            {&ctx.lookup_stats, PTO_TELEMETRY_SITE("hash.lookup")});
+            PTO_TELEMETRY_SITE("hash.lookup"));
       }
     }
     return false;
@@ -114,12 +113,11 @@ class FSetHash {
     switch (mode) {
       case Mode::kLockfree: {
         typename EpochDomain<P>::Guard g(ctx.epoch);
-        return update_cow(ctx, key, is_insert, /*use_tx=*/false, nullptr);
+        return update_cow(ctx, key, is_insert, /*use_tx=*/false);
       }
       case Mode::kPto: {
         typename EpochDomain<P>::Guard g(ctx.epoch);
-        return update_cow(ctx, key, is_insert, /*use_tx=*/true,
-                          &ctx.update_stats);
+        return update_cow(ctx, key, is_insert, /*use_tx=*/true);
       }
       case Mode::kPtoInplace:
         // The transactional attempts need no epoch guard under strong
@@ -372,7 +370,7 @@ class FSetHash {
   // -- updates -----------------------------------------------------------------
 
   bool update_cow(ThreadCtx& ctx, std::int64_t key, bool is_insert,
-                  bool use_tx, PrefixStats* st) {
+                  bool use_tx) {
     for (;;) {
       Table* t = head_.load();
       auto i = static_cast<std::uint32_t>(hash(key) & (t->len - 1));
@@ -420,7 +418,7 @@ class FSetHash {
                   t->buckets()[i].compare_exchange_strong(expect, neww);
               return ok;
             },
-            {st, PTO_TELEMETRY_SITE("hash.update.cow")});
+            PTO_TELEMETRY_SITE("hash.update.cow"));
       } else {
         std::uint64_t expect = w;
         swapped = t->buckets()[i].compare_exchange_strong(expect, neww);
@@ -482,7 +480,7 @@ class FSetHash {
             t->buckets()[i].store(bump(w), std::memory_order_relaxed);
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.update_stats, PTO_TELEMETRY_SITE("hash.update.inplace")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("hash.update.inplace"));
       if (r == 1) {
         if (want_resize) {
           typename EpochDomain<P>::Guard g(ctx.epoch);
@@ -494,7 +492,7 @@ class FSetHash {
     }
     // Original CoW algorithm as the fallback.
     typename EpochDomain<P>::Guard g(ctx.epoch);
-    return update_cow(ctx, key, is_insert, /*use_tx=*/false, nullptr);
+    return update_cow(ctx, key, is_insert, /*use_tx=*/false);
   }
 
   EpochDomain<P> dom_;

@@ -38,7 +38,6 @@ class HarrisList {
   struct ThreadCtx {
     explicit ThreadCtx(HarrisList& l) : epoch(l.dom_.register_thread()) {}
     typename EpochDomain<P>::Handle epoch;
-    PrefixStats ins_stats, rem_stats, lookup_stats;
   };
 
   HarrisList() {
@@ -78,7 +77,7 @@ class HarrisList {
     return prefix<P>(
         pol, [&]() -> bool { return contains_walk(key); },
         [&]() -> bool { return contains_lf(ctx, key); },
-        {&ctx.lookup_stats, PTO_TELEMETRY_SITE("list.lookup")});
+        PTO_TELEMETRY_SITE("list.lookup"));
   }
 
   // -- lock-free baseline (Harris) ---------------------------------------------
@@ -124,7 +123,7 @@ class HarrisList {
             pred->next.store(word(n));
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.ins_stats, PTO_TELEMETRY_SITE("list.insert")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("list.insert"));
       if (r == 1) return true;
     }
     bool ok = insert_impl(ctx, key, &n);
@@ -154,7 +153,7 @@ class HarrisList {
             pred->next.store(cn);
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.rem_stats, PTO_TELEMETRY_SITE("list.remove")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("list.remove"));
       if (r == 1) {
         ctx.epoch.retire(curr);
         return true;

@@ -94,7 +94,7 @@ class Mindicator {
 
   // -- PTO (paper §3.1) -----------------------------------------------------
 
-  void arrive_pto(unsigned leaf, std::int32_t v, PrefixStats* st = nullptr,
+  void arrive_pto(unsigned leaf, std::int32_t v,
                   PrefixPolicy pol = kDefaultPolicy) {
     assert(v < kEmpty);
     prefix<P>(
@@ -114,11 +114,10 @@ class Mindicator {
             if (nv == val(w)) break;
           }
         },
-        [&] { arrive_lf(leaf, v); }, {st, PTO_TELEMETRY_SITE("mindicator.arrive")});
+        [&] { arrive_lf(leaf, v); }, PTO_TELEMETRY_SITE("mindicator.arrive"));
   }
 
-  void depart_pto(unsigned leaf, PrefixStats* st = nullptr,
-                  PrefixPolicy pol = kDefaultPolicy) {
+  void depart_pto(unsigned leaf, PrefixPolicy pol = kDefaultPolicy) {
     prefix<P>(
         pol,
         [&] {
@@ -141,19 +140,18 @@ class Mindicator {
             if (m == val(w)) break;
           }
         },
-        [&] { depart_lf(leaf); }, {st, PTO_TELEMETRY_SITE("mindicator.depart")});
+        [&] { depart_lf(leaf); }, PTO_TELEMETRY_SITE("mindicator.depart"));
   }
 
   // -- TLE baseline (Fig 2a) ------------------------------------------------
 
-  void arrive_tle(unsigned leaf, std::int32_t v, PrefixStats* st = nullptr,
+  void arrive_tle(unsigned leaf, std::int32_t v,
                   PrefixPolicy pol = kDefaultPolicy) {
-    run_tle([&] { sequential_arrive(leaf, v); }, st, pol);
+    run_tle([&] { sequential_arrive(leaf, v); }, pol);
   }
 
-  void depart_tle(unsigned leaf, PrefixStats* st = nullptr,
-                  PrefixPolicy pol = kDefaultPolicy) {
-    run_tle([&] { sequential_depart(leaf); }, st, pol);
+  void depart_tle(unsigned leaf, PrefixPolicy pol = kDefaultPolicy) {
+    run_tle([&] { sequential_depart(leaf); }, pol);
   }
 
   /// Quiescent invariant: every internal node's value equals the minimum of
@@ -292,7 +290,7 @@ class Mindicator {
   }
 
   template <class Fn>
-  void run_tle(Fn&& seq, PrefixStats* st, PrefixPolicy pol) {
+  void run_tle(Fn&& seq, PrefixPolicy pol) {
     prefix<P>(
         pol,
         [&] {
@@ -312,7 +310,7 @@ class Mindicator {
           seq();
           lock_.store(0, std::memory_order_seq_cst);
         },
-        {st, PTO_TELEMETRY_SITE("mindicator.tle")});
+        PTO_TELEMETRY_SITE("mindicator.tle"));
   }
 
   unsigned leaves_;

@@ -45,7 +45,6 @@ class Mound {
   struct ThreadCtx {
     explicit ThreadCtx(Mound& m) : kctx(m.dom_) {}
     kcas::Ctx<P> kctx;
-    PrefixStats dcas_stats;
   };
 
   /// max_depth bounds capacity at 2^max_depth - 1 nodes' worth of lists.
@@ -230,7 +229,7 @@ class Mound {
         if (value_of(wp) > v) continue;  // parent moved; retry
         ok = use_pto
                  ? kcas::pto_dcss<P>(ctx.kctx, node_word(n / 2), wp, node_word(n),
-                                     wn, neww, dcas_policy_, &ctx.dcas_stats)
+                                     wn, neww, dcas_policy_)
                  : kcas::dcss<P>(ctx.kctx, node_word(n / 2), wp, node_word(n), wn,
                                  neww);
       }
@@ -349,7 +348,7 @@ class Mound {
         bool ok = use_pto
                       ? kcas::pto_dcas<P>(ctx.kctx, node_word(i), w, new_i,
                                           node_word(c), wc, new_c,
-                                          dcas_policy_, &ctx.dcas_stats)
+                                          dcas_policy_)
                       : kcas::dcas<P>(ctx.kctx, node_word(i), w, new_i,
                                       node_word(c), wc, new_c);
         if (ok) {

@@ -52,7 +52,6 @@ class PTOArraySet {
   struct ThreadCtx {
     explicit ThreadCtx(PTOArraySet& s) : epoch(s.dom_.register_thread()) {}
     typename EpochDomain<P>::Handle epoch;
-    PrefixStats stats;
   };
 
   PTOArraySet() { word_.init(pack(make_block(), 0)); }
@@ -82,7 +81,7 @@ class PTOArraySet {
           typename EpochDomain<P>::Guard g(ctx.epoch);
           return lookup_double_check(key);
         },
-        {&ctx.stats, PTO_TELEMETRY_SITE("ptoset.lookup")});
+        PTO_TELEMETRY_SITE("ptoset.lookup"));
   }
 
   bool insert(ThreadCtx& ctx, std::int64_t key,
@@ -213,7 +212,7 @@ class PTOArraySet {
           word_.store(bump(w), std::memory_order_relaxed);
           return 1;
         },
-        [&]() -> int { return 0; }, {&ctx.stats, PTO_TELEMETRY_SITE("ptoset.update")});
+        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("ptoset.update"));
     if (r == 1) return true;
     if (r == 2) return false;
     if (r == 3) return false;  // full: insert rejected (bounded set)

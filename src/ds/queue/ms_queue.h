@@ -38,7 +38,6 @@ class MSQueue {
   struct ThreadCtx {
     explicit ThreadCtx(MSQueue& q) : epoch(q.dom_.register_thread()) {}
     typename EpochDomain<P>::Handle epoch;
-    PrefixStats enq_stats, deq_stats;
   };
 
   MSQueue() {
@@ -129,7 +128,7 @@ class MSQueue {
           tail_.store(n);  // no lagging-tail intermediate state
           return true;
         },
-        [&]() -> bool { return false; }, {&ctx.enq_stats, PTO_TELEMETRY_SITE("queue.enqueue")});
+        [&]() -> bool { return false; }, PTO_TELEMETRY_SITE("queue.enqueue"));
     if (!done) enqueue_with_node(ctx, n);
   }
 
@@ -156,7 +155,7 @@ class MSQueue {
           value = next->value;
           return 1;
         },
-        [&]() -> int { return 0; }, {&ctx.deq_stats, PTO_TELEMETRY_SITE("queue.dequeue")});
+        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("queue.dequeue"));
     if (r == 1) {
       ctx.epoch.retire(victim);
       return value;

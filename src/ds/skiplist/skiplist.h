@@ -36,11 +36,10 @@ class SkipList {
     Atom<P, std::uintptr_t> next[kMaxLevel];
   };
 
-  /// Per-thread context: epoch handle plus per-operation PTO statistics.
+  /// Per-thread context: the epoch handle.
   struct ThreadCtx {
     explicit ThreadCtx(SkipList& s) : epoch(s.dom_.register_thread()) {}
     typename EpochDomain<P>::Handle epoch;
-    PrefixStats ins_stats, rem_stats, pop_stats;
   };
 
   SkipList() {
@@ -144,7 +143,7 @@ class SkipList {
             }
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.ins_stats, PTO_TELEMETRY_SITE("skiplist.insert")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skiplist.insert"));
       if (r == 1) return true;
     }
     // Lock-free fallback, reusing the already-allocated node.
@@ -191,7 +190,7 @@ class SkipList {
             }
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.rem_stats, PTO_TELEMETRY_SITE("skiplist.remove")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skiplist.remove"));
       if (r == 1) {
         ctx.epoch.retire(victim);
         return true;

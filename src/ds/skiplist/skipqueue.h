@@ -130,7 +130,7 @@ class SkipQueue : private SkipList<P> {
             key = first->key;
             return 1;
           },
-          [&]() -> int { return 0; }, {&ctx.base.pop_stats, PTO_TELEMETRY_SITE("skipqueue.pop")});
+          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skipqueue.pop"));
       if (r == 1) {
         ctx.base.epoch.retire(victim);
         return static_cast<std::int32_t>(key >> kPrioShift);

@@ -36,8 +36,7 @@ class TLE {
 
   /// Run fn(sequential_structure) atomically: elided first, locked fallback.
   template <class Fn>
-  auto execute(Fn&& fn, PrefixStats* st = nullptr,
-               PrefixPolicy pol = kDefaultPolicy)
+  auto execute(Fn&& fn, PrefixPolicy pol = kDefaultPolicy)
       -> decltype(fn(*static_cast<Seq*>(nullptr))) {
     // TLE runs *unmodified* sequential code under elision -- whatever fn
     // allocates, it allocates inside the critical section. That is the
@@ -71,7 +70,7 @@ class TLE {
             return r;
           }
         },
-        {st, PTO_TELEMETRY_SITE("tle.execute")});
+        PTO_TELEMETRY_SITE("tle.execute"));
   }
 
   /// Unsynchronized access for setup/teardown/inspection at quiescence.

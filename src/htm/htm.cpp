@@ -7,6 +7,8 @@
 #include <cpuid.h>
 #endif
 
+#include "telemetry/registry.h"
+
 namespace pto::htm {
 
 namespace detail {

@@ -13,7 +13,7 @@
 #include "htm/rtm_status.h"
 #include "htm/softhtm.h"
 #include "htm/txcode.h"
-#include "telemetry/registry.h"
+#include "telemetry/taps.h"
 
 #if defined(PTO_HAVE_RTM)
 #include <immintrin.h>
@@ -57,6 +57,14 @@ Backend probe_backend();
 /// here via tx_begin's status; SoftHTM aborts are recorded by
 /// softhtm::abort_tx (the longjmp bypasses tx_begin's return).
 telemetry::Site* native_site();
+
+/// Report one facade event through the telemetry gate (telemetry/taps.h).
+inline void report(unsigned event, unsigned cause = 0) {
+  if (PTO_UNLIKELY(telemetry::taps() != 0)) {
+    telemetry::on_event(native_site(), event, cause);
+  }
+}
+
 #if defined(PTO_HAVE_RTM)
 extern thread_local unsigned char tls_rtm_user_code;
 #endif
@@ -69,9 +77,7 @@ inline unsigned tx_begin() {
     if (s == _XBEGIN_STARTED) return TX_STARTED;
     if (s & kRtmExplicit) detail::tls_rtm_user_code = rtm_abort_code(s);
     unsigned code = decode_rtm_status(s);
-    if (PTO_UNLIKELY(telemetry::enabled())) {
-      telemetry::site_abort(detail::native_site(), code);
-    }
+    detail::report(telemetry::kEventAbort, code);
     return code;
   }
 #endif
@@ -84,16 +90,12 @@ inline void tx_end() {
     _xend();
     // _xtest guards the flat-nested case: only the outermost commit leaves
     // the transaction, and the shard write must stay non-transactional.
-    if (_xtest() == 0 && PTO_UNLIKELY(telemetry::enabled())) {
-      telemetry::site_commit(detail::native_site());
-    }
+    if (_xtest() == 0) detail::report(telemetry::kEventCommit);
     return;
   }
 #endif
   softhtm::commit();
-  if (!softhtm::in_tx() && PTO_UNLIKELY(telemetry::enabled())) {
-    telemetry::site_commit(detail::native_site());
-  }
+  if (!softhtm::in_tx()) detail::report(telemetry::kEventCommit);
 }
 
 /// Explicitly abort the running transaction with user payload C.

@@ -133,9 +133,7 @@ void abort_tx(unsigned cause, unsigned char user_code) {
   tx.depth = 0;
   // The longjmp bypasses htm::tx_begin's abort-return path, so the facade's
   // telemetry site is fed here (writes are buffered, nothing to roll back).
-  if (PTO_UNLIKELY(::pto::telemetry::enabled())) {
-    ::pto::telemetry::site_abort(htm::detail::native_site(), cause);
-  }
+  htm::detail::report(::pto::telemetry::kEventAbort, cause);
   std::longjmp(tx.env, static_cast<int>(cause));
 }
 

@@ -323,7 +323,7 @@ bool dcas(Ctx<P>& ctx, Word<P>& w1, std::uint64_t e1, std::uint64_t n1,
 /// paper's tuned value of 4.
 template <class P>
 bool pto_mcas(Ctx<P>& ctx, const Entry<P>* entries, unsigned k,
-              PrefixPolicy pol = PrefixPolicy(4), PrefixStats* st = nullptr) {
+              PrefixPolicy pol = PrefixPolicy(4)) {
   pol.retry_on_explicit = true;  // descriptors clear quickly; retrying pays
   return prefix<P>(
       pol,
@@ -340,22 +340,23 @@ bool pto_mcas(Ctx<P>& ctx, const Entry<P>* entries, unsigned k,
         }
         return true;
       },
-      [&]() -> bool { return mcas<P>(ctx, entries, k); }, {st, PTO_TELEMETRY_SITE("kcas.mcas")});
+      [&]() -> bool { return mcas<P>(ctx, entries, k); },
+      PTO_TELEMETRY_SITE("kcas.mcas"));
 }
 
 template <class P>
 bool pto_dcas(Ctx<P>& ctx, Word<P>& w1, std::uint64_t e1, std::uint64_t n1,
               Word<P>& w2, std::uint64_t e2, std::uint64_t n2,
-              PrefixPolicy pol = PrefixPolicy(4), PrefixStats* st = nullptr) {
+              PrefixPolicy pol = PrefixPolicy(4)) {
   Entry<P> e[2] = {{&w1, e1, n1}, {&w2, e2, n2}};
-  return pto_mcas<P>(ctx, e, 2, pol, st);
+  return pto_mcas<P>(ctx, e, 2, pol);
 }
 
 /// Transactional fast path for DCSS.
 template <class P>
 bool pto_dcss(Ctx<P>& ctx, Word<P>& control, std::uint64_t cexp,
               Word<P>& data, std::uint64_t dexp, std::uint64_t dnew,
-              PrefixPolicy pol = PrefixPolicy(4), PrefixStats* st = nullptr) {
+              PrefixPolicy pol = PrefixPolicy(4)) {
   pol.retry_on_explicit = true;
   return prefix<P>(
       pol,
@@ -370,7 +371,7 @@ bool pto_dcss(Ctx<P>& ctx, Word<P>& control, std::uint64_t cexp,
         return true;
       },
       [&]() -> bool { return dcss<P>(ctx, control, cexp, data, dexp, dnew); },
-      {st, PTO_TELEMETRY_SITE("kcas.dcss")});
+      PTO_TELEMETRY_SITE("kcas.dcss"));
 }
 
 }  // namespace pto::kcas

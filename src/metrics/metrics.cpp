@@ -32,6 +32,8 @@ std::uint64_t g_sim_next_tick = ~std::uint64_t{0};
 namespace {
 
 namespace prof = ::pto::telemetry::prof;
+using telemetry::json_num;
+using telemetry::json_str;
 
 /// Rate-style watchdog rules need a few events before a ratio is meaningful;
 /// below this many interval events they stay quiet (a 1-op interval with one
@@ -73,9 +75,7 @@ struct State {
   // deltas telescope because every source is monotone with storage that
   // survives thread exit; a shrink (explicit reset between points) makes
   // the next delta restart from the post-reset counts.
-  std::vector<PrefixStats> site_base;
-  obs::RawMerged obs_base;
-  bool obs_base_valid = false;
+  telemetry::Snapshot base;
   prof::LedgerTotals prof_base;
 
   // Wall-clock (native) mode.
@@ -102,7 +102,8 @@ State& st() {
 
 // --------------------------------------------------------------------------
 // Minimal JSON building into a std::string (one record per call, no
-// intermediate ostringstream — ticks can run on small fiber stacks).
+// intermediate ostringstream — ticks can run on small fiber stacks); strings
+// and doubles go through telemetry::json_str / json_num.
 // --------------------------------------------------------------------------
 
 void j_u64(std::string& o, std::uint64_t v) {
@@ -115,33 +116,6 @@ void j_i64(std::string& o, std::int64_t v) {
   char b[24];
   std::snprintf(b, sizeof b, "%lld", static_cast<long long>(v));
   o += b;
-}
-
-void j_dbl(std::string& o, double v) {
-  char b[32];
-  std::snprintf(b, sizeof b, "%.6g", v);
-  o += b;
-}
-
-void j_str(std::string& o, const std::string& v) {
-  o += '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': o += "\\\""; break;
-      case '\\': o += "\\\\"; break;
-      case '\n': o += "\\n"; break;
-      case '\t': o += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char b[8];
-          std::snprintf(b, sizeof b, "\\u%04x", c);
-          o += b;
-        } else {
-          o += c;
-        }
-    }
-  }
-  o += '"';
 }
 
 // --------------------------------------------------------------------------
@@ -196,8 +170,8 @@ void write_prom(State& s) {
   if (s.cfg.prom_path.empty()) return;
   std::string o;
   o.reserve(2048);
-  const auto sites = telemetry::Registry::instance().sites();
-  const std::size_t n = std::min(sites.size(), s.site_base.size());
+  const std::vector<telemetry::Site*>& sites = s.base.sites;
+  const std::vector<PrefixStats>& counts = s.base.counts;
   struct Family {
     const char* name;
     std::uint64_t PrefixStats::* field;
@@ -211,25 +185,25 @@ void write_prom(State& s) {
     o += "# TYPE ";
     o += f.name;
     o += " counter\n";
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < sites.size(); ++i) {
       o += f.name;
       o += "{site=\"";
       prom_label(o, sites[i]->name());
       o += "\"} ";
-      j_u64(o, s.site_base[i].*(f.field));
+      j_u64(o, counts[i].*(f.field));
       o += '\n';
     }
   }
   o += "# TYPE pto_prefix_aborts_total counter\n";
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < sites.size(); ++i) {
     for (unsigned c = 1; c < kTxCodeCount; ++c) {
-      if (s.site_base[i].aborts[c] == 0) continue;
+      if (counts[i].aborts[c] == 0) continue;
       o += "pto_prefix_aborts_total{site=\"";
       prom_label(o, sites[i]->name());
       o += "\",cause=\"";
       o += tx_code_name(c);
       o += "\"} ";
-      j_u64(o, s.site_base[i].aborts[c]);
+      j_u64(o, counts[i].aborts[c]);
       o += '\n';
     }
   }
@@ -242,9 +216,9 @@ void write_prom(State& s) {
        "pto_metrics_intervals_total ";
   j_u64(o, s.intervals.load(std::memory_order_relaxed));
   o += '\n';
-  if (s.obs_base_valid) {
+  if (s.base.latency != nullptr) {
     o += "# TYPE pto_op_samples_total counter\npto_op_samples_total ";
-    j_u64(o, s.obs_base.all.total());
+    j_u64(o, s.base.latency->total());
     o += '\n';
   }
   // Atomic replace so a concurrent scraper never reads a torn file.
@@ -270,17 +244,6 @@ std::uint64_t sub_or_rebase(std::uint64_t cur, std::uint64_t base) {
   return cur >= base ? cur - base : cur;
 }
 
-PrefixStats prefix_delta(const PrefixStats& cur, const PrefixStats& base) {
-  PrefixStats d;
-  d.attempts = sub_or_rebase(cur.attempts, base.attempts);
-  d.commits = sub_or_rebase(cur.commits, base.commits);
-  d.fallbacks = sub_or_rebase(cur.fallbacks, base.fallbacks);
-  for (unsigned c = 0; c < kTxCodeCount; ++c) {
-    d.aborts[c] = sub_or_rebase(cur.aborts[c], base.aborts[c]);
-  }
-  return d;
-}
-
 struct Delta {
   PrefixStats prefix;
   std::vector<std::pair<std::string, PrefixStats>> sites;  ///< nonzero only
@@ -293,35 +256,30 @@ struct Delta {
 
 Delta collect(State& s, bool wall_mode) {
   Delta d;
-  const auto sites = telemetry::Registry::instance().sites();
-  if (s.site_base.size() < sites.size()) s.site_base.resize(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const PrefixStats cur = sites[i]->snapshot();
-    const PrefixStats sd = prefix_delta(cur, s.site_base[i]);
-    s.site_base[i] = cur;
+  telemetry::Snapshot cur = telemetry::Registry::instance().snapshot(
+      wall_mode && obs::hist_on());
+  for (std::size_t i = 0; i < cur.sites.size(); ++i) {
+    const PrefixStats sd = cur.counts[i].zip(
+        i < s.base.counts.size() ? s.base.counts[i] : PrefixStats{},
+        sub_or_rebase);
     d.prefix.accumulate(sd);
     if (sd.attempts != 0 || sd.commits != 0 || sd.fallbacks != 0 ||
         sd.total_aborts() != 0) {
-      d.sites.emplace_back(sites[i]->name(), sd);
+      d.sites.emplace_back(cur.sites[i]->name(), sd);
     }
   }
-  if (wall_mode && obs::hist_on()) {
-    const obs::RawMerged cur = obs::merged_raw();
-    obs::Histogram delta = cur.all;
-    if (s.obs_base_valid && cur.all.total() >= s.obs_base.all.total()) {
-      delta.subtract_clamped(s.obs_base.all);
+  if (cur.latency != nullptr) {
+    obs::Histogram delta = *cur.latency;
+    if (s.base.latency != nullptr &&
+        cur.latency->total() >= s.base.latency->total()) {
+      delta.subtract_clamped(*s.base.latency);
     }
-    s.obs_base = cur;
-    s.obs_base_valid = true;
-    const obs::HistSummary t = delta.summarize();
     d.has_obs = true;
-    d.obs_all.samples = t.samples;
-    d.obs_all.p50 = obs::ticks_to_ns(t.p50);
-    d.obs_all.p90 = obs::ticks_to_ns(t.p90);
-    d.obs_all.p99 = obs::ticks_to_ns(t.p99);
-    d.obs_all.p999 = obs::ticks_to_ns(t.p999);
-    d.obs_all.max = obs::ticks_to_ns(t.max);
+    d.obs_all = obs::to_ns(delta);
+  } else {
+    cur.latency = std::move(s.base.latency);  // keep the last wall baseline
   }
+  s.base = std::move(cur);
   if (!wall_mode && prof::on()) {
     const prof::LedgerTotals cur = prof::ledger_totals();
     prof::LedgerTotals pd;
@@ -353,16 +311,16 @@ void emit_watch(State& s, const Rule& r, double value, bool wall_mode) {
   o += ",\"rule\":\"";
   o += rule_name(r.kind);
   o += "\",\"value\":";
-  j_dbl(o, value);
+  json_num(o, value);
   o += ",\"threshold\":";
-  j_dbl(o, r.threshold);
+  json_num(o, r.threshold);
   o += ",\"mode\":";
   o += wall_mode ? "\"wall\"" : "\"sim\"";
   if (!s.bench.empty()) {
     o += ",\"bench\":";
-    j_str(o, s.bench);
+    json_str(o, s.bench);
     o += ",\"series\":";
-    j_str(o, s.series);
+    json_str(o, s.series);
   }
   o += "}\n";
   out_write(s, o);
@@ -420,9 +378,9 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
   o += ",\"mode\":";
   if (wall_mode) {
     o += "\"wall\",\"t0_ms\":";
-    j_dbl(o, t0_ms);
+    json_num(o, t0_ms);
     o += ",\"t1_ms\":";
-    j_dbl(o, t1_ms);
+    json_num(o, t1_ms);
   } else {
     o += "\"sim\",\"run\":";
     j_u64(o, s.sim_run_id);
@@ -432,9 +390,9 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
     j_u64(o, vt1);
   }
   o += ",\"bench\":";
-  j_str(o, s.bench);
+  json_str(o, s.bench);
   o += ",\"series\":";
-  j_str(o, s.series);
+  json_str(o, s.series);
   o += ",\"threads\":";
   j_u64(o, s.threads);
   o += ",\"prefix\":{\"attempts\":";
@@ -455,14 +413,14 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
   j_u64(o, d.prefix.total_aborts());
   o += "},\"fallback_rate\":";
   const std::uint64_t done = d.prefix.commits + d.prefix.fallbacks;
-  j_dbl(o, done == 0 ? 0.0
-                     : static_cast<double>(d.prefix.fallbacks) /
-                           static_cast<double>(done));
+  json_num(o, done == 0 ? 0.0
+                        : static_cast<double>(d.prefix.fallbacks) /
+                              static_cast<double>(done));
   o += ",\"sites\":[";
   for (std::size_t i = 0; i < d.sites.size(); ++i) {
     if (i != 0) o += ',';
     o += "{\"site\":";
-    j_str(o, d.sites[i].first);
+    json_str(o, d.sites[i].first);
     o += ",\"attempts\":";
     j_u64(o, d.sites[i].second.attempts);
     o += ",\"commits\":";
@@ -521,13 +479,13 @@ void emit_meta(State& s) {
   o += "{\"type\":\"metrics_meta\",\"schema\":1,\"interval_ms\":";
   j_u64(o, s.cfg.interval_ms);
   o += ",\"git_sha\":";
-  j_str(o, build_git_sha());
+  json_str(o, build_git_sha());
   o += ",\"build_type\":";
-  j_str(o, build_type());
+  json_str(o, build_type());
   o += ",\"hostname\":";
-  j_str(o, telemetry::host_name());
+  json_str(o, telemetry::host_name());
   o += ",\"started\":";
-  j_str(o, telemetry::iso8601_now());
+  json_str(o, telemetry::iso8601_now());
   o += "}\n";
   out_write(s, o);
 }
@@ -577,9 +535,9 @@ void metrics_warn_sink(const char* key, const char* msg) {
   o += "{\"type\":\"warning\",\"schema\":1,\"seq\":";
   j_u64(o, ++s.seq);
   o += ",\"key\":";
-  j_str(o, key);
+  json_str(o, key);
   o += ",\"msg\":";
-  j_str(o, msg);
+  json_str(o, msg);
   o += "}\n";
   out_write(s, o);
 }
@@ -705,9 +663,7 @@ void configure(const Config& cfg) {
   s.series.clear();
   s.threads = 0;
   s.rules = parse_watch(cfg.watch);
-  s.site_base.clear();
-  s.obs_base = obs::RawMerged{};
-  s.obs_base_valid = false;
+  s.base = telemetry::Snapshot{};
   s.prof_base = prof::LedgerTotals{};
   s.arm_time = std::chrono::steady_clock::now();
   s.last_wall_ms = 0.0;
@@ -727,15 +683,7 @@ void configure(const Config& cfg) {
     telemetry::set_enabled(true);
     // Baseline every source at arm so the first interval covers
     // [arm, first tick) only, whichever mode runs first.
-    const auto sites = telemetry::Registry::instance().sites();
-    s.site_base.resize(sites.size());
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      s.site_base[i] = sites[i]->snapshot();
-    }
-    if (obs::hist_on()) {
-      s.obs_base = obs::merged_raw();
-      s.obs_base_valid = true;
-    }
+    s.base = telemetry::Registry::instance().snapshot(obs::hist_on());
     if (prof::on()) s.prof_base = prof::ledger_totals();
     emit_meta(s);
   }
@@ -772,12 +720,8 @@ void native_point_begin() {
     std::lock_guard<std::mutex> lk(s.mu);
     // The runner resets obs latency just before the point; re-baseline so
     // this point's interval deltas start from zero samples.
-    if (obs::hist_on()) {
-      s.obs_base = obs::merged_raw();
-      s.obs_base_valid = true;
-    } else {
-      s.obs_base_valid = false;
-    }
+    s.base.latency =
+        telemetry::Registry::instance().snapshot(obs::hist_on()).latency;
   }
   if (!s.sampling) {
     {
@@ -820,7 +764,7 @@ void flush() {
   o += ",\"violations\":";
   j_u64(o, s.violations.load(std::memory_order_relaxed));
   o += ",\"ended\":";
-  j_str(o, telemetry::iso8601_now());
+  json_str(o, telemetry::iso8601_now());
   o += "}\n";
   out_write(s, o);
   write_prom(s);

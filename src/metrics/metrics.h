@@ -1,11 +1,11 @@
 // pto::metrics — time-resolved metrics streaming, watchdogs, and the data
 // feed behind tools/pto_top.py.
 //
-// Every other observability surface (telemetry registry, pto::obs latency
-// histograms, PTO_PROF cycle ledgers) reports end-of-run aggregates. This
-// layer samples those same sources *periodically* into time-bucketed deltas
-// and streams them as NDJSON, so warm-up, steady state, and contention
-// storms are visible as they happen:
+// Every other observability surface (telemetry registry sites with their
+// counters and latency histograms, PTO_PROF cycle ledgers) reports
+// end-of-run aggregates. This layer samples those same sources
+// *periodically* into time-bucketed deltas and streams them as NDJSON, so
+// warm-up, steady state, and contention storms are visible as they happen:
 //
 //   PTO_METRICS=<ms>       arm interval snapshots every <ms> milliseconds —
 //                          wall-clock ms on native runs (a background
@@ -26,8 +26,9 @@
 //                          (CI gate mode)
 //
 // Delta semantics under thread churn: every sampled source is a monotone
-// counter whose storage survives thread exit (registry shards, obs histogram
-// blocks, prof ledgers are never freed), so interval deltas telescope —
+// counter whose storage survives thread exit (a registry site's shards —
+// counters and latency histograms — pass to the next thread leasing the
+// slot, and prof ledgers are never freed), so interval deltas telescope —
 // the sum of all interval deltas equals the end-of-run aggregate exactly,
 // regardless of threads registering or exiting mid-interval. A source that
 // shrinks (an explicit reset() between bench points) re-baselines: the delta

@@ -184,14 +184,15 @@ void install_dump_handlers() {
   }
 }
 
-}  // namespace
-
-namespace detail {
-bool g_flight_on = [] {
+const bool g_flight_env = [] {
   g_state.ring_capacity = init_capacity();
-  return g_state.ring_capacity != 0;
+  if (g_state.ring_capacity != 0) {
+    telemetry::set_tap(telemetry::kTapFlight, true);
+  }
+  return true;
 }();
-}  // namespace detail
+
+}  // namespace
 
 void flight_record(std::uint16_t site, std::uint8_t event,
                    std::uint32_t arg) {

@@ -11,10 +11,12 @@
 // SIGILL), so the last <events> transaction events per thread survive a
 // crash for post-mortem timeline reconstruction with tools/pto_flight.py.
 //
-// Events come from the telemetry hook stream (telemetry/registry.cpp):
-// prefix attempt (tx begin), commit, abort (arg = cause code), and
-// fallback-acquire. Simulated runs never record (simx already has PTO_TRACE
-// with virtual-time fidelity; the hook checks sim::active()).
+// Events come from the flight tap of the telemetry event gate
+// (telemetry/taps.h, dispatched in telemetry/registry.cpp), recorded with
+// their telemetry::Event codes 1-4: prefix attempt (tx begin), commit, abort
+// (arg = cause code), and fallback-acquire.
+// Simulated runs never record (simx already has PTO_TRACE with virtual-time
+// fidelity; the dispatcher checks sim::active()).
 //
 // Dump format (little-endian), parsed by tools/pto_flight.py:
 //   magic   8s  "PTOFLT01"
@@ -30,20 +32,15 @@
 
 #include <cstdint>
 
-namespace pto::obs {
+#include "telemetry/taps.h"
 
-enum FlightEvent : unsigned char {
-  kFlightAttempt = 1,   ///< prefix attempt / tx begin
-  kFlightCommit = 2,    ///< fast-path commit
-  kFlightAbort = 3,     ///< tx abort; arg = TxAbort cause
-  kFlightFallback = 4,  ///< fallback path acquired
-};
+namespace pto::obs {
 
 #pragma pack(push, 1)
 struct FlightRec {
   std::uint64_t tsc;
   std::uint16_t site;
-  std::uint8_t event;
+  std::uint8_t event;  ///< telemetry::Event 1-4 (telemetry/taps.h)
   std::uint8_t pad;
   std::uint32_t arg;
 };
@@ -86,11 +83,8 @@ class FlightRing {
   std::uint64_t head_ = 0;
 };
 
-namespace detail {
-extern bool g_flight_on;  ///< set once from PTO_FLIGHT before threads start
-}  // namespace detail
-
-inline bool flight_on() { return detail::g_flight_on; }
+/// True when PTO_FLIGHT armed the recorder (the flight tap).
+inline bool flight_on() { return telemetry::tap_on(telemetry::kTapFlight); }
 
 /// Record one event on this thread's ring (creates it on first use).
 /// Call only when flight_on(); never records inside a simulation.

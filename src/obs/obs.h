@@ -13,53 +13,59 @@
 //   PTO_FLIGHT=<n>     arm the per-thread flight recorder, ring of n events
 //   PTO_PERF=1         sample hardware perf counters around bench points
 //
-// Recording model: a LatencySite is a named op class ("native_set.insert").
-// Each (thread, site) pair owns two private log-linear histograms — one for
-// ops whose prefix attempts all committed on the fast path, one for ops that
-// took at least one fallback — so the hot path is a single-writer bucket
-// increment with no sharing. Merging happens at emission, after worker
-// threads have quiesced (bench runners join before reading), by bucket-wise
-// summation across threads.
+// Recording model: latency is recorded under a telemetry::Site named for the
+// op class ("native_set.insert", "svc.get"). The shard a thread's slot holds
+// in that site (telemetry/registry.h) carries two private log-linear
+// histograms — one for ops whose prefix attempts all committed on the fast
+// path, one for ops that took at least one fallback — so the hot path is a
+// single-writer bucket increment with no sharing, and slots recycled at
+// thread exit bound the storage by live threads. Merging happens at
+// emission, after worker threads have quiesced (bench runners join before
+// reading), by bucket-wise summation across slots.
 //
 // Overhead budget (the native-obs CI job enforces <= 5% end to end): two
 // RDTSCs + one branch + one increment per op with PTO_OBS=1, a 16-byte ring
 // store per transaction event with PTO_FLIGHT set, nothing at all when off
-// (one relaxed bool load behind PTO_UNLIKELY).
+// (one relaxed load of the tap word behind PTO_UNLIKELY).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/defs.h"
 #include "obs/histogram.h"
 #include "obs/tsc.h"
+#include "telemetry/registry.h"
+#include "telemetry/taps.h"
 
 namespace pto::obs {
 
+using telemetry::Site;
+
 namespace detail {
-extern bool g_hist_on;  ///< set once from PTO_OBS before threads start
 /// PTO_OBS_SAMPLE - 1 (power of two): an op is timed when
 /// (++tls_op_seq & g_sample_mask) == 0. 0 = time every op.
 extern std::uint64_t g_sample_mask;
 extern thread_local std::uint64_t tls_op_seq;
 /// Ops classified fallback when this thread-local moved during the op
-/// (bumped by telemetry::site_fallback when histograms are armed).
+/// (bumped by the histograms' tap on every prefix fallback event).
 extern thread_local std::uint64_t tls_fallbacks;
 }  // namespace detail
 
-/// True when PTO_OBS armed latency histograms (read-only after startup).
-inline bool hist_on() { return detail::g_hist_on; }
+/// True when PTO_OBS armed latency histograms (the histograms' tap).
+inline bool hist_on() { return telemetry::tap_on(telemetry::kTapHist); }
 
-/// Test hook: force histograms on/off (not thread-safe; call at quiescence).
-void set_hist_on(bool on);
+/// Test hook: force histograms on/off (call at quiescence).
+inline void set_hist_on(bool on) {
+  telemetry::set_tap(telemetry::kTapHist, on);
+}
 
 inline void note_fallback() { ++detail::tls_fallbacks; }
 
 /// This thread's fallback count so far. Callers that can't scope an OpTimer
-/// around an op (e.g. batched service requests timed from enqueue) sample
-/// this before/after to classify the op fast vs fallback.
+/// around an op (e.g. open-loop requests timed from their scheduled arrival)
+/// sample this before/after to classify the op fast vs fallback.
 inline std::uint64_t fallbacks_now() { return detail::tls_fallbacks; }
 
 /// Latency summaries in nanoseconds, split by path taken.
@@ -69,30 +75,17 @@ struct LatencySiteSummary {
   HistSummary fallback;  ///< ops that executed at least one fallback
 };
 
-class LatencySite {
- public:
-  explicit LatencySite(std::string name, unsigned id)
-      : name_(std::move(name)), id_(id) {}
-  LatencySite(const LatencySite&) = delete;
-  LatencySite& operator=(const LatencySite&) = delete;
-
-  const std::string& name() const { return name_; }
-  unsigned id() const { return id_; }
-
- private:
-  std::string name_;
-  unsigned id_;
-};
-
-/// Find-or-create a latency site; pointers are stable for process lifetime.
-LatencySite* intern_latency_site(std::string_view name);
-
 /// Record one op's latency (ticks) under `site`; single producer per thread.
-void record_latency(LatencySite* site, bool fallback, std::uint64_t ticks);
+inline void record_latency(Site* site, bool fallback, std::uint64_t ticks) {
+  if (hist_on()) site->record_latency(fallback, ticks);
+}
 
-/// Zero every (thread, site) histogram. Call at quiescence (between bench
+/// Zero every site's histograms. Call at quiescence (between bench
 /// points) so each emitted summary covers exactly one measurement window.
 void reset_latency();
+
+/// Summarize a histogram of raw ticks in nanoseconds.
+HistSummary to_ns(const Histogram& h);
 
 /// Merge across threads and convert to nanoseconds. `out_sites` (optional)
 /// receives the per-site split; the return value aggregates every site.
@@ -104,26 +97,12 @@ struct MergedLatency {
 };
 MergedLatency merged_latency(std::vector<LatencySiteSummary>* out_sites);
 
-/// Bucket-level merge across every (thread, site) block, in raw ticks, with
-/// no quantile summarization — the snapshot primitive behind pto::metrics
-/// interval deltas (two snapshots subtract bucket-wise). Unlike
-/// merged_latency() this is routinely called *without* quiescing: worker
-/// threads may be mid-record, so a snapshot can trail the true counts by the
-/// in-flight increments; totals are exact at any quiescent point, which is
-/// where the sum-of-deltas invariant is asserted.
-struct RawMerged {
-  Histogram all;
-  Histogram fast;
-  Histogram fallback;
-};
-RawMerged merged_raw();
-
 /// Scoped per-op timer: reads the tsc on entry, records on done()/destruction
 /// and classifies fast vs fallback by whether tls_fallbacks moved. All no-ops
 /// unless hist_on().
 class OpTimer {
  public:
-  explicit OpTimer(LatencySite* site) : site_(site) {
+  explicit OpTimer(Site* site) : site_(site) {
     if (PTO_UNLIKELY(hist_on()) &&
         (++detail::tls_op_seq & detail::g_sample_mask) == 0) {
       fb0_ = detail::tls_fallbacks;
@@ -144,7 +123,7 @@ class OpTimer {
   }
 
  private:
-  LatencySite* site_;
+  Site* site_;
   std::uint64_t t0_ = 0;
   std::uint64_t fb0_ = 0;
   bool armed_ = false;

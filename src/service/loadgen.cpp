@@ -150,19 +150,6 @@ ServiceOptions ServiceOptions::from_env() {
                 v);
     }
   }
-  if (const char* v = std::getenv("PTO_SVC_BATCH");
-      v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    auto parsed = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0') {  // 0 is a valid "unbatched" setting
-      o.batch = static_cast<unsigned>(parsed);
-    } else {
-      warn_once("PTO_SVC_BATCH",
-                "ignoring invalid PTO_SVC_BATCH='%s' (want a non-negative "
-                "integer); using default %u",
-                v, o.batch);
-    }
-  }
   if (const char* v = std::getenv("PTO_SVC_PIN"); v != nullptr && *v != '\0') {
     if (std::strcmp(v, "0") == 0) {
       o.pin = false;

@@ -20,7 +20,6 @@
 // via pto::warn_once and fall back to defaults — never silently):
 //   PTO_SVC_SHARDS    shard count (default 4)
 //   PTO_SVC_STRUCT    per-shard structure: skip|hash (default skip)
-//   PTO_SVC_BATCH     per-shard request batch size, 0 = unbatched (default)
 //   PTO_SVC_PIN       0|1 pin worker threads round-robin to cores (default 1)
 //   PTO_SVC_KEYS      keyspace size (default 65536)
 //   PTO_SVC_DIST      uniform|zipf|hotset (default zipf)
@@ -116,7 +115,6 @@ class OpStream {
 struct ServiceOptions {
   unsigned shards = 4;
   Structure structure = Structure::kSkiplist;
-  unsigned batch = 0;  ///< per-shard batch size; 0 = apply ops directly
   bool pin = true;     ///< pin runtime workers round-robin to cores
   WorkloadSpec workload;
 

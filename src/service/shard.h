@@ -10,13 +10,6 @@
 // (src/reclaim); a Client registers one ThreadCtx per shard and must be used
 // by a single thread, mirroring the per-thread ctx discipline of the
 // underlying structures.
-//
-// BatchingClient adds optional per-shard request batching: ops buffer
-// per shard and apply when a shard's buffer reaches the batch size. Per-key
-// program order is preserved (a key always maps to the same shard and a
-// shard's buffer drains in order); cross-shard program order is relaxed —
-// the usual pipelined-client contract. Recorded latency spans enqueue to
-// completion, so buffering delay is charged to the op.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +19,6 @@
 #include "ds/hashtable/fset_hash.h"
 #include "ds/skiplist/skiplist.h"
 #include "obs/obs.h"
-#include "obs/tsc.h"
 #include "service/loadgen.h"
 
 namespace pto::service {
@@ -86,16 +78,16 @@ struct HashAdapter {
 
 /// Latency sites shared by every service driver; interned once.
 struct SvcSites {
-  obs::LatencySite* get;
-  obs::LatencySite* put;
-  obs::LatencySite* del;
+  telemetry::Site* get;
+  telemetry::Site* put;
+  telemetry::Site* del;
 
   static SvcSites intern() {
-    return {obs::intern_latency_site("svc.get"),
-            obs::intern_latency_site("svc.put"),
-            obs::intern_latency_site("svc.del")};
+    auto& reg = telemetry::Registry::instance();
+    return {reg.intern("svc.get"), reg.intern("svc.put"),
+            reg.intern("svc.del")};
   }
-  obs::LatencySite* of(OpKind k) const {
+  telemetry::Site* of(OpKind k) const {
     return k == OpKind::kGet ? get : k == OpKind::kPut ? put : del;
   }
 };
@@ -191,65 +183,6 @@ class ShardedKV {
   friend class Client;
   A adapter_;
   std::vector<std::unique_ptr<DS>> shards_;
-};
-
-/// Per-shard batching wrapper around Client. exec() buffers; a shard's
-/// buffer applies in enqueue order once it reaches `batch` ops (flush_all()
-/// drains the tails). With PTO_OBS armed, each op's recorded latency runs
-/// from enqueue to its batched completion.
-template <class KV>
-class BatchingClient {
- public:
-  BatchingClient(KV& kv, unsigned batch, const SvcSites* sites = nullptr)
-      : c_(kv.make_client()),
-        nshards_(kv.shards()),
-        batch_(batch == 0 ? 1 : batch),
-        sites_(sites),
-        bufs_(nshards_) {
-    for (auto& b : bufs_) b.reserve(batch_);
-  }
-
-  void exec(const Op& op) {
-    const unsigned s = KV::shard_of(op.key, nshards_);
-    const std::uint64_t t0 =
-        sites_ != nullptr && obs::hist_on() ? obs::now_ticks() : 0;
-    bufs_[s].push_back({op, t0});
-    if (bufs_[s].size() >= batch_) flush(s);
-  }
-
-  void flush_all() {
-    for (unsigned s = 0; s < nshards_; ++s) {
-      if (!bufs_[s].empty()) flush(s);
-    }
-  }
-
-  typename KV::Client& client() { return c_; }
-
- private:
-  struct Pending {
-    Op op;
-    std::uint64_t enqueue_ticks;
-  };
-
-  void flush(unsigned s) {
-    for (const Pending& p : bufs_[s]) {
-      const std::uint64_t fb0 = obs::fallbacks_now();
-      c_.exec(p.op);
-      if (p.enqueue_ticks != 0) {
-        const std::uint64_t t1 = obs::now_ticks();
-        obs::record_latency(sites_->of(p.op.kind),
-                            obs::fallbacks_now() != fb0,
-                            t1 > p.enqueue_ticks ? t1 - p.enqueue_ticks : 0);
-      }
-    }
-    bufs_[s].clear();
-  }
-
-  typename KV::Client c_;
-  unsigned nshards_;
-  std::size_t batch_;
-  const SvcSites* sites_;
-  std::vector<std::vector<Pending>> bufs_;
 };
 
 }  // namespace pto::service

@@ -45,34 +45,6 @@ std::ostream& out() {
   return s.os != nullptr ? *s.os : std::cout;
 }
 
-/// JSON string escaping for the label fields (quotes/backslashes/control).
-void json_str(std::ostream& os, const std::string& v) {
-  os << '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void num(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
 double fallback_fraction(const PrefixStats& p) {
   const std::uint64_t done = p.commits + p.fallbacks;
   return done == 0 ? 0.0
@@ -130,13 +102,13 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
   json_str(os, p.series);
   os << ",\"threads\":" << p.threads << ",\"trials\":" << p.trials
      << ",\"ops\":" << p.sim.ops_completed << ",\"ops_per_ms\":";
-  num(os, p.ops_per_ms);
+  json_num(os, p.ops_per_ms);
   os << ",\"makespan_cycles\":" << p.makespan
      << ",\"cpu_cycles\":" << p.cpu_cycles
      << ",\"tx_started\":" << p.sim.tx_started
      << ",\"tx_commits\":" << p.sim.tx_commits
      << ",\"tx_cycles\":" << p.sim.tx_cycles << ",\"tx_cycle_share\":";
-  num(os, tx_cycle_share(p));
+  json_num(os, tx_cycle_share(p));
   os << ",\"aborts\":{";
   for (unsigned c = 0; c < kTxCodeCount; ++c) {
     os << (c == 0 ? "\"" : ",\"") << tx_code_name(c)
@@ -150,7 +122,7 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
      << ",\"prefix_commits\":" << p.prefix.commits
      << ",\"prefix_fallbacks\":" << p.prefix.fallbacks
      << ",\"fallback_fraction\":";
-  num(os, fallback_fraction(p.prefix));
+  json_num(os, fallback_fraction(p.prefix));
   // v2: per-cause prefix abort buckets — on native runs this is where the
   // decoded RTM/SoftHTM abort causes land (sim.tx_aborts stays zero there).
   os << ",\"prefix_aborts\":{";
@@ -246,16 +218,16 @@ void emit_csv(std::ostream& os, const BenchPoint& p, bool header) {
   csv_str(os, p.series);
   os << ',' << p.threads << ',' << p.trials
      << ',' << p.sim.ops_completed << ',';
-  num(os, p.ops_per_ms);
+  json_num(os, p.ops_per_ms);
   os << ',' << p.makespan << ',' << p.cpu_cycles << ',' << p.sim.tx_started
      << ',' << p.sim.tx_commits << ',' << p.sim.tx_cycles << ',';
-  num(os, tx_cycle_share(p));
+  json_num(os, tx_cycle_share(p));
   for (unsigned c = 0; c < kTxCodeCount; ++c) os << ',' << p.sim.tx_aborts[c];
   os << ',' << p.sim.total_aborts() << ',' << p.sim.fences << ','
      << p.sim.fences_elided << ',' << p.sim.allocs << ',' << p.sim.frees
      << ',' << p.prefix.attempts << ',' << p.prefix.commits << ','
      << p.prefix.fallbacks << ',';
-  num(os, fallback_fraction(p.prefix));
+  json_num(os, fallback_fraction(p.prefix));
   for (unsigned c = 1; c < kTxCodeCount; ++c) {
     os << ',' << p.prefix.aborts[c];
   }
@@ -335,6 +307,45 @@ const std::string& host_name() {
 #endif
   }();
   return h;
+}
+
+void json_str(std::string& o, std::string_view v) {
+  o += '"';
+  for (char c : v) {
+    switch (c) {
+      case '"': o += "\\\""; break;
+      case '\\': o += "\\\\"; break;
+      case '\n': o += "\\n"; break;
+      case '\t': o += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          o += buf;
+        } else {
+          o += c;
+        }
+    }
+  }
+  o += '"';
+}
+
+void json_num(std::string& o, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v);
+  o += buf;
+}
+
+void json_str(std::ostream& os, std::string_view v) {
+  std::string o;
+  json_str(o, v);
+  os << o;
+}
+
+void json_num(std::ostream& os, double v) {
+  std::string o;
+  json_num(o, v);
+  os << o;
 }
 
 void emit_bench_point(const BenchPoint& p) {

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/prefix.h"
@@ -85,5 +86,15 @@ std::string iso8601_now();
 
 /// Cached gethostname(); "unknown" when unavailable.
 const std::string& host_name();
+
+/// The one JSON writer behind bench points, profiler reports and metrics
+/// records: append `v` as a string literal (quote, backslash and control
+/// characters escaped) or as a number (printf "%.6g"). Appending to a
+/// std::string keeps metrics ticks cheap on small fiber stacks; the stream
+/// forms write the same bytes.
+void json_str(std::string& o, std::string_view v);
+void json_num(std::string& o, double v);
+void json_str(std::ostream& os, std::string_view v);
+void json_num(std::ostream& os, double v);
 
 }  // namespace pto::telemetry

@@ -18,14 +18,11 @@
 #include "common/defs.h"
 #include "common/warn.h"
 #include "sim/sim.h"
+#include "telemetry/emit.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
 
 namespace pto::telemetry::prof {
-
-namespace detail {
-std::atomic<bool> g_on{false};
-}  // namespace detail
 
 namespace {
 
@@ -143,7 +140,7 @@ struct ProfState {
         warn_once("env.PTO_PROF",
                   "PTO_PROF=%s not recognized (text|json); using text", v);
       }
-      detail::g_on.store(true, std::memory_order_relaxed);
+      set_tap(kTapProf, true);
       report_at_exit = true;
     }
     if (const char* v = std::getenv("PTO_PROF_OUT");
@@ -163,8 +160,9 @@ ProfState& state() {
   return s;
 }
 
-// Force the env scan at startup (hooks are gated on g_on, which only the
-// ProfState constructor sets) and register the end-of-run report.
+// Force the env scan at startup (hooks are gated on the prof tap, which the
+// ProfState constructor arms from PTO_PROF) and register the end-of-run
+// report.
 const bool g_env_scanned = [] {
   if (state().report_at_exit) {
     std::atexit([] { report_if_enabled(); });
@@ -217,33 +215,6 @@ std::string site_name(const Site* s) {
 // ---------------------------------------------------------------------------
 // Reporting helpers.
 // ---------------------------------------------------------------------------
-
-void json_str(std::ostream& os, const std::string& v) {
-  os << '"';
-  for (char c : v) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void json_num(std::ostream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
 
 void json_classes(std::ostream& os, const std::uint64_t (&cl)[kClassCount]) {
   os << '{';
@@ -408,7 +379,7 @@ const char* cycle_class_name(unsigned cls) {
 }
 
 void set_enabled(bool on) {
-  detail::g_on.store(on, std::memory_order_relaxed);
+  set_tap(kTapProf, on);
 }
 
 // ---------------------------------------------------------------------------
@@ -519,52 +490,32 @@ void on_abort_unwind() {
 // prefix calls (fixture setup) immediately fall back and carry no cycles.
 // ---------------------------------------------------------------------------
 
-void on_site_attempt(Site* site) {
+void on_event(Site* site, unsigned event, unsigned cause) {
   if (!sim::active()) return;
   ThreadProf& tp = me();
-  if (tp.depth >= kMaxSpans) return;  // beyond-plausible nesting: drop
-  tp.stack[tp.depth++].open(site, false, sim::now());
-}
-
-void on_site_commit(Site* site) {
-  if (!sim::active()) return;
-  ThreadProf& tp = me();
-  Span* s = pop_match(tp, site, false);
+  if (event == kEventAttempt || event == kEventFallback) {
+    if (tp.depth >= kMaxSpans) return;  // beyond-plausible nesting: drop
+    tp.stack[tp.depth++].open(site, event == kEventFallback, sim::now());
+    return;
+  }
+  Span* s = pop_match(tp, site, event == kEventFallbackEnd);
   if (s == nullptr) return;
   LedgerData& l = state().cur->ledger(site);
-  fold(l.fast, *s);
-  l.fence_elided_count += s->fence_elided_count;
-  l.fence_elided_cycles += s->fence_elided_cycles;
-  l.cas_collapsed_cycles += s->cas_collapsed_cycles;
-}
-
-void on_site_abort(Site* site, unsigned cause) {
-  if (!sim::active()) return;
-  ThreadProf& tp = me();
-  Span* s = pop_match(tp, site, false);
-  if (s == nullptr) return;
-  LedgerData& l = state().cur->ledger(site);
-  ++l.aborts[cause < kTxCodeCount ? cause : TX_ABORT_OTHER];
-  // Everything since the attempt opened was thrown away: accesses, the
-  // tx_begin charge, and the abort penalty the doom added while the victim
-  // was suspended. Classed cycles of the doomed work are deliberately
-  // discarded — they never produced anything.
-  l.retry_waste_cycles += sim::now() - s->start;
-}
-
-void on_site_fallback(Site* site) {
-  if (!sim::active()) return;
-  ThreadProf& tp = me();
-  if (tp.depth >= kMaxSpans) return;
-  tp.stack[tp.depth++].open(site, true, sim::now());
-}
-
-void on_site_fallback_end(Site* site) {
-  if (!sim::active()) return;
-  ThreadProf& tp = me();
-  Span* s = pop_match(tp, site, true);
-  if (s == nullptr) return;
-  fold(state().cur->ledger(site).fallback, *s);
+  if (event == kEventFallbackEnd) {
+    fold(l.fallback, *s);
+  } else if (event == kEventCommit) {
+    fold(l.fast, *s);
+    l.fence_elided_count += s->fence_elided_count;
+    l.fence_elided_cycles += s->fence_elided_cycles;
+    l.cas_collapsed_cycles += s->cas_collapsed_cycles;
+  } else {  // kEventAbort
+    ++l.aborts[cause < kTxCodeCount ? cause : TX_ABORT_OTHER];
+    // Everything since the attempt opened was thrown away: accesses, the
+    // tx_begin charge, and the abort penalty the doom added while the
+    // victim was suspended. Classed cycles of the doomed work are
+    // deliberately discarded — they never produced anything.
+    l.retry_waste_cycles += sim::now() - s->start;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -24,23 +24,23 @@
 //    transaction overhead and retry waste it paid for them — see
 //    derive_savings().
 //
-// Site identity flows in through the existing StatsHandle telemetry hooks
-// (core/prefix.h): st.attempt()/commit()/abort()/fallback()/fallback_done()
-// bracket the spans, so every PTO_TELEMETRY_SITE-wired call site is profiled
-// with no per-data-structure changes.
+// Site identity flows in through the profiler's tap of the telemetry event
+// gate (telemetry/taps.h): pto::prefix()'s attempt / commit / abort /
+// fallback / fallback-end events bracket the spans, so every
+// PTO_TELEMETRY_SITE-wired call site is profiled with no per-data-structure
+// changes.
 //
 //   PTO_PROF=text|json   enable profiling; dump a report at process exit
 //   PTO_PROF_OUT=path    write the report to a file (default: stderr)
 //   PTO_PROF_TOPN=N      hot lines kept in the report (default 10)
 //
-// Zero overhead when off: every hook is gated on one relaxed bool, and no
+// Zero overhead when off: every hook is gated on one tap bit, and no
 // hook ever charges virtual cycles — simulated results are byte-identical
 // with profiling on or off (pinned by tests/test_prof.cpp against the golden
 // cycle counts). The recorder is simulator-only and therefore single-host-
 // threaded; hooks called outside a simulation are no-ops.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -48,19 +48,14 @@
 #include <vector>
 
 #include "htm/txcode.h"
+#include "telemetry/taps.h"
 
 namespace pto::telemetry {
 
-class Site;
-
 namespace prof {
 
-namespace detail {
-extern std::atomic<bool> g_on;
-}  // namespace detail
-
-/// Cheap gate for every instrumentation point.
-inline bool on() { return detail::g_on.load(std::memory_order_relaxed); }
+/// Cheap gate for every instrumentation point (the profiler's tap).
+inline bool on() { return tap_on(kTapProf); }
 
 /// Programmatic control (tests). Enabling does not clear accumulated data;
 /// call reset() for a clean slate.
@@ -115,16 +110,9 @@ void on_conflict(unsigned victim, unsigned aggressor, std::uintptr_t line,
 /// self-abort): clear unwind-sensitive state (the allocator bracket).
 void on_abort_unwind();
 
-// ---------------------------------------------------------------------------
-// Prefix-side hooks, forwarded by the StatsHandle telemetry hooks in
-// telemetry/registry.cpp. No-ops outside a simulation.
-// ---------------------------------------------------------------------------
-
-void on_site_attempt(Site* site);
-void on_site_commit(Site* site);
-void on_site_abort(Site* site, unsigned cause);
-void on_site_fallback(Site* site);
-void on_site_fallback_end(Site* site);
+/// One prefix event (telemetry/taps.h), dispatched by telemetry::on_event.
+/// A no-op outside a simulation.
+void on_event(Site* site, unsigned event, unsigned cause);
 
 // ---------------------------------------------------------------------------
 // Control and reporting.

@@ -16,31 +16,105 @@
 namespace pto::telemetry {
 
 namespace detail {
+constinit std::atomic<unsigned> g_taps{0};
+}  // namespace detail
+
+void set_tap(unsigned tap, bool on) {
+  if (on) {
+    detail::g_taps.fetch_or(tap, std::memory_order_relaxed);
+  } else {
+    detail::g_taps.fetch_and(~tap, std::memory_order_relaxed);
+  }
+}
 
 namespace {
+
 bool env_set(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && *v != '\0';
 }
 
-bool enabled_from_env() {
-  // PTO_METRICS counts too: the interval stream samples these counters, and
-  // static-init order across translation units means metrics::configure()
-  // cannot reliably flip the gate before this initializer runs.
-  return env_set("PTO_TELEMETRY") || env_set("PTO_STATS") ||
-         env_set("PTO_TRACE") || env_set("PTO_METRICS");
+// PTO_METRICS arms the counters tap through metrics::configure().
+const bool g_counters_env = [] {
+  if (env_set("PTO_TELEMETRY") || env_set("PTO_STATS") ||
+      env_set("PTO_TRACE")) {
+    set_enabled(true);
+  }
+  return true;
+}();
+
+// Native slot leases: a native thread leases a slot on its first record and
+// returns it at thread exit. A recycled slot keeps what its earlier owners
+// recorded (counters and histograms stay monotone, as snapshots require),
+// and storage stays bounded by live threads.
+constexpr unsigned kNoSlot = ~0u;
+
+struct SlotPool {
+  std::mutex mu;
+  std::vector<unsigned> free;  ///< returned by exited threads
+  unsigned next = 0;           ///< slots [next, kMaxThreads) never leased
+};
+
+SlotPool& slot_pool() {
+  static SlotPool* p = new SlotPool();  // leaked: threads exit after main
+  return *p;
 }
+
+/// An owned slot is exclusive, so its histograms have a single writer. A
+/// thread beyond kMaxThreads live ones, or one recording after its exit
+/// hook ran, counts into shared slot 0 and records no latency.
+struct SlotLease {
+  unsigned slot = kNoSlot;
+  bool owned = false;
+  bool exited = false;
+};
+thread_local SlotLease tls_lease;
+
+struct SlotReturn {
+  SlotReturn() = default;
+  SlotReturn(const SlotReturn&) = delete;
+  SlotReturn& operator=(const SlotReturn&) = delete;
+  ~SlotReturn() {
+    SlotPool& p = slot_pool();
+    std::lock_guard<std::mutex> lk(p.mu);
+    p.free.push_back(tls_lease.slot);
+    tls_lease = {kNoSlot, false, true};
+  }
+};
+
+void lease_slot() {
+  SlotLease& l = tls_lease;
+  l.slot = 0;
+  if (l.exited) return;
+  {
+    SlotPool& p = slot_pool();
+    std::lock_guard<std::mutex> lk(p.mu);
+    if (!p.free.empty()) {
+      l.slot = p.free.back();
+      p.free.pop_back();
+      l.owned = true;
+    } else if (p.next < kMaxThreads) {
+      l.slot = p.next++;
+      l.owned = true;
+    }
+  }
+  if (!l.owned) {
+    warn_once("registry.slot_overflow",
+              "more than %u live threads; the excess share a telemetry slot "
+              "(counters stay exact) and record no latency",
+              kMaxThreads);
+    return;
+  }
+  thread_local SlotReturn ret;  // constructed once: returns the lease
+  (void)ret;
+}
+
 }  // namespace
 
-std::atomic<bool> g_enabled{enabled_from_env()};
-
-}  // namespace detail
-
-void set_enabled(bool on) {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
 Site::~Site() {
+  for_each_shard(*this, [](const SiteShard& sh) {
+    delete sh.hists.load(std::memory_order_relaxed);
+  });
   for (auto& e : ext_) delete[] e.load(std::memory_order_relaxed);
 }
 
@@ -64,66 +138,89 @@ SiteShard& Site::shard_at(unsigned slot) {
   return ext_segment(slot / kShardSeg - 1)[slot % kShardSeg];
 }
 
-SiteShard& Site::shard() {
+[[gnu::always_inline]] inline SiteShard& Site::shard() {
   // Virtual threads within a simulation map to their thread id (they all run
-  // on one host thread, so the slots are exclusive). Native threads get a
-  // slot from a process-wide counter; past kMaxThreads live threads slots
-  // are reused, which stays correct because shards are atomic — but warn
-  // once, because aliased shards make per-thread attribution lie silently.
+  // on one host thread, so the slots are exclusive).
   if (sim::active()) return shard_at(sim::thread_id());
-  static std::atomic<unsigned> next_slot{0};
-  thread_local unsigned slot = [] {
-    unsigned raw = next_slot.fetch_add(1, std::memory_order_relaxed);
-    if (PTO_UNLIKELY(raw >= kMaxThreads)) {
-      warn_once("registry.slot_overflow",
-                "more than %u live threads; telemetry shard slots are being "
-                "reused (counters stay correct, per-thread attribution "
-                "aliases)",
-                kMaxThreads);
+  if (PTO_UNLIKELY(tls_lease.slot == kNoSlot)) lease_slot();
+  return shard_at(tls_lease.slot);
+}
+
+template <class Self, class F>
+void Site::for_each_shard(Self& self, F&& f) {
+  for (auto& sh : self.shards_) f(sh);
+  for (auto& e : self.ext_) {
+    if (SiteShard* seg = e.load(std::memory_order_acquire)) {
+      for (unsigned i = 0; i < kShardSeg; ++i) f(seg[i]);
     }
-    return raw % kMaxThreads;
-  }();
-  return shard_at(slot);
-}
-
-namespace {
-void accumulate_shard(PrefixStats& s, const SiteShard& sh) {
-  s.attempts += sh.attempts.load(std::memory_order_relaxed);
-  s.commits += sh.commits.load(std::memory_order_relaxed);
-  s.fallbacks += sh.fallbacks.load(std::memory_order_relaxed);
-  for (unsigned i = 0; i < kTxCodeCount; ++i) {
-    s.aborts[i] += sh.aborts[i].load(std::memory_order_relaxed);
   }
 }
 
-void zero_shard(SiteShard& sh) {
-  sh.attempts.store(0, std::memory_order_relaxed);
-  sh.commits.store(0, std::memory_order_relaxed);
-  sh.fallbacks.store(0, std::memory_order_relaxed);
-  for (unsigned i = 0; i < kTxCodeCount; ++i) {
-    sh.aborts[i].store(0, std::memory_order_relaxed);
-  }
+void Site::count(unsigned event, unsigned cause) {
+  SiteShard& sh = shard();
+  std::atomic<std::uint64_t>* n =
+      event == kEventAttempt    ? &sh.attempts
+      : event == kEventCommit   ? &sh.commits
+      : event == kEventFallback ? &sh.fallbacks
+      : event == kEventAbort
+          ? &sh.aborts[cause < kTxCodeCount ? cause : TX_ABORT_OTHER]
+          : nullptr;  // kEventFallbackEnd counts nothing
+  if (n != nullptr) n->fetch_add(1, std::memory_order_relaxed);
 }
-}  // namespace
+
+void Site::record_latency(bool fallback, std::uint64_t ticks) {
+  if (sim::active()) return;  // simx latency is virtual time (PTO_PROF)
+  SiteShard& sh = shard();
+  if (!tls_lease.owned) return;  // lease_slot() warned
+  // This thread is the slot's only writer; the lease hand-off orders it
+  // after earlier owners.
+  LatencyHists* h = sh.hists.load(std::memory_order_relaxed);
+  if (PTO_UNLIKELY(h == nullptr)) {
+    h = new LatencyHists();
+    sh.hists.store(h, std::memory_order_release);
+  }
+  (fallback ? h->fallback : h->fast).record(ticks);
+}
+
+void Site::merge_latency(obs::Histogram& fast,
+                         obs::Histogram& fallback) const {
+  for_each_shard(*this, [&](const SiteShard& sh) {
+    if (const LatencyHists* h = sh.hists.load(std::memory_order_acquire)) {
+      fast.merge(h->fast);
+      fallback.merge(h->fallback);
+    }
+  });
+}
+
+void Site::reset_latency() {
+  for_each_shard(*this, [](const SiteShard& sh) {
+    if (LatencyHists* h = sh.hists.load(std::memory_order_acquire)) {
+      h->fast.reset();
+      h->fallback.reset();
+    }
+  });
+}
 
 PrefixStats Site::snapshot() const {
   PrefixStats s;
-  for (const SiteShard& sh : shards_) accumulate_shard(s, sh);
-  for (const auto& e : ext_) {
-    if (const SiteShard* seg = e.load(std::memory_order_acquire)) {
-      for (unsigned i = 0; i < kShardSeg; ++i) accumulate_shard(s, seg[i]);
+  for_each_shard(*this, [&s](const SiteShard& sh) {
+    s.attempts += sh.attempts.load(std::memory_order_relaxed);
+    s.commits += sh.commits.load(std::memory_order_relaxed);
+    s.fallbacks += sh.fallbacks.load(std::memory_order_relaxed);
+    for (unsigned i = 0; i < kTxCodeCount; ++i) {
+      s.aborts[i] += sh.aborts[i].load(std::memory_order_relaxed);
     }
-  }
+  });
   return s;
 }
 
 void Site::reset() {
-  for (SiteShard& sh : shards_) zero_shard(sh);
-  for (auto& e : ext_) {
-    if (SiteShard* seg = e.load(std::memory_order_acquire)) {
-      for (unsigned i = 0; i < kShardSeg; ++i) zero_shard(seg[i]);
-    }
-  }
+  for_each_shard(*this, [](SiteShard& sh) {
+    sh.attempts.store(0, std::memory_order_relaxed);
+    sh.commits.store(0, std::memory_order_relaxed);
+    sh.fallbacks.store(0, std::memory_order_relaxed);
+    for (auto& a : sh.aborts) a.store(0, std::memory_order_relaxed);
+  });
 }
 
 Registry& Registry::instance() {
@@ -131,7 +228,7 @@ Registry& Registry::instance() {
     auto* reg = new Registry();
     if (const char* v = std::getenv("PTO_TELEMETRY_REPORT");
         v != nullptr && *v != '\0') {
-      detail::g_enabled.store(true, std::memory_order_relaxed);
+      set_enabled(true);
       std::atexit([] { Registry::instance().report(std::cerr); });
     }
     return reg;
@@ -164,6 +261,18 @@ PrefixStats Registry::totals() {
   PrefixStats t;
   for (Site* s : sites()) t.accumulate(s->snapshot());
   return t;
+}
+
+Snapshot Registry::snapshot(bool latency) {
+  Snapshot snap;
+  snap.sites = sites();
+  snap.counts.reserve(snap.sites.size());
+  for (Site* s : snap.sites) snap.counts.push_back(s->snapshot());
+  if (latency) {
+    snap.latency = std::make_unique<obs::Histogram>();
+    for (Site* s : snap.sites) s->merge_latency(*snap.latency, *snap.latency);
+  }
+  return snap;
 }
 
 void Registry::reset_all() {
@@ -201,61 +310,24 @@ void Registry::report(std::ostream& os) {
 PrefixStats registry_totals() { return Registry::instance().totals(); }
 
 PrefixStats registry_delta(const PrefixStats& before) {
-  PrefixStats now = registry_totals();
-  PrefixStats d;
-  d.attempts = now.attempts - before.attempts;
-  d.commits = now.commits - before.commits;
-  d.fallbacks = now.fallbacks - before.fallbacks;
-  for (unsigned i = 0; i < kTxCodeCount; ++i) {
-    d.aborts[i] = now.aborts[i] - before.aborts[i];
+  return registry_totals().zip(before, std::minus<>());
+}
+
+// The one dispatcher behind telemetry::emit (telemetry/taps.h).
+void on_event(Site* site, unsigned event, unsigned cause) {
+  if (site == nullptr) return;
+  const unsigned t = taps();
+  if (t & kTapCounters) site->count(event, cause);
+  if ((t & kTapHist) && event == kEventFallback) obs::note_fallback();
+  // The flight recorder is native-only: simulated runs already have
+  // PTO_TRACE with virtual-time fidelity.
+  if ((t & kTapFlight) && event != kEventFallbackEnd && !sim::active()) {
+    obs::flight_record(static_cast<std::uint16_t>(
+                           site->id() < 0xffffu ? site->id() : 0xffffu),
+                       static_cast<std::uint8_t>(event), cause);
   }
-  return d;
-}
-
-// Hooks referenced from core/prefix.h (declared there to avoid an include
-// cycle). Each is a no-op unless telemetry is enabled. The profiler
-// (telemetry/prof.h) taps the same stream under its own independent gate so
-// PTO_PROF works without PTO_TELEMETRY.
-
-namespace {
-/// Flight-recorder tap. Native-only by contract: simulated runs already have
-/// PTO_TRACE with virtual-time fidelity, so PTO_FLIGHT is ignored there.
-inline void flight(Site* site, unsigned char event, std::uint32_t arg = 0) {
-  if (sim::active()) return;
-  obs::flight_record(
-      static_cast<std::uint16_t>(site->id() < 0xffffu ? site->id() : 0xffffu),
-      event, arg);
-}
-}  // namespace
-
-void site_attempt(Site* site) {
-  if (enabled()) site->record_attempt();
-  if (PTO_UNLIKELY(obs::flight_on())) flight(site, obs::kFlightAttempt);
-  if (PTO_UNLIKELY(prof::on())) prof::on_site_attempt(site);
-  if (PTO_UNLIKELY(check::on())) check::on_site_attempt(site);
-}
-void site_commit(Site* site) {
-  if (enabled()) site->record_commit();
-  if (PTO_UNLIKELY(obs::flight_on())) flight(site, obs::kFlightCommit);
-  if (PTO_UNLIKELY(prof::on())) prof::on_site_commit(site);
-  if (PTO_UNLIKELY(check::on())) check::on_site_commit(site);
-}
-void site_abort(Site* site, unsigned cause) {
-  if (enabled()) site->record_abort(cause);
-  if (PTO_UNLIKELY(obs::flight_on())) flight(site, obs::kFlightAbort, cause);
-  if (PTO_UNLIKELY(prof::on())) prof::on_site_abort(site, cause);
-  if (PTO_UNLIKELY(check::on())) check::on_site_abort(site, cause);
-}
-void site_fallback(Site* site) {
-  if (enabled()) site->record_fallback();
-  if (PTO_UNLIKELY(obs::hist_on())) obs::note_fallback();
-  if (PTO_UNLIKELY(obs::flight_on())) flight(site, obs::kFlightFallback);
-  if (PTO_UNLIKELY(prof::on())) prof::on_site_fallback(site);
-  if (PTO_UNLIKELY(check::on())) check::on_site_fallback(site);
-}
-void site_fallback_end(Site* site) {
-  if (PTO_UNLIKELY(prof::on())) prof::on_site_fallback_end(site);
-  if (PTO_UNLIKELY(check::on())) check::on_site_fallback_end(site);
+  if (t & kTapProf) prof::on_event(site, event, cause);
+  if (t & kTapCheck) check::on_event(site, event, cause);
 }
 
 }  // namespace pto::telemetry

@@ -1,24 +1,31 @@
 // pto::telemetry — process-wide transaction telemetry registry.
 //
-// A *site* is a named aggregation point for PrefixStats-shaped counters
-// ("bst.insert.pto1", "queue.enqueue", ...). Call sites obtain a site once
-// with PTO_TELEMETRY_SITE("name") (a cached intern) and pass it to
-// pto::prefix() through a StatsHandle; the native HTM facade (htm/htm.h) and
-// the simulator report through the same sites, so native stress runs and
-// simx runs share one schema.
+// A *site* is a named aggregation point for one kind of operation: a prefix
+// call site ("bst.insert.pto1", "queue.enqueue", ...), the native HTM facade
+// ("htm.rtm" / "htm.soft"), or a timed op class ("native_set.insert",
+// "svc.get"). Call sites obtain a site once with PTO_TELEMETRY_SITE("name")
+// (a cached intern) and pass it to pto::prefix(); the native HTM facade
+// (htm/htm.h) and the simulator report through the same sites, so native
+// stress runs and simx runs share one schema. A site is the only per-site
+// record: it owns the PrefixStats-shaped counters and the latency
+// histograms (obs/obs.h).
 //
-// Counters are thread-sharded: each thread bumps its own cache-line-padded
-// shard (virtual thread id inside a simulation, a thread-local slot on native
-// threads), using relaxed atomics, so recording is lock-free and snapshotting
-// never blocks writers. Snapshots sum the shards and may observe a record
-// mid-flight — exact totals are guaranteed only at quiescence (which is when
-// benches and tests read them).
+// Storage is thread-sharded. A *slot* is a thread's index into a site's
+// shards: the virtual thread id inside a simulation, otherwise a slot a
+// native thread leases on first use and returns when it exits, so storage
+// is bounded by live threads x sites. Counters are relaxed atomics, so
+// recording is lock-free and snapshotting never blocks writers; snapshots
+// may observe a record mid-flight — exact totals are guaranteed only at
+// quiescence (which is when benches and tests read them). A shard's latency
+// histograms are single-writer: they are allocated on the first sample its
+// slot's thread records while histograms are armed.
 //
-// Zero overhead when off: recording is gated on a single relaxed bool that
-// defaults to false and is flipped by PTO_STATS / PTO_TRACE / PTO_TELEMETRY
-// or telemetry::set_enabled(). Inside the simulator no counter update ever
-// charges virtual cycles, so enabling telemetry cannot change a simulated
-// result — simx determinism doubles as the zero-overhead proof.
+// Zero overhead when off: every event passes the tap word (telemetry/taps.h).
+// The counters tap is armed by PTO_STATS / PTO_TRACE / PTO_TELEMETRY /
+// PTO_TELEMETRY_REPORT / PTO_METRICS or telemetry::set_enabled(). Inside the
+// simulator no counter update ever charges virtual cycles, so enabling
+// telemetry cannot change a simulated result — simx determinism doubles as
+// the zero-overhead proof.
 #pragma once
 
 #include <atomic>
@@ -33,27 +40,29 @@
 #include "common/defs.h"
 #include "core/prefix.h"
 #include "htm/txcode.h"
+#include "obs/histogram.h"
+#include "telemetry/taps.h"
 
 namespace pto::telemetry {
 
-namespace detail {
-extern std::atomic<bool> g_enabled;
-}  // namespace detail
+/// True when sites count events (the counters tap).
+inline bool enabled() { return tap_on(kTapCounters); }
+inline void set_enabled(bool on) { set_tap(kTapCounters, on); }
 
-/// True when sites record events. Initialized from the environment
-/// (PTO_STATS / PTO_TRACE / PTO_TELEMETRY, any non-empty value).
-inline bool enabled() {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-void set_enabled(bool on);
+/// One slot's fast/fallback latency histograms (raw ticks).
+struct LatencyHists {
+  obs::Histogram fast;      ///< ops whose prefix attempts all committed
+  obs::Histogram fallback;  ///< ops that took at least one fallback
+};
 
-/// One thread's slot of a site. Padded so concurrent native threads never
+/// One slot of a site. Padded so concurrent native threads never
 /// false-share.
 struct alignas(kCacheLine) SiteShard {
   std::atomic<std::uint64_t> attempts{0};
   std::atomic<std::uint64_t> commits{0};
   std::atomic<std::uint64_t> fallbacks{0};
   std::atomic<std::uint64_t> aborts[kTxCodeCount]{};
+  std::atomic<LatencyHists*> hists{nullptr};
 };
 
 class Site {
@@ -69,24 +78,20 @@ class Site {
   /// compact site key in flight-recorder records (obs/flight.h).
   unsigned id() const { return id_; }
 
-  // Hot-path recorders; the enabled() gate lives in the site_* free functions
-  // so pto::prefix() pays only a null check plus one branch when off.
-  void record_attempt() {
-    shard().attempts.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_commit() {
-    shard().commits.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_fallback() {
-    shard().fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  void record_abort(unsigned cause) {
-    shard().aborts[cause < kTxCodeCount ? cause : TX_ABORT_OTHER].fetch_add(
-        1, std::memory_order_relaxed);
-  }
+  /// Count one prefix event (telemetry/taps.h) in this thread's shard.
+  void count(unsigned event, unsigned cause);
 
-  /// Sum of all shards as a plain PrefixStats.
+  /// Record one op's latency in this thread's histograms. Dropped inside a
+  /// simulation, and (with a one-time warning) when the thread holds no
+  /// slot of its own: a single-writer histogram is never shared.
+  void record_latency(bool fallback, std::uint64_t ticks);
+  /// Add every slot's histograms into `fast` / `fallback`.
+  void merge_latency(obs::Histogram& fast, obs::Histogram& fallback) const;
+  void reset_latency();
+
+  /// Sum of all shards' counters as a plain PrefixStats.
   PrefixStats snapshot() const;
+  /// Zero every shard's counters (histograms: reset_latency()).
   void reset();
 
  private:
@@ -100,15 +105,26 @@ class Site {
   static constexpr unsigned kShardSeg = 64;
   static constexpr unsigned kShardSegs = kMaxThreads / kShardSeg;
 
-  SiteShard& shard();
+  inline SiteShard& shard();  ///< this thread's shard (registry.cpp)
   SiteShard& shard_at(unsigned slot);
   /// Cold path: materialize extension segment `seg` (registry.cpp).
   SiteShard* ext_segment(unsigned seg);
+  /// Visit every materialized shard of `self` (a const or mutable Site).
+  template <class Self, class F>
+  static void for_each_shard(Self& self, F&& f);
 
   std::string name_;
   unsigned id_;
   SiteShard shards_[kShardSeg];
   std::atomic<SiteShard*> ext_[kShardSegs - 1]{};
+};
+
+/// One registry sample: every site's counters in registration order and,
+/// when asked for, the latency histogram merged over every site and path.
+struct Snapshot {
+  std::vector<Site*> sites;
+  std::vector<PrefixStats> counts;  ///< parallel to `sites`
+  std::unique_ptr<obs::Histogram> latency;  ///< raw ticks; null if not taken
 };
 
 class Registry {
@@ -125,7 +141,10 @@ class Registry {
   /// Sum over every site.
   PrefixStats totals();
 
-  /// Zero every shard of every site (tests / between measurement phases).
+  /// Counters of every site, plus the merged latency when `latency` is set.
+  Snapshot snapshot(bool latency);
+
+  /// Zero every site's counters (tests / between measurement phases).
   void reset_all();
 
   /// Human-readable per-site table (the PTO_TELEMETRY_REPORT exit dump).

@@ -19,7 +19,6 @@
 namespace {
 
 using pto::SimPlatform;
-using pto::StatsHandle;
 namespace sim = pto::sim;
 namespace tel = pto::telemetry;
 namespace bench = pto::bench;
@@ -48,7 +47,7 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
                   counter->store(v + 1, std::memory_order_relaxed);
                 },
                 [&] { counter->fetch_add(1, std::memory_order_seq_cst); },
-                StatsHandle{PTO_TELEMETRY_SITE("smoke.op")});
+                PTO_TELEMETRY_SITE("smoke.op"));
             sim::op_done();
           }
         });

@@ -12,6 +12,7 @@
 #include "platform/sim_platform.h"
 #include "set_test_util.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -134,13 +135,15 @@ TEST(Bst, Pto1CommitsEliminateDescriptorAllocation) {
       }
     });
   }
+  SiteDelta ins("bst.insert.pto1");
+  SiteDelta rem("bst.remove.pto1");
   accelerated = pto::sim::run(1, {}, [&](unsigned) {
     auto ctx = a.make_ctx();
     for (int i = 0; i < 300; ++i) {
       a.insert(ctx, Mode<SimPlatform>::kPto1, i % 64);
       a.remove(ctx, Mode<SimPlatform>::kPto1, i % 64);
     }
-    EXPECT_EQ(ctx.pto1_stats.fallbacks, 0u);
+    EXPECT_EQ(ins.get().fallbacks + rem.get().fallbacks, 0u);
   });
   // LF allocates an Info per update; PTO1 does not (only node shells).
   EXPECT_LT(accelerated.totals().allocs, baseline.totals().allocs);

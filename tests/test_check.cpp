@@ -132,7 +132,7 @@ TEST(Check, OnOffSimulationIdentical) {
             [&] {
               cells[b].value.fetch_add(tid + 1, std::memory_order_seq_cst);
             },
-            pto::StatsHandle(PTO_TELEMETRY_SITE("checktest.op")));
+            PTO_TELEMETRY_SITE("checktest.op"));
         sim::op_done();
       }
     });
@@ -395,7 +395,7 @@ TEST(Check, FlagsOverCapacityPrefix) {
               cells[i].value.fetch_add(1, std::memory_order_seq_cst);
             }
           },
-          pto::StatsHandle(PTO_TELEMETRY_SITE("checktest.overcap")));
+          PTO_TELEMETRY_SITE("checktest.overcap"));
       sim::op_done();
     }
   });
@@ -426,7 +426,7 @@ TEST(Check, CommittingSiteIsNotOverCapacity) {
           1,
           [&] { cells[op % 8].value.store(op, std::memory_order_relaxed); },
           [&] { cells[op % 8].value.fetch_add(1, std::memory_order_seq_cst); },
-          pto::StatsHandle(PTO_TELEMETRY_SITE("checktest.fits")));
+          PTO_TELEMETRY_SITE("checktest.fits"));
       sim::op_done();
     }
   });

@@ -8,6 +8,7 @@
 #include "reclaim/hazard.h"
 #include "sim/sim.h"
 #include "sim_util.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -144,7 +145,7 @@ TEST(Hazard, TransactionStillAbortedByFree) {
   HazardDomain<SimPlatform> dom;
   auto* n = SimPlatform::make<Node>();
   n->v.init(5);
-  pto::PrefixStats st;
+  SiteDelta st("test.hazard.st");
   auto res = pto::sim::run(2, {}, [&](unsigned tid) {
     auto h = dom.register_thread();
     if (tid == 0) {
@@ -160,14 +161,14 @@ TEST(Hazard, TransactionStillAbortedByFree) {
             for (int i = 0; i < 2000; ++i) SimPlatform::pause();
             return v;
           },
-          [&]() -> int { return -1; }, &st);
+          [&]() -> int { return -1; }, st.site());
     } else {
       for (int i = 0; i < 50; ++i) SimPlatform::pause();
       h.retire(n);
       h.scan_and_reclaim();  // frees n: no hazards point at it
     }
   });
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_CONFLICT], 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_CONFLICT], 1u);
   EXPECT_EQ(res.uaf_count, 0u);
 }
 

@@ -9,6 +9,7 @@
 #include "platform/sim_platform.h"
 #include "reclaim/epoch.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -196,7 +197,7 @@ TEST(Kcas, DescriptorsAreRecycled) {
 
 TEST(Kcas, PtoFastPathAvoidsCasTraffic) {
   Fixture<SimPlatform> f;
-  pto::PrefixStats st;
+  SiteDelta st("kcas.mcas");
   auto res = pto::sim::run(1, {}, [&](unsigned) {
     kc::Ctx<SimPlatform> ctx(f.dom);
     std::uint64_t va = enc(1), vb = enc(2);
@@ -204,13 +205,13 @@ TEST(Kcas, PtoFastPathAvoidsCasTraffic) {
       typename EpochDomain<SimPlatform>::Guard g(ctx.epoch);
       ASSERT_TRUE(kc::pto_dcas<SimPlatform>(ctx, f.a, va, va + enc(1), f.b,
                                             vb, vb + enc(1),
-                                            pto::PrefixPolicy(4), &st));
+                                            pto::PrefixPolicy(4)));
       va += enc(1);
       vb += enc(1);
     }
   });
-  EXPECT_EQ(st.commits, 500u);
-  EXPECT_EQ(st.fallbacks, 0u);
+  EXPECT_EQ(st.get().commits, 500u);
+  EXPECT_EQ(st.get().fallbacks, 0u);
   // Uncontended PTO DCAS performs no CAS at all (the few remaining CAS ops
   // come from epoch registration/advance, not from the DCAS path).
   EXPECT_LE(res.totals().cas_ops, 64u);
@@ -278,18 +279,18 @@ TEST(Kcas, PtoFallsBackUnderFailureInjection) {
   Fixture<SimPlatform> f;
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
-  pto::PrefixStats st;
+  SiteDelta st("kcas.mcas");
   pto::sim::run(1, cfg, [&](unsigned) {
     kc::Ctx<SimPlatform> ctx(f.dom);
     typename EpochDomain<SimPlatform>::Guard g(ctx.epoch);
     EXPECT_TRUE(kc::pto_dcas<SimPlatform>(ctx, f.a, enc(1), enc(5), f.b,
                                           enc(2), enc(6),
-                                          pto::PrefixPolicy(4), &st));
+                                          pto::PrefixPolicy(4)));
     EXPECT_EQ(kc::read(ctx, f.a), enc(5));
     EXPECT_EQ(kc::read(ctx, f.b), enc(6));
   });
-  EXPECT_EQ(st.commits, 0u);
-  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.get().commits, 0u);
+  EXPECT_EQ(st.get().fallbacks, 1u);
 }
 
 TEST(Kcas, NativePlatformDcas) {

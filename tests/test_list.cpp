@@ -9,6 +9,7 @@
 #include "platform/sim_platform.h"
 #include "set_test_util.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -105,12 +106,13 @@ TEST(List, PtoRemoveSkipsIntermediateMark) {
   // An uncontended PTO remove commits mark+unlink in one transaction: no
   // CAS at all on the fast path.
   ListAdapter<SimPlatform> a;
+  SiteDelta rem("list.remove");
   auto res = pto::sim::run(1, {}, [&](unsigned) {
     auto ctx = a.make_ctx();
     for (int i = 0; i < 100; ++i) a.ds.insert_pto(ctx, i);
     for (int i = 0; i < 100; ++i) a.ds.remove_pto(ctx, i);
-    EXPECT_EQ(ctx.rem_stats.commits, 100u);
-    EXPECT_EQ(ctx.rem_stats.fallbacks, 0u);
+    EXPECT_EQ(rem.get().commits, 100u);
+    EXPECT_EQ(rem.get().fallbacks, 0u);
   });
   EXPECT_LE(res.totals().cas_ops, 8u);  // epoch bookkeeping only
 }
@@ -119,6 +121,8 @@ TEST(List, FailureInjectionFallsBack) {
   ListAdapter<SimPlatform> a;
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
+  SiteDelta ins("list.insert");
+  SiteDelta rem("list.remove");
   pto::sim::run(2, cfg, [&](unsigned) {
     auto ctx = a.make_ctx();
     for (int i = 0; i < 150; ++i) {
@@ -129,7 +133,7 @@ TEST(List, FailureInjectionFallsBack) {
         a.ds.remove_pto(ctx, k);
       }
     }
-    EXPECT_EQ(ctx.ins_stats.commits + ctx.rem_stats.commits, 0u);
+    EXPECT_EQ(ins.get().commits + rem.get().commits, 0u);
   });
   EXPECT_TRUE(a.check_invariants());
 }

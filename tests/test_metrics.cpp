@@ -84,7 +84,7 @@ sim::RunResult tx_workload(telemetry::Site* site, unsigned nthreads, int ops,
             acc.store(acc.load(std::memory_order_relaxed) + tid + 1,
                       std::memory_order_relaxed);
           },
-          [&] { acc.fetch_add(tid + 1); }, pto::StatsHandle(site));
+          [&] { acc.fetch_add(tid + 1); }, site);
       sim::op_done(weight);
     }
   });
@@ -196,7 +196,8 @@ TEST(Metrics, SumOfDeltasSurvivesRegistryReset) {
 TEST(Metrics, WallObsSampleTotalsTelescopeUnderThreadChurn) {
   obs::set_hist_on(true);
   obs::reset_latency();
-  obs::LatencySite* site = obs::intern_latency_site("metrics.churn");
+  telemetry::Site* site =
+      telemetry::Registry::instance().intern("metrics.churn");
 
   metrics::Config cfg;
   cfg.interval_ms = 100000;  // sampler never self-ticks; forced ticks only
@@ -295,7 +296,7 @@ TEST(Metrics, WatchdogFallbackRateFiresInStream) {
   sim::run(2, scfg, [&](unsigned) {
     // Zero prefix attempts: every op is a fallback, rate 1.0 > 0.25.
     for (int i = 0; i < 32; ++i) {
-      pto::prefix<SimPlatform>(0, [] {}, [] {}, pto::StatsHandle(site));
+      pto::prefix<SimPlatform>(0, [] {}, [] {}, site);
       sim::op_done();
     }
   });

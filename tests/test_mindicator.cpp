@@ -15,6 +15,7 @@
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
 #include "sim_util.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -150,30 +151,32 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MindicatorPto, FastPathCommitsOnSim) {
   Mindicator<SimPlatform> m(16);
-  pto::PrefixStats st;
+  SiteDelta arrive("mindicator.arrive");
+  SiteDelta depart("mindicator.depart");
   pto::sim::run(1, {}, [&](unsigned) {
     for (int i = 0; i < 100; ++i) {
-      m.arrive_pto(0, i, &st);
-      m.depart_pto(0, &st);
+      m.arrive_pto(0, i);
+      m.depart_pto(0);
     }
   });
-  EXPECT_EQ(st.commits, 200u);
-  EXPECT_EQ(st.fallbacks, 0u);
+  EXPECT_EQ(arrive.get().commits + depart.get().commits, 200u);
+  EXPECT_EQ(arrive.get().fallbacks + depart.get().fallbacks, 0u);
 }
 
 TEST(MindicatorPto, FallsBackWhenTransactionsAbort) {
   Mindicator<SimPlatform> m(16);
-  pto::PrefixStats st;
+  SiteDelta arrive("mindicator.arrive");
+  SiteDelta depart("mindicator.depart");
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;  // failure injection: every tx dies
   pto::sim::run(1, cfg, [&](unsigned) {
     for (int i = 0; i < 50; ++i) {
-      m.arrive_pto(0, i, &st);
-      m.depart_pto(0, &st);
+      m.arrive_pto(0, i);
+      m.depart_pto(0);
     }
   });
-  EXPECT_EQ(st.commits, 0u);
-  EXPECT_EQ(st.fallbacks, 100u);
+  EXPECT_EQ(arrive.get().commits + depart.get().commits, 0u);
+  EXPECT_EQ(arrive.get().fallbacks + depart.get().fallbacks, 100u);
   EXPECT_EQ(m.query(), Mindicator<SimPlatform>::kEmpty);
   EXPECT_TRUE(m.check_invariants());
 }

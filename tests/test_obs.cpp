@@ -3,8 +3,13 @@
 // flight-ring wraparound, and tsc calibration sanity.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -196,9 +201,10 @@ TEST(Histogram, MergeIsAssociativeAndCommutative) {
 TEST(LatencySites, RecordMergeResetAcrossThreads) {
   obs::set_hist_on(true);
   obs::reset_latency();
-  obs::LatencySite* site = obs::intern_latency_site("test_obs.site_a");
+  auto& reg = pto::telemetry::Registry::instance();
+  obs::Site* site = reg.intern("test_obs.site_a");
   ASSERT_NE(site, nullptr);
-  EXPECT_EQ(obs::intern_latency_site("test_obs.site_a"), site)
+  EXPECT_EQ(reg.intern("test_obs.site_a"), site)
       << "intern must be idempotent";
 
   constexpr int kThreads = 4;
@@ -240,7 +246,8 @@ TEST(LatencySites, RecordMergeResetAcrossThreads) {
 TEST(LatencySites, OpTimerClassifiesFallback) {
   obs::set_hist_on(true);
   obs::reset_latency();
-  obs::LatencySite* site = obs::intern_latency_site("test_obs.optimer");
+  obs::Site* site =
+      pto::telemetry::Registry::instance().intern("test_obs.optimer");
   {
     obs::OpTimer t(site);  // no fallback -> fast
   }
@@ -251,6 +258,83 @@ TEST(LatencySites, OpTimerClassifiesFallback) {
   const obs::MergedLatency m = obs::merged_latency(nullptr);
   EXPECT_EQ(m.fast.samples, 1u);
   EXPECT_EQ(m.fallback.samples, 1u);
+  obs::reset_latency();
+  obs::set_hist_on(false);
+}
+
+/// Resident set size in bytes, from /proc/self/statm.
+std::uint64_t rss_bytes() {
+  unsigned long pages = 0, resident = 0;
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%lu %lu", &pages, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return static_cast<std::uint64_t>(resident) *
+         static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(LatencySites, NativeThreadChurnKeepsStorageBounded) {
+  // Bench runners start fresh worker threads for every trial. A thread
+  // returns its telemetry slot when it exits, so histogram storage is
+  // bounded by live threads, not by every thread ever created (one
+  // fast/fallback pair per (thread, site) would be ~60 MB here).
+  obs::set_hist_on(true);
+  obs::reset_latency();
+  obs::Site* site =
+      pto::telemetry::Registry::instance().intern("test_obs.churn");
+  constexpr int kWaves = 512;
+  constexpr int kWidth = 4;
+  auto wave = [site] {
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kWidth; ++t) {
+      ts.emplace_back([site] { obs::record_latency(site, false, 100); });
+    }
+    for (auto& th : ts) th.join();
+  };
+  wave();  // first-use allocations (thread stacks, slot pool) settle here
+  const std::uint64_t rss0 = rss_bytes();
+  for (int w = 1; w < kWaves; ++w) wave();
+  const std::uint64_t rss1 = rss_bytes();
+
+  const obs::MergedLatency m = obs::merged_latency(nullptr);
+  EXPECT_EQ(m.all.samples, static_cast<std::uint64_t>(kWaves * kWidth));
+  EXPECT_LT(rss1 - std::min(rss0, rss1), 16u << 20)
+      << "RSS grew from " << rss0 << " to " << rss1 << " bytes";
+  obs::reset_latency();
+  obs::set_hist_on(false);
+}
+
+TEST(LatencySites, ThreadsBeyondSlotCapacityCountButRecordNoLatency) {
+  // More live threads than slots: the excess share a slot for their
+  // (atomic) counters, record no latency, and the registry warns once.
+  obs::set_hist_on(true);
+  obs::reset_latency();
+  pto::telemetry::set_enabled(true);
+  obs::Site* site =
+      pto::telemetry::Registry::instance().intern("test_obs.overflow");
+  constexpr unsigned kThreads = pto::kMaxThreads + 16;
+  std::atomic<unsigned> recorded{0};
+  std::atomic<bool> release{false};
+  ::testing::internal::CaptureStderr();
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&] {
+      site->count(pto::telemetry::kEventCommit, 0);
+      obs::record_latency(site, false, 100);
+      recorded.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  while (recorded.load() < kThreads) std::this_thread::yield();
+  release.store(true);
+  for (auto& th : ts) th.join();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(site->snapshot().commits, kThreads);
+  const obs::MergedLatency m = obs::merged_latency(nullptr);
+  EXPECT_LE(m.all.samples, pto::kMaxThreads);
+  EXPECT_GE(m.all.samples, pto::kMaxThreads - 8u);  // a few held elsewhere
+  EXPECT_NE(err.find("live threads"), std::string::npos) << err;
   obs::reset_latency();
   obs::set_hist_on(false);
 }
@@ -271,7 +355,7 @@ TEST(FlightRing, WraparoundKeepsNewestInOrder) {
   ASSERT_EQ(ring.capacity(), 64u);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     ring.push(/*tsc=*/i, /*site=*/static_cast<std::uint16_t>(i & 0xffff),
-              /*event=*/obs::kFlightAttempt,
+              /*event=*/pto::telemetry::kEventAttempt,
               /*arg=*/static_cast<std::uint32_t>(i));
   }
   EXPECT_EQ(ring.total_recorded(), 1000u);
@@ -281,14 +365,14 @@ TEST(FlightRing, WraparoundKeepsNewestInOrder) {
     const std::uint64_t want = 1000 - 64 + i;  // oldest surviving first
     EXPECT_EQ(r.tsc, want);
     EXPECT_EQ(r.arg, static_cast<std::uint32_t>(want));
-    EXPECT_EQ(r.event, obs::kFlightAttempt);
+    EXPECT_EQ(r.event, pto::telemetry::kEventAttempt);
   }
 }
 
 TEST(FlightRing, PartialFillReturnsAll) {
   obs::FlightRing ring(64);
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ring.push(i, 0, obs::kFlightCommit, 0);
+    ring.push(i, 0, pto::telemetry::kEventCommit, 0);
   }
   ASSERT_EQ(ring.size(), 10u);
   EXPECT_EQ(ring.total_recorded(), 10u);

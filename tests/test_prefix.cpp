@@ -7,11 +7,11 @@
 #include "core/prefix.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
 using pto::PrefixPolicy;
-using pto::PrefixStats;
 using pto::SimPlatform;
 namespace sim = pto::sim;
 
@@ -19,42 +19,42 @@ TEST(Prefix, AttemptBudgetHonored) {
   sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;  // first instrumented access aborts
   for (int budget : {1, 2, 5, 9}) {
-    PrefixStats st;
+    SiteDelta st("test.prefix.st");
     pto::Atom<SimPlatform, int> x;
     x.init(0);
     sim::run(1, cfg, [&](unsigned) {
       pto::prefix<SimPlatform>(
           PrefixPolicy(budget),
-          [&] { x.store(1, std::memory_order_relaxed); }, [] {}, &st);
+          [&] { x.store(1, std::memory_order_relaxed); }, [] {}, st.site());
     });
-    EXPECT_EQ(st.attempts, static_cast<std::uint64_t>(budget));
-    EXPECT_EQ(st.fallbacks, 1u);
-    EXPECT_EQ(st.aborts[pto::TX_ABORT_SPURIOUS],
+    EXPECT_EQ(st.get().attempts, static_cast<std::uint64_t>(budget));
+    EXPECT_EQ(st.get().fallbacks, 1u);
+    EXPECT_EQ(st.get().aborts[pto::TX_ABORT_SPURIOUS],
               static_cast<std::uint64_t>(budget));
   }
 }
 
 TEST(Prefix, ExplicitAbortSkipsRemainingAttemptsByDefault) {
-  PrefixStats st;
+  SiteDelta st("test.prefix.st");
   sim::run(1, {}, [&](unsigned) {
     pto::prefix<SimPlatform>(
         PrefixPolicy(10),
-        [] { SimPlatform::tx_abort<pto::TX_CODE_HELPING>(); }, [] {}, &st);
+        [] { SimPlatform::tx_abort<pto::TX_CODE_HELPING>(); }, [] {}, st.site());
   });
-  EXPECT_EQ(st.attempts, 1u);
-  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.get().attempts, 1u);
+  EXPECT_EQ(st.get().fallbacks, 1u);
 }
 
 TEST(Prefix, RetryOnExplicitRetriesFullBudget) {
   PrefixPolicy pol(5);
   pol.retry_on_explicit = true;
-  PrefixStats st;
+  SiteDelta st("test.prefix.st");
   sim::run(1, {}, [&](unsigned) {
     pto::prefix<SimPlatform>(
         pol, [] { SimPlatform::tx_abort<pto::TX_CODE_HELPING>(); }, [] {},
-        &st);
+        st.site());
   });
-  EXPECT_EQ(st.attempts, 5u);
+  EXPECT_EQ(st.get().attempts, 5u);
 }
 
 TEST(Prefix, ExplicitAbortCodeObservable) {
@@ -94,16 +94,16 @@ TEST(Prefix, FallbackResultPropagates) {
 }
 
 TEST(Prefix, StatsCountCommitsExactly) {
-  PrefixStats st;
+  SiteDelta st("test.prefix.st");
   sim::run(1, {}, [&](unsigned) {
     for (int i = 0; i < 250; ++i) {
-      pto::prefix<SimPlatform>(3, [] {}, [] {}, &st);
+      pto::prefix<SimPlatform>(3, [] {}, [] {}, st.site());
     }
   });
-  EXPECT_EQ(st.commits, 250u);
-  EXPECT_EQ(st.attempts, 250u);
-  EXPECT_EQ(st.fallbacks, 0u);
-  EXPECT_EQ(st.total_aborts(), 0u);
+  EXPECT_EQ(st.get().commits, 250u);
+  EXPECT_EQ(st.get().attempts, 250u);
+  EXPECT_EQ(st.get().fallbacks, 0u);
+  EXPECT_EQ(st.get().total_aborts(), 0u);
 }
 
 TEST(Prefix, HierarchicalCompositionFallsThroughInOrder) {
@@ -111,7 +111,8 @@ TEST(Prefix, HierarchicalCompositionFallsThroughInOrder) {
   // attempt ordering is the paper's T_B(T_A(G)) recursive optimization.
   sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
-  PrefixStats outer_st, inner_st;
+  SiteDelta outer_st("test.prefix.outer_st");
+  SiteDelta inner_st("test.prefix.inner_st");
   pto::Atom<SimPlatform, int> x;
   x.init(0);
   int order = 0, outer_done = 0, inner_done = 0, final_done = 0;
@@ -129,21 +130,21 @@ TEST(Prefix, HierarchicalCompositionFallsThroughInOrder) {
                 x.store(2, std::memory_order_relaxed);
                 inner_done = ++order;
               },
-              [&] { final_done = ++order; }, &inner_st);
+              [&] { final_done = ++order; }, inner_st.site());
         },
-        &outer_st);
+        outer_st.site());
   });
   EXPECT_EQ(outer_done, 0);  // never committed
   EXPECT_EQ(inner_done, 0);
   EXPECT_EQ(final_done, 1);
-  EXPECT_EQ(outer_st.attempts, 2u);
-  EXPECT_EQ(inner_st.attempts, 16u);
+  EXPECT_EQ(outer_st.get().attempts, 2u);
+  EXPECT_EQ(inner_st.get().attempts, 16u);
 }
 
 TEST(Prefix, NestedPrefixInsideActiveTxIsFlat) {
   // An inner prefix inside a running transaction must not commit separately;
   // aborting the inner body aborts the whole (flat) transaction.
-  PrefixStats outer_st;
+  SiteDelta outer_st("test.prefix.outer_st");
   int final_path = 0;
   sim::run(1, {}, [&](unsigned) {
     pto::prefix<SimPlatform>(
@@ -153,10 +154,10 @@ TEST(Prefix, NestedPrefixInsideActiveTxIsFlat) {
               1, [&] { SimPlatform::tx_abort<pto::TX_CODE_POLICY>(); },
               [&] { ADD_FAILURE() << "inner slow ran inside outer tx"; });
         },
-        [&] { final_path = 1; }, &outer_st);
+        [&] { final_path = 1; }, outer_st.site());
   });
   EXPECT_EQ(final_path, 1);
-  EXPECT_EQ(outer_st.aborts[pto::TX_ABORT_EXPLICIT], 1u);
+  EXPECT_EQ(outer_st.get().aborts[pto::TX_ABORT_EXPLICIT], 1u);
 }
 
 // A stub platform whose tx_begin reports a canned status, for driving the
@@ -178,14 +179,14 @@ TEST(Prefix, OutOfRangeStatusLandsInOtherBucket) {
   // index past the aborts array.
   for (unsigned s : {pto::kTxCodeCount, 42u, 0xdeadu}) {
     FakePlatform::status = s;
-    PrefixStats st;
+    SiteDelta st("test.prefix.st");
     int r = pto::prefix<FakePlatform>(3, [] { return 1; }, [] { return 2; },
-                                      &st);
+                                      st.site());
     EXPECT_EQ(r, 2);
-    EXPECT_EQ(st.attempts, 3u);  // retried like a transient abort
-    EXPECT_EQ(st.aborts[pto::TX_ABORT_OTHER], 3u) << "status " << s;
-    EXPECT_EQ(st.total_aborts(), 3u);
-    EXPECT_EQ(st.fallbacks, 1u);
+    EXPECT_EQ(st.get().attempts, 3u);  // retried like a transient abort
+    EXPECT_EQ(st.get().aborts[pto::TX_ABORT_OTHER], 3u) << "status " << s;
+    EXPECT_EQ(st.get().total_aborts(), 3u);
+    EXPECT_EQ(st.get().fallbacks, 1u);
   }
 }
 
@@ -193,19 +194,19 @@ TEST(Prefix, DurationAbortGatedLikeCapacity) {
   // DURATION recurs just like CAPACITY, so it must consume the budget the
   // same way: one attempt by default, the full budget under retry_on_capacity.
   FakePlatform::status = pto::TX_ABORT_DURATION;
-  PrefixStats st;
-  pto::prefix<FakePlatform>(8, [] {}, [] {}, &st);
-  EXPECT_EQ(st.attempts, 1u);
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_DURATION], 1u);
-  EXPECT_EQ(st.fallbacks, 1u);
+  SiteDelta st("test.prefix.st");
+  pto::prefix<FakePlatform>(8, [] {}, [] {}, st.site());
+  EXPECT_EQ(st.get().attempts, 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_DURATION], 1u);
+  EXPECT_EQ(st.get().fallbacks, 1u);
 
   PrefixPolicy pol(8);
   pol.retry_on_capacity = true;
-  PrefixStats st2;
-  pto::prefix<FakePlatform>(pol, [] {}, [] {}, &st2);
-  EXPECT_EQ(st2.attempts, 8u);
-  EXPECT_EQ(st2.aborts[pto::TX_ABORT_DURATION], 8u);
-  EXPECT_EQ(st2.fallbacks, 1u);
+  SiteDelta st2("test.prefix.st2");
+  pto::prefix<FakePlatform>(pol, [] {}, [] {}, st2.site());
+  EXPECT_EQ(st2.get().attempts, 8u);
+  EXPECT_EQ(st2.get().aborts[pto::TX_ABORT_DURATION], 8u);
+  EXPECT_EQ(st2.get().fallbacks, 1u);
 }
 
 TEST(Prefix, WorksOutsideSimulationViaFallback) {

@@ -118,7 +118,7 @@ TEST(Prof, OnOffSimulationIdentical) {
               cells[b].value.store(v + 1, std::memory_order_seq_cst);
             },
             [&] { cells[b].value.fetch_add(tid + 1, std::memory_order_seq_cst); },
-            pto::StatsHandle(PTO_TELEMETRY_SITE("proftest.op")));
+            PTO_TELEMETRY_SITE("proftest.op"));
         sim::op_done();
       }
     });
@@ -228,7 +228,7 @@ TEST(Prof, ConflictMatrixMatchesRegistryCounters) {
   // The workload must actually conflict, or this test checks nothing.
   ASSERT_GT(matrix_total, 0u);
   // Every doomed transaction belonged to a sited prefix: site identity
-  // flowed through StatsHandle with no per-DS plumbing.
+  // flowed through the prof tap with no per-DS plumbing.
   EXPECT_EQ(victim_rows.count("(none)"), 0u);
 
   std::uint64_t registry_total = 0;
@@ -303,7 +303,7 @@ TEST(Prof, LedgerAccountsSpeedupDelta) {
                                             std::memory_order_relaxed);
             cells.c.store(2, std::memory_order_seq_cst);  // fence elided
           },
-          slow_op, pto::StatsHandle(PTO_TELEMETRY_SITE("profled.op")));
+          slow_op, PTO_TELEMETRY_SITE("profled.op"));
       (void)site;
       sim::op_done();
     }

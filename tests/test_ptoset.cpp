@@ -12,6 +12,7 @@
 #include "platform/native_platform.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -56,13 +57,15 @@ TEST(PtoArraySet, CapacityBounds) {
 TEST(PtoArraySet, FastPathAllocatesNothing) {
   // The design claim (§5): steady-state updates touch no allocator at all.
   PTOArraySet<SimPlatform, 32> s;
+  SiteDelta lookup("ptoset.lookup");
+  SiteDelta update("ptoset.update");
   auto res = pto::sim::run(1, {}, [&](unsigned) {
     auto ctx = s.make_ctx();
     for (int i = 0; i < 500; ++i) {
       s.insert(ctx, i % 16);
       s.remove(ctx, i % 16);
     }
-    EXPECT_EQ(ctx.stats.fallbacks, 0u);
+    EXPECT_EQ(lookup.get().fallbacks + update.get().fallbacks, 0u);
   });
   EXPECT_EQ(res.totals().allocs, 0u);
   EXPECT_LE(res.totals().cas_ops, 1u);  // the epoch-handle registration CAS
@@ -75,6 +78,8 @@ TEST(PtoArraySet, SlowPathCarriesTheLoadUnderFailureInjection) {
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
   std::set<std::int64_t> model;
+  SiteDelta lookup("ptoset.lookup");
+  SiteDelta update("ptoset.update");
   pto::sim::run(1, cfg, [&](unsigned) {
     auto ctx = s.make_ctx();
     pto::SplitMix64 rng(5);
@@ -86,7 +91,7 @@ TEST(PtoArraySet, SlowPathCarriesTheLoadUnderFailureInjection) {
         ASSERT_EQ(s.remove(ctx, k), model.erase(k) == 1);
       }
     }
-    EXPECT_EQ(ctx.stats.commits, 0u);
+    EXPECT_EQ(lookup.get().commits + update.get().commits, 0u);
   });
   EXPECT_EQ(s.size_slow(), model.size());
   EXPECT_TRUE(s.check_invariants());

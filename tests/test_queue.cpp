@@ -11,6 +11,7 @@
 #include "platform/native_platform.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -163,12 +164,14 @@ TEST(Queue, MixedModesInteroperate) {
 
 TEST(Queue, PtoFastPathEliminatesCas) {
   MSQueue<SimPlatform> q;
+  SiteDelta enq("queue.enqueue");
+  SiteDelta deq("queue.dequeue");
   auto res = pto::sim::run(1, {}, [&](unsigned) {
     auto ctx = q.make_ctx();
     for (int i = 0; i < 200; ++i) q.enqueue_pto(ctx, i);
     for (int i = 0; i < 200; ++i) q.dequeue_pto(ctx);
-    EXPECT_EQ(ctx.enq_stats.commits, 200u);
-    EXPECT_EQ(ctx.deq_stats.commits, 200u);
+    EXPECT_EQ(enq.get().commits, 200u);
+    EXPECT_EQ(deq.get().commits, 200u);
   });
   EXPECT_LE(res.totals().cas_ops, 8u);  // epoch bookkeeping only
 }
@@ -177,6 +180,7 @@ TEST(Queue, FailureInjectionFallsBack) {
   MSQueue<SimPlatform> q;
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
+  SiteDelta enq("queue.enqueue");
   pto::sim::run(2, cfg, [&](unsigned tid) {
     auto ctx = q.make_ctx();
     for (int i = 0; i < 200; ++i) {
@@ -186,7 +190,7 @@ TEST(Queue, FailureInjectionFallsBack) {
         q.dequeue_pto(ctx);
       }
     }
-    EXPECT_EQ(ctx.enq_stats.commits, 0u);
+    EXPECT_EQ(enq.get().commits, 0u);
   });
   // Drain cleanly.
   auto ctx = q.make_ctx();

@@ -14,6 +14,7 @@
 #include "core/prefix.h"
 #include "htm/rtm_status.h"
 #include "htm/txcode.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -124,20 +125,20 @@ TEST(RtmDecodePrefix, EveryCombinationLandsInItsStatsBucket) {
     const unsigned status = bits | (0x21u << 24);
     const unsigned want = intended_bucket(status);
     FakeRtmPlatform::load({status});
-    PrefixStats st;
-    prefix<FakeRtmPlatform>(PrefixPolicy(4), [] {}, [] {}, &st);
-    EXPECT_EQ(st.aborts[want], 1u) << "status=0x" << std::hex << status;
-    EXPECT_EQ(st.total_aborts(), 1u) << "exactly one bucket per abort";
+    SiteDelta st("test.rtm_decode.st");
+    prefix<FakeRtmPlatform>(PrefixPolicy(4), [] {}, [] {}, st.site());
+    EXPECT_EQ(st.get().aborts[want], 1u) << "status=0x" << std::hex << status;
+    EXPECT_EQ(st.get().total_aborts(), 1u) << "exactly one bucket per abort";
     // Non-retryable causes break to the fallback; transient ones retry and
     // the exhausted script then commits.
     if (want == TX_ABORT_EXPLICIT || want == TX_ABORT_CAPACITY) {
-      EXPECT_EQ(st.fallbacks, 1u);
-      EXPECT_EQ(st.commits, 0u);
-      EXPECT_EQ(st.attempts, 1u);
+      EXPECT_EQ(st.get().fallbacks, 1u);
+      EXPECT_EQ(st.get().commits, 0u);
+      EXPECT_EQ(st.get().attempts, 1u);
     } else {
-      EXPECT_EQ(st.fallbacks, 0u);
-      EXPECT_EQ(st.commits, 1u);
-      EXPECT_EQ(st.attempts, 2u);
+      EXPECT_EQ(st.get().fallbacks, 0u);
+      EXPECT_EQ(st.get().commits, 1u);
+      EXPECT_EQ(st.get().attempts, 2u);
     }
   }
 }
@@ -145,24 +146,24 @@ TEST(RtmDecodePrefix, EveryCombinationLandsInItsStatsBucket) {
 TEST(RtmDecodePrefix, MixedAbortStreamAccumulatesPerCause) {
   // conflict|retry, lone retry, capacity -> buckets 1, 5, then break.
   FakeRtmPlatform::load({kRtmConflict | kRtmRetry, kRtmRetry, kRtmCapacity});
-  PrefixStats st;
-  prefix<FakeRtmPlatform>(PrefixPolicy(10), [] {}, [] {}, &st);
-  EXPECT_EQ(st.aborts[TX_ABORT_CONFLICT], 1u);
-  EXPECT_EQ(st.aborts[TX_ABORT_SPURIOUS], 1u);
-  EXPECT_EQ(st.aborts[TX_ABORT_CAPACITY], 1u);
-  EXPECT_EQ(st.attempts, 3u);
-  EXPECT_EQ(st.fallbacks, 1u) << "capacity abort must stop the retry loop";
+  SiteDelta st("test.rtm_decode.st");
+  prefix<FakeRtmPlatform>(PrefixPolicy(10), [] {}, [] {}, st.site());
+  EXPECT_EQ(st.get().aborts[TX_ABORT_CONFLICT], 1u);
+  EXPECT_EQ(st.get().aborts[TX_ABORT_SPURIOUS], 1u);
+  EXPECT_EQ(st.get().aborts[TX_ABORT_CAPACITY], 1u);
+  EXPECT_EQ(st.get().attempts, 3u);
+  EXPECT_EQ(st.get().fallbacks, 1u) << "capacity abort must stop the retry loop";
 }
 
 TEST(RtmDecodePrefix, RetryOnCapacityPolicyKeepsAttempting) {
   FakeRtmPlatform::load({kRtmCapacity, kRtmCapacity | kRtmConflict});
   PrefixPolicy pol(5);
   pol.retry_on_capacity = true;
-  PrefixStats st;
-  prefix<FakeRtmPlatform>(pol, [] {}, [] {}, &st);
-  EXPECT_EQ(st.aborts[TX_ABORT_CAPACITY], 2u);
-  EXPECT_EQ(st.commits, 1u);
-  EXPECT_EQ(st.fallbacks, 0u);
+  SiteDelta st("test.rtm_decode.st");
+  prefix<FakeRtmPlatform>(pol, [] {}, [] {}, st.site());
+  EXPECT_EQ(st.get().aborts[TX_ABORT_CAPACITY], 2u);
+  EXPECT_EQ(st.get().commits, 1u);
+  EXPECT_EQ(st.get().fallbacks, 0u);
 }
 
 }  // namespace

@@ -88,7 +88,6 @@ class ServiceEnv : public ::testing::Test {
   void TearDown() override {
     unsetenv("PTO_SVC_SHARDS");
     unsetenv("PTO_SVC_STRUCT");
-    unsetenv("PTO_SVC_BATCH");
     unsetenv("PTO_SVC_PIN");
     unsetenv("PTO_SVC_KEYS");
     unsetenv("PTO_SVC_DIST");
@@ -103,7 +102,6 @@ class ServiceEnv : public ::testing::Test {
 TEST_F(ServiceEnv, ValidOverridesApply) {
   setenv("PTO_SVC_SHARDS", "8", 1);
   setenv("PTO_SVC_STRUCT", "hash", 1);
-  setenv("PTO_SVC_BATCH", "16", 1);
   setenv("PTO_SVC_PIN", "0", 1);
   setenv("PTO_SVC_KEYS", "4096", 1);
   setenv("PTO_SVC_DIST", "hotset", 1);
@@ -115,7 +113,6 @@ TEST_F(ServiceEnv, ValidOverridesApply) {
   const ServiceOptions o = ServiceOptions::from_env();
   EXPECT_EQ(o.shards, 8u);
   EXPECT_EQ(o.structure, pto::service::Structure::kHash);
-  EXPECT_EQ(o.batch, 16u);
   EXPECT_FALSE(o.pin);
   EXPECT_EQ(o.workload.keyspace, 4096u);
   EXPECT_EQ(o.workload.dist, pto::service::Dist::kHotset);
@@ -155,14 +152,6 @@ TEST_F(ServiceEnv, MixExceedingHundredPercentWarnsAndResets) {
   EXPECT_EQ(o.workload.get_pct, 50u);
   EXPECT_EQ(o.workload.put_pct, 25u);
   EXPECT_NE(err.find("exceed 100"), std::string::npos) << err;
-}
-
-TEST_F(ServiceEnv, BatchZeroIsValidAndSilent) {
-  setenv("PTO_SVC_BATCH", "0", 1);
-  ::testing::internal::CaptureStderr();
-  const ServiceOptions o = ServiceOptions::from_env();
-  EXPECT_EQ(o.batch, 0u);
-  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 
 TEST_F(ServiceEnv, TinyKeyspaceClampsWithWarning) {

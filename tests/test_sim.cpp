@@ -10,6 +10,7 @@
 #include "sim/runtime_internal.h"
 #include "sim/sim.h"
 #include "sim_util.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -83,7 +84,7 @@ TEST(Sim, TxConflictRequesterWins) {
   Atom<SimPlatform, int> x, flag;
   x.init(0);
   flag.init(0);
-  pto::PrefixStats st;
+  SiteDelta st("test.sim.st");
   sim::run(2, {}, [&](unsigned tid) {
     if (tid == 0) {
       int r = pto::prefix<SimPlatform>(
@@ -95,14 +96,14 @@ TEST(Sim, TxConflictRequesterWins) {
             for (int i = 0; i < 200; ++i) SimPlatform::pause();
             return 1;
           },
-          [&]() -> int { return 0; }, &st);
+          [&]() -> int { return 0; }, st.site());
       EXPECT_EQ(r, 0);  // must have been aborted by T1's write
     } else {
       for (int i = 0; i < 100; ++i) SimPlatform::pause();
       x.store(42, std::memory_order_relaxed);
     }
   });
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_CONFLICT], 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_CONFLICT], 1u);
   int v = 0;
   sim::run(1, {}, [&](unsigned) { v = x.load(); });
   EXPECT_EQ(v, 42);  // T0's transactional store was rolled back
@@ -111,7 +112,7 @@ TEST(Sim, TxConflictRequesterWins) {
 TEST(Sim, TxReaderAbortedByWriter) {
   Atom<SimPlatform, int> x;
   x.init(7);
-  pto::PrefixStats st;
+  SiteDelta st("test.sim.st");
   sim::run(2, {}, [&](unsigned tid) {
     if (tid == 0) {
       pto::prefix<SimPlatform>(
@@ -121,13 +122,13 @@ TEST(Sim, TxReaderAbortedByWriter) {
             for (int i = 0; i < 200; ++i) SimPlatform::pause();
             return v;
           },
-          [&]() -> int { return -1; }, &st);
+          [&]() -> int { return -1; }, st.site());
     } else {
       for (int i = 0; i < 100; ++i) SimPlatform::pause();
       x.store(8, std::memory_order_relaxed);
     }
   });
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_CONFLICT], 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_CONFLICT], 1u);
 }
 
 TEST(Sim, TxCapacityAbort) {
@@ -136,7 +137,7 @@ TEST(Sim, TxCapacityAbort) {
   // One cell per cache line, so 64 cells = 64 write-set lines.
   std::vector<pto::CacheAligned<Atom<SimPlatform, int>>> cells(64);
   for (auto& c : cells) c.value.init(0);
-  pto::PrefixStats st;
+  SiteDelta st("test.sim.st");
   sim::run(1, cfg, [&](unsigned) {
     int r = pto::prefix<SimPlatform>(
         2,
@@ -144,12 +145,12 @@ TEST(Sim, TxCapacityAbort) {
           for (auto& c : cells) c.value.store(1, std::memory_order_relaxed);
           return 1;
         },
-        [&]() -> int { return 0; }, &st);
+        [&]() -> int { return 0; }, st.site());
     EXPECT_EQ(r, 0);
   });
-  EXPECT_GE(st.aborts[pto::TX_ABORT_CAPACITY], 1u);
+  EXPECT_GE(st.get().aborts[pto::TX_ABORT_CAPACITY], 1u);
   // Capacity aborts are not retried by default.
-  EXPECT_EQ(st.attempts, 1u);
+  EXPECT_EQ(st.get().attempts, 1u);
 }
 
 TEST(Sim, TxDurationAbort) {
@@ -157,7 +158,7 @@ TEST(Sim, TxDurationAbort) {
   cfg.htm.max_duration = 500;
   Atom<SimPlatform, int> x;
   x.init(0);
-  pto::PrefixStats st;
+  SiteDelta st("test.sim.st");
   sim::run(1, cfg, [&](unsigned) {
     pto::prefix<SimPlatform>(
         1,
@@ -167,9 +168,9 @@ TEST(Sim, TxDurationAbort) {
           }
           return 1;
         },
-        [&]() -> int { return 0; }, &st);
+        [&]() -> int { return 0; }, st.site());
   });
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_DURATION], 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_DURATION], 1u);
 }
 
 TEST(Sim, TxRollbackRestoresMultipleWords) {
@@ -225,7 +226,7 @@ TEST(Sim, FreeDoomsTransactionHoldingLine) {
   // what makes epoch elision in transactions safe).
   auto* cell = SimPlatform::make<Atom<SimPlatform, int>>();
   cell->init(5);
-  pto::PrefixStats st;
+  SiteDelta st("test.sim.st");
   auto res = sim::run(2, {}, [&](unsigned tid) {
     if (tid == 0) {
       pto::prefix<SimPlatform>(
@@ -235,13 +236,13 @@ TEST(Sim, FreeDoomsTransactionHoldingLine) {
             for (int i = 0; i < 200; ++i) SimPlatform::pause();
             return v;
           },
-          [&]() -> int { return -1; }, &st);
+          [&]() -> int { return -1; }, st.site());
     } else {
       for (int i = 0; i < 100; ++i) SimPlatform::pause();
       SimPlatform::destroy(cell);
     }
   });
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_CONFLICT], 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_CONFLICT], 1u);
   EXPECT_EQ(res.uaf_count, 0u);  // the tx never touched freed memory
 }
 
@@ -278,16 +279,16 @@ TEST(Sim, SpuriousAbortInjectionRate) {
   cfg.htm.spurious_abort_prob = 0.05;
   Atom<SimPlatform, int> x;
   x.init(0);
-  pto::PrefixStats st;
+  SiteDelta st("test.sim.st");
   sim::run(1, cfg, [&](unsigned) {
     for (int i = 0; i < 2000; ++i) {
       pto::prefix<SimPlatform>(
-          1, [&] { x.store(i, std::memory_order_relaxed); }, [&] {}, &st);
+          1, [&] { x.store(i, std::memory_order_relaxed); }, [&] {}, st.site());
     }
   });
   // Roughly 5% of single-access transactions die (loose bounds).
-  EXPECT_GT(st.aborts[pto::TX_ABORT_SPURIOUS], 20u);
-  EXPECT_LT(st.aborts[pto::TX_ABORT_SPURIOUS], 500u);
+  EXPECT_GT(st.get().aborts[pto::TX_ABORT_SPURIOUS], 20u);
+  EXPECT_LT(st.get().aborts[pto::TX_ABORT_SPURIOUS], 500u);
 }
 
 TEST(Sim, ThreadCountLimits) {

@@ -13,6 +13,7 @@
 #include "platform/sim_platform.h"
 #include "set_test_util.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -110,6 +111,8 @@ TEST(SkipList, PtoFallsBackUnderFailureInjection) {
   SkipAdapter<SimPlatform> a;
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
+  SiteDelta ins("skiplist.insert");
+  SiteDelta rem("skiplist.remove");
   pto::sim::run(4, cfg, [&](unsigned) {
     auto ctx = a.make_ctx();
     for (int i = 0; i < 200; ++i) {
@@ -120,7 +123,7 @@ TEST(SkipList, PtoFallsBackUnderFailureInjection) {
         a.ds.remove_pto(ctx, k);
       }
     }
-    EXPECT_EQ(ctx.ins_stats.commits + ctx.rem_stats.commits, 0u);
+    EXPECT_EQ(ins.get().commits + rem.get().commits, 0u);
   });
   EXPECT_TRUE(a.check_invariants());
 }

@@ -8,6 +8,7 @@
 #include "platform/sim_platform.h"
 #include "reclaim/epoch.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -74,7 +75,7 @@ TEST(Smoke, SimPrefixTransactionCommits) {
 TEST(Smoke, SimExplicitAbortFallsBack) {
   Atom<SimPlatform, int> x;
   x.init(0);
-  pto::PrefixStats st;
+  SiteDelta st("smoke.explicit");
   pto::sim::run(1, {}, [&](unsigned) {
     int r = pto::prefix<SimPlatform>(
         2, [&]() -> int { SimPlatform::tx_abort<pto::TX_CODE_HELPING>(); },
@@ -82,20 +83,20 @@ TEST(Smoke, SimExplicitAbortFallsBack) {
           x.store(7);
           return 42;
         },
-        &st);
+        st.site());
     EXPECT_EQ(r, 42);
   });
-  EXPECT_EQ(st.fallbacks, 1u);
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_EXPLICIT], 1u);
+  EXPECT_EQ(st.get().fallbacks, 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_EXPLICIT], 1u);
   // Explicit aborts skip remaining attempts by default.
-  EXPECT_EQ(st.attempts, 1u);
+  EXPECT_EQ(st.get().attempts, 1u);
 }
 
 TEST(Smoke, NativePrefixTransactionWorks) {
   Atom<NativePlatform, int> a, b;
   a.init(0);
   b.init(0);
-  pto::PrefixStats st;
+  SiteDelta st("smoke.native");
   for (int i = 0; i < 100; ++i) {
     pto::prefix<NativePlatform>(
         4,
@@ -109,11 +110,11 @@ TEST(Smoke, NativePrefixTransactionWorks) {
           a.fetch_add(1);
           b.fetch_add(1);
         },
-        &st);
+        st.site());
   }
   EXPECT_EQ(a.load(), 100);
   EXPECT_EQ(b.load(), 100);
-  EXPECT_EQ(st.commits + st.fallbacks, 100u);
+  EXPECT_EQ(st.get().commits + st.get().fallbacks, 100u);
 }
 
 TEST(Smoke, EpochReclaimsOnSim) {

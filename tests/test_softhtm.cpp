@@ -15,6 +15,7 @@
 #include "htm/softhtm.h"
 #include "platform/native_platform.h"
 #include "service/runtime.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -289,18 +290,18 @@ TEST(SoftHtm, ReadSetOverflowAbortsWithCapacity) {
               }
             }),
             pto::TX_STARTED);
-  pto::PrefixStats st;
+  SiteDelta st("test.softhtm.st");
   const int r = pto::prefix<SoftOnly>(
       4,
       [&]() -> int {
         for (Line* x : l) (void)soft::tx_load(x->w);
         return 1;
       },
-      [&]() -> int { return 2; }, &st);
+      [&]() -> int { return 2; }, st.site());
   EXPECT_EQ(r, 2);
-  EXPECT_EQ(st.attempts, 1u);  // capacity aborts are not retried by default
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_CAPACITY], 1u);
-  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.get().attempts, 1u);  // capacity aborts are not retried by default
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_CAPACITY], 1u);
+  EXPECT_EQ(st.get().fallbacks, 1u);
   EXPECT_FALSE(soft::in_tx());
 }
 
@@ -312,17 +313,17 @@ TEST(SoftHtm, WriteSetOverflowAbortsWithCapacity) {
               }
             }),
             pto::TX_STARTED);
-  pto::PrefixStats st;
+  SiteDelta st("test.softhtm.st");
   const int r = pto::prefix<SoftOnly>(
       4,
       [&]() -> int {
         for (auto& w : words) soft::tx_store(w, std::uint64_t{2});
         return 1;
       },
-      [&]() -> int { return 2; }, &st);
+      [&]() -> int { return 2; }, st.site());
   EXPECT_EQ(r, 2);
-  EXPECT_EQ(st.aborts[pto::TX_ABORT_CAPACITY], 1u);
-  EXPECT_EQ(st.fallbacks, 1u);
+  EXPECT_EQ(st.get().aborts[pto::TX_ABORT_CAPACITY], 1u);
+  EXPECT_EQ(st.get().fallbacks, 1u);
   for (auto& w : words) EXPECT_LE(w.load(), 1u);  // nothing from the abort
 }
 

@@ -13,8 +13,10 @@
 
 #include "core/prefix.h"
 #include "json_util.h"
+#include "obs/obs.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
+#include "telemetry/prof.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace.h"
 
@@ -22,11 +24,15 @@ namespace {
 
 using pto::PrefixStats;
 using pto::SimPlatform;
-using pto::StatsHandle;
 namespace sim = pto::sim;
 namespace tel = pto::telemetry;
 
-PrefixStats contended_run(tel::Site* site, std::uint64_t seed) {
+struct ContendedRun {
+  sim::ThreadStats sim;  ///< the simulator's own transaction accounting
+  std::uint64_t ops = 0;  ///< counter value: one increment per completed op
+};
+
+ContendedRun contended_run(tel::Site* site, std::uint64_t seed) {
   // Pristine simulated memory per run, like the benches between trials —
   // leftover cache-model state would make identical seeds diverge.
   sim::reset_memory();
@@ -34,8 +40,7 @@ PrefixStats contended_run(tel::Site* site, std::uint64_t seed) {
   cfg.seed = seed;
   pto::Atom<SimPlatform, std::uint64_t> counter;
   counter.init(0);
-  PrefixStats local;
-  sim::run(4, cfg, [&](unsigned) {
+  const sim::RunResult res = sim::run(4, cfg, [&](unsigned) {
     for (int i = 0; i < 200; ++i) {
       pto::prefix<SimPlatform>(
           2,
@@ -43,11 +48,10 @@ PrefixStats contended_run(tel::Site* site, std::uint64_t seed) {
             auto v = counter.load(std::memory_order_relaxed);
             counter.store(v + 1, std::memory_order_relaxed);
           },
-          [&] { counter.fetch_add(1, std::memory_order_seq_cst); },
-          StatsHandle{&local, site});
+          [&] { counter.fetch_add(1, std::memory_order_seq_cst); }, site);
     }
   });
-  return local;
+  return {res.totals(), counter.load()};  // host-side load: a raw read
 }
 
 TEST(TelemetryRegistry, InternIsStableAndCached) {
@@ -87,15 +91,14 @@ TEST(TelemetryRegistry, SimThreadsAccumulateIntoShards) {
   tel::set_enabled(true);
   tel::Site* site = tel::Registry::instance().intern("test.accum");
   site->reset();
-  PrefixStats local = contended_run(site, /*seed=*/7);
+  const ContendedRun run = contended_run(site, /*seed=*/7);
   PrefixStats snap = site->snapshot();
   // The site (sharded, relaxed atomics) must agree exactly with the
-  // single PrefixStats that every simulated thread also updated.
-  EXPECT_EQ(snap.attempts, local.attempts);
-  EXPECT_EQ(snap.commits, local.commits);
-  EXPECT_EQ(snap.fallbacks, local.fallbacks);
+  // simulator's own per-thread transaction accounting.
+  EXPECT_EQ(snap.attempts, run.sim.tx_started);
+  EXPECT_EQ(snap.commits, run.sim.tx_commits);
   for (unsigned c = 0; c < pto::kTxCodeCount; ++c) {
-    EXPECT_EQ(snap.aborts[c], local.aborts[c]) << "cause " << c;
+    EXPECT_EQ(snap.aborts[c], run.sim.tx_aborts[c]) << "cause " << c;
   }
   // 4 threads x 200 ops each completed exactly once, via commit or fallback.
   EXPECT_EQ(snap.commits + snap.fallbacks, 800u);
@@ -107,13 +110,13 @@ TEST(TelemetryRegistry, DisabledSitesRecordNothing) {
   tel::Site* site = tel::Registry::instance().intern("test.gated");
   site->reset();
   tel::set_enabled(false);
-  PrefixStats local = contended_run(site, /*seed=*/11);
+  const ContendedRun run = contended_run(site, /*seed=*/11);
   PrefixStats snap = site->snapshot();
   EXPECT_EQ(snap.attempts, 0u);
   EXPECT_EQ(snap.commits, 0u);
   EXPECT_EQ(snap.fallbacks, 0u);
-  // The exact per-thread stats are unaffected by the gate.
-  EXPECT_EQ(local.commits + local.fallbacks, 800u);
+  // The workload itself is unaffected by the gate.
+  EXPECT_EQ(run.ops, 800u);
   tel::set_enabled(true);
 }
 
@@ -141,11 +144,82 @@ TEST(TelemetryRegistry, TotalsAndDeltaSumSites) {
   tel::Site* site = tel::Registry::instance().intern("test.delta");
   site->reset();
   PrefixStats before = tel::registry_totals();
-  PrefixStats local = contended_run(site, /*seed=*/99);
+  contended_run(site, /*seed=*/99);
   PrefixStats delta = tel::registry_delta(before);
+  const PrefixStats local = site->snapshot();
   EXPECT_EQ(delta.attempts, local.attempts);
   EXPECT_EQ(delta.commits, local.commits);
   EXPECT_EQ(delta.fallbacks, local.fallbacks);
+}
+
+/// Uncontended prefix ops on one virtual thread: every attempt commits.
+void solo_run(tel::Site* site) {
+  sim::reset_memory();
+  pto::Atom<SimPlatform, std::uint64_t> x;
+  x.init(0);
+  sim::run(1, {}, [&](unsigned) {
+    for (int i = 0; i < 50; ++i) {
+      pto::prefix<SimPlatform>(
+          1,
+          [&] {
+            x.store(x.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+          },
+          [&] { x.fetch_add(1); }, site);
+    }
+  });
+}
+
+/// True when no site has counted anything since `before`.
+bool counted_nothing_since(const PrefixStats& before) {
+  const PrefixStats d = tel::registry_delta(before);
+  return d.attempts == 0 && d.commits == 0 && d.fallbacks == 0 &&
+         d.total_aborts() == 0;
+}
+
+TEST(TelemetryTaps, ProfAloneFillsLedgerAndCountsNothing) {
+  tel::set_enabled(false);
+  tel::prof::reset();
+  tel::prof::set_enabled(true);
+  const PrefixStats before = tel::registry_totals();
+  solo_run(tel::Registry::instance().intern("test.tap.prof"));
+  tel::prof::set_enabled(false);
+  const tel::prof::LedgerTotals lt = tel::prof::ledger_totals();
+  EXPECT_GT(lt.fast_spans, 0u);
+  EXPECT_GT(lt.total_cycles(), 0u);
+  EXPECT_TRUE(counted_nothing_since(before));
+}
+
+TEST(TelemetryTaps, CountersAloneLeaveLedgerEmpty) {
+  tel::prof::set_enabled(false);
+  tel::prof::reset();
+  tel::set_enabled(true);
+  tel::Site* site = tel::Registry::instance().intern("test.tap.counters");
+  solo_run(site);
+  EXPECT_EQ(site->snapshot().commits, 50u);
+  const tel::prof::LedgerTotals lt = tel::prof::ledger_totals();
+  EXPECT_EQ(lt.fast_spans + lt.fallback_spans, 0u);
+  EXPECT_EQ(lt.total_cycles(), 0u);
+}
+
+TEST(TelemetryTaps, HistogramsAloneTimeOpsAndCountNothing) {
+  tel::set_enabled(false);
+  pto::obs::set_hist_on(true);
+  pto::obs::reset_latency();
+  tel::Site* site = tel::Registry::instance().intern("test.tap.hist");
+  const PrefixStats before = tel::registry_totals();
+  {
+    pto::obs::OpTimer t(site);
+    // Outside a simulation a SimPlatform prefix takes its fallback, which
+    // the histograms' tap notes.
+    pto::prefix<SimPlatform>(2, [] {}, [] {}, site);
+  }
+  const pto::obs::MergedLatency m = pto::obs::merged_latency(nullptr);
+  EXPECT_EQ(m.fallback.samples, 1u);
+  EXPECT_EQ(m.fast.samples, 0u);
+  EXPECT_TRUE(counted_nothing_since(before));
+  pto::obs::reset_latency();
+  pto::obs::set_hist_on(false);
 }
 
 TEST(TelemetryTrace, ChromeTraceGoldenFile) {

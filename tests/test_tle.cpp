@@ -10,6 +10,7 @@
 #include "platform/native_platform.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
+#include "site_delta.h"
 
 namespace {
 
@@ -94,16 +95,16 @@ TEST(Tle, LockFallbackAbortsElidedSections) {
   TleSet t(64);
   pto::sim::Config cfg;
   cfg.htm.spurious_abort_prob = 1.0;
-  pto::PrefixStats st;
+  SiteDelta st("tle.execute");
   pto::sim::run(4, cfg, [&](unsigned) {
     for (int i = 0; i < 200; ++i) {
       auto k = static_cast<std::int64_t>(pto::sim::rnd() % 32);
-      t.execute([&](auto& s) { return s.insert(k); }, &st);
-      t.execute([&](auto& s) { return s.remove(k); }, &st);
+      t.execute([&](auto& s) { return s.insert(k); });
+      t.execute([&](auto& s) { return s.remove(k); });
     }
   });
-  EXPECT_EQ(st.commits, 0u);
-  EXPECT_EQ(st.fallbacks, 1600u);
+  EXPECT_EQ(st.get().commits, 0u);
+  EXPECT_EQ(st.get().fallbacks, 1600u);
 }
 
 TEST(Tle, SubscriptionPreventsElisionWhileLocked) {
@@ -113,18 +114,16 @@ TEST(Tle, SubscriptionPreventsElisionWhileLocked) {
   TleSet t(64);
   pto::sim::Config cfg;
   cfg.seed = 3;
-  pto::PrefixStats st0;
+  SiteDelta st("tle.execute");
   pto::sim::run(2, cfg, [&](unsigned tid) {
     for (int i = 0; i < 300; ++i) {
       auto k = static_cast<std::int64_t>(pto::sim::rnd() % 8);
       if (tid == 0) {
-        bool present_then = t.execute(
-            [&](auto& s) {
-              bool in = s.contains(k);
-              // Within one atomic section the answer must be stable.
-              return in == s.contains(k);
-            },
-            &st0);
+        bool present_then = t.execute([&](auto& s) {
+          bool in = s.contains(k);
+          // Within one atomic section the answer must be stable.
+          return in == s.contains(k);
+        });
         ASSERT_TRUE(present_then);
       } else {
         t.execute([&](auto& s) { return s.insert(k); });
@@ -133,7 +132,7 @@ TEST(Tle, SubscriptionPreventsElisionWhileLocked) {
     }
   });
   // Mixed commits and (conflict or subscription) aborts are both expected.
-  EXPECT_GT(st0.commits + st0.fallbacks, 0u);
+  EXPECT_GT(st.get().commits + st.get().fallbacks, 0u);
 }
 
 TEST(Tle, NativePlatform) {

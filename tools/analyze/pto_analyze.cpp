@@ -403,7 +403,7 @@ CalleeClass classifyCallee(const FunctionDecl* fd) {
   if (startsWithAny(qn, {"pto::sim::", "pto::htm", "pto::softhtm",
                          "pto::telemetry", "pto::SimPlatform",
                          "pto::NativePlatform", "pto::prefix",
-                         "pto::PrefixPolicy", "pto::StatsHandle"}) ||
+                         "pto::PrefixPolicy"}) ||
       name == "__assert_fail" || name == "assert" ||
       fd->getBuiltinID() != 0 || qn.rfind("std::", 0) == 0 ||
       qn.rfind("__gnu_cxx::", 0) == 0 || name.startswith("__builtin")) {
