@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/defs.h"
+#include "common/env.h"
 #include "core/prefix.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
@@ -33,15 +34,6 @@ using pto::SimPlatform;
 namespace sim = pto::sim;
 
 constexpr unsigned kCells = 1024;  // one cache line each
-
-std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    auto parsed = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0' && parsed > 0) return parsed;
-  }
-  return dflt;
-}
 
 struct Point {
   unsigned vthreads;
@@ -109,9 +101,10 @@ Point measure(unsigned vthreads, std::uint64_t total_ops, unsigned reps) {
 }  // namespace
 
 int main() {
-  const std::uint64_t total_ops = env_u64("PTO_SIM_SPEED_OPS", 1'000'000);
+  const std::uint64_t total_ops =
+      pto::env::u64("PTO_SIM_SPEED_OPS", 1'000'000);
   const unsigned reps =
-      static_cast<unsigned>(env_u64("PTO_SIM_SPEED_REPS", 3));
+      static_cast<unsigned>(pto::env::u64("PTO_SIM_SPEED_REPS", 3, 1, ~0u));
   // 256 and 1024 exercise the multi-word ThreadSet path and the widened
   // dispatcher; the shared-count prefix {1, 8, 32, 64} is what the perf gate
   // compares against historical baselines.

@@ -1,16 +1,17 @@
 // Native (std::thread) set microbenchmark — the driving workload for the
 // pto::obs observability stack and the CI overhead/abort-attribution gates.
 //
-// Runs the skiplist on REAL threads over the native HTM facade (RTM when the
-// probe commits, SoftHTM otherwise; force with PTO_HTM=soft|rtm). Two series:
-// the PTO-accelerated ops and the plain lock-free fallback ops, mixed
+// Runs the skiplist on REAL threads — a service::Runtime per point, pinned
+// round-robin over the allowed CPUs — over the native HTM facade (RTM when
+// the probe commits, SoftHTM otherwise; force with PTO_HTM=soft|rtm). Two
+// series: the PTO-accelerated ops and the plain lock-free fallback ops, mixed
 // 25% insert / 25% remove / 50% contains over a PTO_BENCH_RANGE-key range
 // (default 512).
 //
 // Observability knobs (see README):
 //   PTO_OBS=1      per-op latency histograms -> p50/p90/p99/p999 in PTO_STATS
 //   PTO_OBS_SAMPLE=k   time 1 in k ops (cheaper; percentiles stay unbiased)
-//   PTO_FLIGHT=n   per-thread flight ring, dumped to PTO_FLIGHT_OUT on exit
+//   PTO_FLIGHT=n   per-slot flight ring, dumped to PTO_FLIGHT_OUT on exit
 //   PTO_PERF=1     hardware counters (cycles/instructions/LLC, TSX if exposed)
 //   PTO_STATS=json|csv   structured BenchPoint per measured point (schema v2)
 //
@@ -18,12 +19,12 @@
 // the host gives us, so absolute numbers are machine-dependent; the emitted
 // records carry everything needed to compare runs (provenance + percentiles).
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
 #include "benchutil/native_runner.h"
 #include "benchutil/series.h"
+#include "common/env.h"
 #include "common/rng.h"
 #include "ds/skiplist/skiplist.h"
 #include "obs/obs.h"
@@ -39,13 +40,6 @@ namespace pb = pto::bench;
 /// skiplists and longer ops — the obs-overhead CI gate uses a large range so
 /// the fixed per-op instrumentation cost is measured against realistic work,
 /// not a toy 10-node traversal.
-int range_from_env() {
-  const char* v = std::getenv("PTO_BENCH_RANGE");
-  if (v == nullptr || *v == '\0') return 512;
-  const long n = std::strtol(v, nullptr, 10);
-  return n > 1 ? static_cast<int>(n) : 512;
-}
-
 int g_range = 512;
 
 std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
@@ -105,7 +99,8 @@ std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
 
 int main() {
   const pb::RunnerOptions opts = pb::RunnerOptions::from_env();
-  g_range = range_from_env();
+  g_range =
+      static_cast<int>(pto::env::u64("PTO_BENCH_RANGE", 512, 2, 1u << 30));
   pb::Figure fig;
   fig.id = "native_set";
   fig.title = "Native skiplist (real threads, wall-clock)";
@@ -118,9 +113,9 @@ int main() {
   for (const auto& s : series) {
     pb::Series& out = fig.add_series(s.name);
     for (int threads : fig.xs) {
-      out.y.push_back(pb::native_measure_point(
-          opts, static_cast<unsigned>(threads), fixture(s.pto), fig.id.c_str(),
-          s.name));
+      pto::service::Runtime rt({static_cast<unsigned>(threads), /*pin=*/true});
+      out.y.push_back(
+          pb::native_measure_point(opts, rt, fixture(s.pto), fig.id, s.name));
       std::cerr << "  " << s.name << " t=" << threads << " done\r"
                 << std::flush;
     }

@@ -164,26 +164,22 @@ int main() {
     for (const int threads : fig.xs) {
       const auto nthreads = static_cast<unsigned>(threads);
       svc::Runtime rt({nthreads, so.pin});
-      const pb::SectionRunner section =
-          [&rt](const std::function<void(unsigned)>& body) {
-            return rt.run(body);
-          };
       double ops_per_ms = 0.0;
       if (so.structure == svc::Structure::kSkiplist) {
         ops_per_ms = pb::native_measure_point(
-            opts, nthreads,
+            opts, rt,
             fixture(so, svc::SkipAdapter<NativePlatform>{s.pto}, sites,
                     nthreads, opts.ops_per_thread),
-            fig.id.c_str(), name.c_str(), section);
+            fig.id, name);
       } else {
         using Mode = pto::FSetHash<NativePlatform>::Mode;
         ops_per_ms = pb::native_measure_point(
-            opts, nthreads,
+            opts, rt,
             fixture(so,
                     svc::HashAdapter<NativePlatform>{s.pto ? Mode::kPto
                                                            : Mode::kLockfree},
                     sites, nthreads, opts.ops_per_thread),
-            fig.id.c_str(), name.c_str(), section);
+            fig.id, name);
       }
       out.y.push_back(ops_per_ms);
       recs.push_back({name, nthreads, ops_per_ms * 1000.0});

@@ -1,109 +1,26 @@
 #include "benchutil/native_runner.h"
 
-#include <atomic>
-#include <thread>
-#include <vector>
-
-#include "htm/htm.h"
-#include "metrics/metrics.h"
-#include "obs/obs.h"
-#include "obs/perf_counters.h"
-#include "obs/tsc.h"
-#include "telemetry/emit.h"
-#include "telemetry/registry.h"
-
 namespace pto::bench {
 
-namespace {
-
-/// One trial: barrier-start `threads` real threads over `body`, return the
-/// wall-clock makespan in nanoseconds (start release -> last join).
-std::uint64_t run_trial(
-    unsigned threads, std::uint64_t ops,
-    const std::function<void(unsigned, std::uint64_t)>& body) {
-  std::atomic<unsigned> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> ts;
-  ts.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) {
-    ts.emplace_back([&, t] {
-      ready.fetch_add(1, std::memory_order_acq_rel);
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      body(t, ops);
-    });
-  }
-  while (ready.load(std::memory_order_acquire) < threads) {
-  }
-  const std::uint64_t t0 = obs::steady_ns();
-  go.store(true, std::memory_order_release);
-  for (auto& th : ts) th.join();
-  return obs::steady_ns() - t0;
-}
-
-}  // namespace
-
 double native_measure_point(
-    const RunnerOptions& opts, unsigned threads,
+    const RunnerOptions& opts, service::Runtime& rt,
     const std::function<std::function<void(unsigned, std::uint64_t)>()>&
         make_fixture,
-    const char* bench, const char* series, const SectionRunner& section) {
-  // Pin backend selection before any worker thread can race the probe.
-  (void)htm::backend();
-  const bool emit =
-      telemetry::stats_format() != telemetry::StatsFormat::kOff &&
-      bench != nullptr;
-  PrefixStats reg_before;
-  const std::string ts_start = telemetry::iso8601_now();
-  if (emit) reg_before = telemetry::registry_totals();
-  if (obs::hist_on()) obs::reset_latency();
-  const obs::PerfSample perf_before = obs::perf_read();
-  // Arm the wall-clock metrics sampler after the obs reset so this point's
-  // interval deltas re-baseline at zero samples.
-  const std::uint64_t intervals_before = metrics::intervals_emitted();
-  metrics::set_point_labels(bench, series, threads);
-  metrics::native_point_begin();
-
+    const std::string& bench, const std::string& series) {
+  PointBracket point(bench, series, rt.threads(), PointBracket::Clock::kWall);
+  const std::uint64_t ops = opts.ops_per_thread * rt.threads();
   double best = 0.0;
   for (unsigned trial = 0; trial < opts.trials; ++trial) {
     auto body = make_fixture();
     const std::uint64_t ns =
-        section ? section([&body, &opts](unsigned tid) {
-                    body(tid, opts.ops_per_thread);
-                  })
-                : run_trial(threads, opts.ops_per_thread, body);
-    const double total_ops =
-        static_cast<double>(opts.ops_per_thread) * threads;
-    const double ops_per_ms = ns == 0 ? 0.0 : total_ops * 1e6 /
-                                                  static_cast<double>(ns);
+        rt.run([&](unsigned tid) { body(tid, opts.ops_per_thread); });
+    point.add_trial(ops);
+    const double ops_per_ms = ns == 0 ? 0.0
+                                      : static_cast<double>(ops) * 1e6 /
+                                            static_cast<double>(ns);
     if (ops_per_ms > best) best = ops_per_ms;
   }
-  // Stops the sampler and emits the trailing partial interval, so the sum
-  // of this point's interval deltas equals its end-of-run aggregates.
-  metrics::native_point_end();
-
-  if (emit) {
-    telemetry::BenchPoint pt;
-    pt.bench = bench;
-    pt.series = series != nullptr ? series : "";
-    pt.threads = threads;
-    pt.trials = opts.trials;
-    pt.ops_per_ms = best;
-    pt.sim.ops_completed =
-        opts.ops_per_thread * threads * opts.trials;  // summed over trials
-    pt.prefix = telemetry::registry_delta(reg_before);
-    if (obs::hist_on()) {
-      const obs::MergedLatency merged = obs::merged_latency(&pt.lat_sites);
-      pt.lat = merged.all;
-      pt.lat_fast = merged.fast;
-      pt.lat_fallback = merged.fallback;
-    }
-    pt.perf = obs::perf_delta(perf_before, obs::perf_read());
-    pt.ts_start = ts_start;
-    pt.ts_end = telemetry::iso8601_now();
-    pt.intervals = metrics::intervals_emitted() - intervals_before;
-    telemetry::emit_bench_point(pt);
-  }
+  point.close(best);
   return best;
 }
 

@@ -1,13 +1,14 @@
 // Native (std::thread) bench runner: the real-hardware counterpart of
-// benchutil/runner.h's simulator sweeps, and the reporting surface for the
-// pto::obs stack. Reuses the same RunnerOptions / PTO_BENCH_* knobs.
+// benchutil/runner.h's simulated run_variant, and the reporting surface for
+// the pto::obs stack. Reuses the same RunnerOptions / PTO_BENCH_* knobs and
+// the same PointBracket.
 //
-// Differences from the simulator runner, both deliberate:
-//   * Throughput is wall-clock (steady_clock around a start-barrier'd
-//     parallel section), and the reported figure is the BEST trial, not the
-//     mean — native runs share the machine with the OS, and best-of is the
-//     standard de-noising for small trial counts (the per-trial spread is
-//     visible in the latency histograms instead).
+// Differences from the simulated runner, both deliberate:
+//   * Throughput is wall-clock (service::Runtime::run's spin-barrier start
+//     to the last worker's finish), and the reported figure is the BEST
+//     trial, not the mean — native runs share the machine with the OS, and
+//     best-of is the standard de-noising for small trial counts (the
+//     per-trial spread is visible in the latency histograms instead).
 //   * With PTO_OBS=1, per-op latency percentiles (recorded by the fixture
 //     through obs::OpTimer) are merged per point and attached to the emitted
 //     BenchPoint; with PTO_PERF=1, hardware counters are sampled around the
@@ -15,34 +16,22 @@
 #pragma once
 
 #include <functional>
+#include <string>
 
 #include "benchutil/runner.h"
+#include "service/runtime.h"
 
 namespace pto::bench {
 
-/// Custom parallel-section executor: run body(tid) once on each of the
-/// point's threads and return the wall-clock makespan in nanoseconds.
-/// Callers with a persistent pool (pto::service::Runtime keeps pinned workers
-/// parked between trials) pass one of these instead of the default
-/// spawn-per-trial threads.
-using SectionRunner =
-    std::function<std::uint64_t(const std::function<void(unsigned)>&)>;
-
-/// One measured native point: run `body(tid, ops)` on `threads` real threads
-/// per trial, return best-trial throughput in ops/ms. `make_fixture` runs
-/// before each trial on the calling thread and returns the per-thread body
-/// (which records per-op latency itself via obs::OpTimer when armed).
-///
-/// When `bench` is given and PTO_STATS is active, emits a structured record
-/// with the registry delta, latency summaries, and perf counters.
-///
-/// `section`, when non-empty, replaces the built-in spawn-and-barrier trial
-/// executor; it must run the body on exactly `threads` workers.
+/// One measured native point: run `body(tid, ops)` on each of `rt`'s
+/// workers per trial and return the best trial's throughput in ops/ms.
+/// `make_fixture` runs before each trial on the calling thread and returns
+/// the per-thread body (which records per-op latency itself via
+/// obs::OpTimer when armed).
 double native_measure_point(
-    const RunnerOptions& opts, unsigned threads,
+    const RunnerOptions& opts, service::Runtime& rt,
     const std::function<std::function<void(unsigned, std::uint64_t)>()>&
         make_fixture,
-    const char* bench = nullptr, const char* series = nullptr,
-    const SectionRunner& section = {});
+    const std::string& bench, const std::string& series);
 
 }  // namespace pto::bench

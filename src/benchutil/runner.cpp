@@ -1,40 +1,22 @@
 #include "benchutil/runner.h"
 
-#include <cstdlib>
-#include <cstring>
-
+#include "common/env.h"
 #include "common/warn.h"
 #include "explore/explore.h"
 #include "metrics/metrics.h"
-#include "telemetry/emit.h"
+#include "obs/obs.h"
 #include "telemetry/prof.h"
 #include "telemetry/registry.h"
 
 namespace pto::bench {
 
-namespace {
-std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return dflt;
-  char* end = nullptr;
-  auto parsed = std::strtoull(v, &end, 10);
-  if (end != v && *end == '\0' && parsed > 0) return parsed;
-  // A malformed or zero knob silently reverting to the default makes sweep
-  // misconfigurations invisible; warn once per variable.
-  warn_once(name,
-            "ignoring invalid %s='%s' (want a positive integer); using "
-            "default %llu",
-            name, v, static_cast<unsigned long long>(dflt));
-  return dflt;
-}
-}  // namespace
-
 RunnerOptions RunnerOptions::from_env() {
   RunnerOptions o;
-  o.ops_per_thread = env_u64("PTO_BENCH_OPS", o.ops_per_thread);
-  o.trials = static_cast<unsigned>(env_u64("PTO_BENCH_TRIALS", o.trials));
+  o.ops_per_thread = env::u64("PTO_BENCH_OPS", o.ops_per_thread);
+  o.trials =
+      static_cast<unsigned>(env::u64("PTO_BENCH_TRIALS", o.trials, 1, ~0u));
   o.max_threads =
-      static_cast<unsigned>(env_u64("PTO_BENCH_MAXT", o.max_threads));
+      static_cast<unsigned>(env::u64("PTO_BENCH_MAXT", o.max_threads, 1, ~0u));
   if (o.max_threads > kMaxThreads) {
     // Passing the clamped value on to sim::run would throw mid-sweep; clamp
     // here with a warning so a fat-fingered sweep still produces data.
@@ -44,17 +26,8 @@ RunnerOptions RunnerOptions::from_env() {
               o.max_threads, kMaxThreads, kMaxThreads);
     o.max_threads = kMaxThreads;
   }
-  if (const char* v = std::getenv("PTO_BENCH_SWEEP");
-      v != nullptr && *v != '\0') {
-    if (std::strcmp(v, "geom") == 0) {
-      o.geometric_sweep = true;
-    } else if (std::strcmp(v, "dense") != 0) {
-      warn_once("env.PTO_BENCH_SWEEP",
-                "ignoring invalid PTO_BENCH_SWEEP='%s' (want dense|geom); "
-                "using dense",
-                v);
-    }
-  }
+  o.geometric_sweep =
+      env::choice("PTO_BENCH_SWEEP", {"dense", "geom"}, 0) == 1;
   return o;
 }
 
@@ -73,70 +46,66 @@ std::vector<int> sweep_threads(const RunnerOptions& opts) {
   return xs;
 }
 
-double measure_point(
-    const RunnerOptions& opts, unsigned threads, const sim::Config& base_cfg,
-    const std::function<std::function<void(unsigned, std::uint64_t)>()>&
-        make_fixture,
-    const char* bench, const char* series) {
-  const bool emit =
-      telemetry::stats_format() != telemetry::StatsFormat::kOff &&
-      bench != nullptr;
-  if (telemetry::prof::on() && bench != nullptr) {
-    std::string scope = bench;
-    if (series != nullptr && *series != '\0') {
-      scope += '/';
-      scope += series;
+PointBracket::PointBracket(const std::string& bench, const std::string& series,
+                           unsigned threads, Clock clock)
+    : wall_(clock == Clock::kWall),
+      emit_(telemetry::stats_format() != telemetry::StatsFormat::kOff) {
+  pt_.bench = bench;
+  pt_.series = series;
+  pt_.threads = threads;
+  if (telemetry::prof::on()) telemetry::prof::set_scope(bench + "/" + series);
+  if (emit_) {
+    reg_before_ = telemetry::registry_totals();
+    pt_.ts_start = telemetry::iso8601_now();
+  }
+  if (wall_) {
+    if (obs::hist_on()) obs::reset_latency();
+    perf_before_ = obs::perf_read();
+  }
+  metrics::point_begin(bench.c_str(), series.c_str(), threads, wall_);
+}
+
+void PointBracket::add_trial(const sim::RunResult& res) {
+  ++pt_.trials;
+  pt_.sim.accumulate(res.totals());
+  pt_.makespan += res.makespan();
+  for (auto c : res.clocks) pt_.cpu_cycles += c;
+}
+
+void PointBracket::add_trial(std::uint64_t ops) {
+  ++pt_.trials;
+  pt_.sim.ops_completed += ops;
+}
+
+void PointBracket::close(double ops_per_ms) {
+  pt_.intervals = metrics::point_end();
+  if (!emit_) return;
+  pt_.ops_per_ms = ops_per_ms;
+  pt_.prefix = telemetry::registry_delta(reg_before_);
+  if (wall_) {
+    if (obs::hist_on()) {
+      const obs::MergedLatency merged = obs::merged_latency(&pt_.lat_sites);
+      pt_.lat = merged.all;
+      pt_.lat_fast = merged.fast;
+      pt_.lat_fallback = merged.fallback;
     }
-    telemetry::prof::set_scope(scope);
+    pt_.perf = obs::perf_delta(perf_before_, obs::perf_read());
   }
-  telemetry::BenchPoint pt;
-  PrefixStats reg_before;
-  if (emit) {
-    reg_before = telemetry::registry_totals();
-    pt.ts_start = telemetry::iso8601_now();
+  pt_.ts_end = telemetry::iso8601_now();
+  telemetry::emit_bench_point(pt_);
+}
+
+sim::Config trial_config(const sim::Config& base, std::uint64_t seed,
+                         std::uint64_t salt) {
+  sim::Config cfg = base;
+  cfg.seed = seed;
+  const explore::Options x = explore::resolved(base.explore);
+  if (x.policy == explore::Policy::kPCT ||
+      x.policy == explore::Policy::kRandom) {
+    cfg.explore = x;
+    cfg.explore.seed = explore::derive_seed(x.seed, salt);
   }
-  const std::uint64_t intervals_before = metrics::intervals_emitted();
-  metrics::set_point_labels(bench, series, threads);
-  double sum = 0.0;
-  // Resolve the exploration policy once per point: each trial then derives
-  // its own schedule seed from the resolved base, the same way workload
-  // seeds are derived — multi-trial sweeps under PTO_SCHED=pct/rand stay a
-  // pure function of (options, env) while every trial explores a distinct
-  // interleaving.
-  const explore::Options xbase = explore::resolved(base_cfg.explore);
-  for (unsigned trial = 0; trial < opts.trials; ++trial) {
-    sim::Config cfg = base_cfg;
-    cfg.seed = opts.base_seed + 1000003ull * trial + threads;
-    cfg.explore = xbase;
-    if (xbase.policy == explore::Policy::kPCT ||
-        xbase.policy == explore::Policy::kRandom) {
-      cfg.explore.seed =
-          explore::derive_seed(xbase.seed, 1000003ull * trial + threads);
-    }
-    auto body = make_fixture();
-    auto res = sim::run(threads, cfg, [&](unsigned tid) {
-      body(tid, opts.ops_per_thread);
-    });
-    sum += res.ops_per_msec();
-    if (emit) {
-      pt.sim.accumulate(res.totals());
-      pt.makespan += res.makespan();
-      for (auto c : res.clocks) pt.cpu_cycles += c;
-    }
-  }
-  const double mean = sum / opts.trials;
-  if (emit) {
-    pt.bench = bench;
-    pt.series = series != nullptr ? series : "";
-    pt.threads = threads;
-    pt.trials = opts.trials;
-    pt.ops_per_ms = mean;
-    pt.prefix = telemetry::registry_delta(reg_before);
-    pt.ts_end = telemetry::iso8601_now();
-    pt.intervals = metrics::intervals_emitted() - intervals_before;
-    telemetry::emit_bench_point(pt);
-  }
-  return mean;
+  return cfg;
 }
 
 }  // namespace pto::bench

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/defs.h"
+#include "common/env.h"
 #include "htm/txcode.h"
 #include "sim/sim.h"
 #include "telemetry/registry.h"
@@ -148,32 +149,25 @@ struct CheckState {
   bool report_at_exit = false;
 
   CheckState() {
-    if (const char* v = std::getenv("PTO_CHECK"); v != nullptr && *v != '\0') {
-      if (std::strcmp(v, "report") == 0) {
-        full_report = true;
-      } else if (std::strcmp(v, "1") != 0 && std::strcmp(v, "on") != 0) {
-        std::fprintf(stderr,
-                     "PTO_CHECK=%s not recognized (1|report); checking on\n",
-                     v);
-      }
+    if (env::str("PTO_CHECK") != nullptr) {
+      full_report = env::choice("PTO_CHECK", {"1", "on", "report"}, 0) == 2;
       telemetry::set_tap(telemetry::kTapCheck, true);
       report_at_exit = true;
     }
-    if (const char* v = std::getenv("PTO_CHECK_OUT");
-        v != nullptr && *v != '\0') {
-      out_path = v;
-    }
-    if (const char* v = std::getenv("PTO_CHECK_MAX")) {
-      char* end = nullptr;
-      auto parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) max_findings = static_cast<unsigned>(parsed);
-    }
+    if (const char* v = env::str("PTO_CHECK_OUT")) out_path = v;
+    max_findings = static_cast<unsigned>(
+        env::u64("PTO_CHECK_MAX", max_findings, 1, ~0u));
   }
 };
 
 CheckState& state() {
   static CheckState s;
   return s;
+}
+
+bool debug_on() {
+  static const bool on = env::flag("PTO_CHECK_DEBUG");
+  return on;
 }
 
 const bool g_env_scanned = [] {
@@ -294,7 +288,7 @@ void check_poison(CheckState& S, ThreadState& t, unsigned tid,
   for (std::size_t i = 0; i < t.poison.size();) {
     PoisonEntry& p = t.poison[i];
     if (addr / kCacheLine == p.value / kCacheLine) {
-      if (std::getenv("PTO_CHECK_DEBUG")) {
+      if (debug_on()) {
         std::fprintf(stderr,
                      "[dbg] deref t%u addr=%p poison value=%p origin=%p "
                      "is_store=%d\n",
@@ -584,7 +578,7 @@ void on_tx_doomed(unsigned victim, std::uintptr_t line) {
       }
     }
     if (dup || t.poison.size() >= kPoisonCap) continue;
-    if (std::getenv("PTO_CHECK_DEBUG")) {
+    if (debug_on()) {
       std::fprintf(stderr, "[dbg] poison t%u depth=%u site=%s value=%p\n",
                    victim, t.depth, site.c_str(),
                    reinterpret_cast<void*>(r.value));

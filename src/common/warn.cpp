@@ -5,6 +5,8 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace pto {
 
@@ -14,6 +16,9 @@ struct WarnState {
   std::mutex mu;
   std::map<std::string, std::uint64_t> counts;  ///< key -> call count
   WarnSink sink = nullptr;
+  /// (key, message) of warnings printed while no sink was set; the next
+  /// sink set receives them (most knobs are read during static init).
+  std::vector<std::pair<std::string, std::string>> unsent;
 };
 
 // Leaked intentionally: warnings can fire from atexit handlers and detached
@@ -38,6 +43,7 @@ bool warn_once(const char* key, const char* fmt, ...) {
     std::lock_guard<std::mutex> lk(st.mu);
     if (++st.counts[key] != 1) return false;
     sink = st.sink;
+    if (sink == nullptr) st.unsent.emplace_back(key, buf);
   }
   std::fprintf(stderr, "[pto] warning: %s\n", buf);
   // Sink call happens outside the lock: the metrics sink takes its own lock
@@ -55,8 +61,13 @@ std::uint64_t warn_count(const char* key) {
 
 void set_warn_sink(WarnSink sink) {
   WarnState& st = state();
-  std::lock_guard<std::mutex> lk(st.mu);
-  st.sink = sink;
+  std::vector<std::pair<std::string, std::string>> unsent;
+  {
+    std::lock_guard<std::mutex> lk(st.mu);
+    st.sink = sink;
+    if (sink != nullptr) unsent.swap(st.unsent);
+  }
+  for (const auto& [key, msg] : unsent) sink(key.c_str(), msg.c_str());
 }
 
 }  // namespace pto

@@ -10,8 +10,10 @@
 // When pto::metrics is armed the message is additionally forwarded — once,
 // like the stderr line — to the metrics NDJSON stream as a structured
 // {"type":"warning"} event via the registered sink, so warnings land in the
-// same time-ordered record stream operators are already watching. The sink
-// indirection keeps common/ free of any dependency on metrics/.
+// same time-ordered record stream operators are already watching; warnings
+// printed before the sink was set (static-init env parsing) are forwarded
+// when it is. The sink indirection keeps common/ free of any dependency on
+// metrics/.
 //
 // Callable from any thread (host or fiber); never allocates on the fast
 // (already-warned) path beyond the key lookup, never charges virtual cycles.
@@ -37,7 +39,9 @@ bool warn_once(const char* key, const char* fmt, ...) PTO_PRINTF_ATTR(2, 3);
 std::uint64_t warn_count(const char* key);
 
 /// Structured-event sink: receives (key, formatted message) for each warning
-/// that actually printed. Set by pto::metrics at arm time; nullptr disables.
+/// that actually printed, including those printed before it was set. Set by
+/// pto::metrics at arm time; nullptr disables. Call without holding any lock
+/// the sink takes.
 using WarnSink = void (*)(const char* key, const char* msg);
 void set_warn_sink(WarnSink sink);
 

@@ -1,10 +1,10 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/defs.h"
+#include "common/env.h"
 
 namespace pto::explore::internal {
 
@@ -49,8 +49,7 @@ Explorer::Explorer(const Options& opts, unsigned nthreads) : opts_(opts) {
       std::fclose(f);
     }
   }
-  if (const char* path = std::getenv("PTO_SCHED_DUMP");
-      path != nullptr && *path != '\0') {
+  if (const char* path = env::str("PTO_SCHED_DUMP")) {
     dump_ = std::fopen(path, "w");
     if (dump_ == nullptr) {
       std::fprintf(stderr, "[pto] warning: cannot open PTO_SCHED_DUMP='%s'\n",

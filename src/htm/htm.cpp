@@ -1,12 +1,11 @@
 #include "htm/htm.h"
 
-#include <cstdlib>
-#include <cstring>
-
 #if defined(PTO_HAVE_RTM)
 #include <cpuid.h>
 #endif
 
+#include "common/env.h"
+#include "common/warn.h"
 #include "telemetry/registry.h"
 
 namespace pto::htm {
@@ -39,14 +38,22 @@ bool rtm_actually_commits() {
 #endif
 
 Backend probe_backend() {
-  if (const char* env = std::getenv("PTO_HTM")) {
-    if (std::strcmp(env, "soft") == 0) return Backend::kSoft;
+  // -1: probe; 0: soft; 1: rtm, forced even when the probe would refuse it.
+  const int forced = env::choice("PTO_HTM", {"soft", "rtm"}, -1);
+  if (forced == 0) return Backend::kSoft;
 #if defined(PTO_HAVE_RTM)
-    if (std::strcmp(env, "rtm") == 0) return Backend::kRTM;
-#endif
+  const bool commits = cpu_has_rtm() && rtm_actually_commits();
+  if (forced == 1 && !commits) {
+    warn_once("env.PTO_HTM",
+              "PTO_HTM=rtm forced, but RTM never commits on this CPU; every "
+              "transaction will abort and take its fallback");
   }
-#if defined(PTO_HAVE_RTM)
-  if (cpu_has_rtm() && rtm_actually_commits()) return Backend::kRTM;
+  if (forced == 1 || commits) return Backend::kRTM;
+#else
+  if (forced == 1) {
+    warn_once("env.PTO_HTM",
+              "PTO_HTM=rtm, but this build has no RTM support; using soft");
+  }
 #endif
   return Backend::kSoft;
 }

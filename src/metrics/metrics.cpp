@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/buildinfo.h"
+#include "common/env.h"
 #include "common/gauges.h"
 #include "common/warn.h"
 #include "obs/obs.h"
@@ -69,6 +70,8 @@ struct State {
   std::atomic<unsigned> violations{0};
   std::string bench, series;
   unsigned threads = 0;
+  bool point_wall = false;            ///< the open point is wall-clock
+  std::uint64_t point_intervals = 0;  ///< `intervals` when it opened
   std::vector<Rule> rules;
 
   // Baselines: cumulative snapshots as of the previous tick. Interval
@@ -546,11 +549,6 @@ void metrics_warn_sink(const char* key, const char* msg) {
 // Environment parsing and process-exit hook.
 // --------------------------------------------------------------------------
 
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
 std::vector<Rule> parse_watch(const std::string& spec) {
   std::vector<Rule> out;
   std::size_t pos = 0;
@@ -591,21 +589,6 @@ std::vector<Rule> parse_watch(const std::string& spec) {
   return out;
 }
 
-std::uint64_t parse_interval_env() {
-  const char* v = std::getenv("PTO_METRICS");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const auto ms = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || ms == 0) {
-    warn_once("env.PTO_METRICS",
-              "ignoring invalid PTO_METRICS='%s' (want a positive interval "
-              "in milliseconds)",
-              v);
-    return 0;
-  }
-  return ms;
-}
-
 void at_exit_flush() {
   State& s = st();
   stop_sampler(s);
@@ -624,15 +607,11 @@ void at_exit_flush() {
 /// runs after (atexit is LIFO) the other observability exit dumps.
 const bool g_env_armed = [] {
   Config c;
-  c.interval_ms = parse_interval_env();
-  if (const char* v = std::getenv("PTO_METRICS_OUT"); v != nullptr) {
-    c.out_path = v;
-  }
-  if (const char* v = std::getenv("PTO_METRICS_PROM"); v != nullptr) {
-    c.prom_path = v;
-  }
-  if (const char* v = std::getenv("PTO_WATCH"); v != nullptr) c.watch = v;
-  c.strict = env_truthy("PTO_WATCH_STRICT");
+  c.interval_ms = env::u64("PTO_METRICS", 0);
+  if (const char* v = env::str("PTO_METRICS_OUT")) c.out_path = v;
+  if (const char* v = env::str("PTO_METRICS_PROM")) c.prom_path = v;
+  if (const char* v = env::str("PTO_WATCH")) c.watch = v;
+  c.strict = env::flag("PTO_WATCH_STRICT");
   if (!c.watch.empty() && c.interval_ms == 0) {
     warn_once("env.PTO_WATCH",
               "PTO_WATCH set without PTO_METRICS=<ms>; watchdog rules "
@@ -651,7 +630,11 @@ bool armed() { return st().armed.load(std::memory_order_relaxed); }
 void configure(const Config& cfg) {
   State& s = st();
   stop_sampler(s);
-  std::lock_guard<std::mutex> lk(s.mu);
+  // Warnings from here on (parse_watch's among them) queue for the new
+  // stream: the sink takes mu, so it is set only once mu is released.
+  set_warn_sink(nullptr);
+  std::vector<Rule> rules = parse_watch(cfg.watch);
+  std::unique_lock<std::mutex> lk(s.mu);
   if (s.out != nullptr && s.out != stderr) std::fclose(s.out);
   s.out = nullptr;
   s.file_failed = false;
@@ -662,7 +645,9 @@ void configure(const Config& cfg) {
   s.bench.clear();
   s.series.clear();
   s.threads = 0;
-  s.rules = parse_watch(cfg.watch);
+  s.point_wall = false;
+  s.point_intervals = 0;
+  s.rules = std::move(rules);
   s.base = telemetry::Snapshot{};
   s.prof_base = prof::LedgerTotals{};
   s.arm_time = std::chrono::steady_clock::now();
@@ -675,7 +660,6 @@ void configure(const Config& cfg) {
   detail::g_sim_next_tick = ~std::uint64_t{0};
   const bool on = cfg.interval_ms > 0;
   s.armed.store(on, std::memory_order_relaxed);
-  set_warn_sink(on ? &metrics_warn_sink : nullptr);
   if (on) {
     // The interval deltas are fed by the telemetry registry; arming metrics
     // without it would stream all-zero counters, so switch it on the same
@@ -686,6 +670,8 @@ void configure(const Config& cfg) {
     s.base = telemetry::Registry::instance().snapshot(obs::hist_on());
     if (prof::on()) s.prof_base = prof::ledger_totals();
     emit_meta(s);
+    lk.unlock();
+    set_warn_sink(&metrics_warn_sink);  // forwards the queued warnings
   }
 }
 
@@ -703,45 +689,42 @@ unsigned watch_violations() {
   return st().violations.load(std::memory_order_relaxed);
 }
 
-void set_point_labels(const char* bench, const char* series,
-                      unsigned threads) {
-  State& s = st();
-  if (!armed()) return;
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.bench = bench != nullptr ? bench : "";
-  s.series = series != nullptr ? series : "";
-  s.threads = threads;
-}
-
-void native_point_begin() {
+void point_begin(const char* bench, const char* series, unsigned threads,
+                 bool wall_clock) {
   State& s = st();
   if (!armed()) return;
   {
     std::lock_guard<std::mutex> lk(s.mu);
-    // The runner resets obs latency just before the point; re-baseline so
-    // this point's interval deltas start from zero samples.
+    s.bench = bench;
+    s.series = series;
+    s.threads = threads;
+    s.point_wall = wall_clock;
+    s.point_intervals = s.intervals.load(std::memory_order_relaxed);
+    if (!wall_clock) return;
+    // The bracket resets latency just before a wall-clock point; re-baseline
+    // so this point's interval deltas start from zero samples.
     s.base.latency =
         telemetry::Registry::instance().snapshot(obs::hist_on()).latency;
   }
-  if (!s.sampling) {
-    {
-      std::lock_guard<std::mutex> lk(s.cv_mu);
-      s.stop_sampler = false;
-    }
-    s.sampling = true;
-    s.sampler = std::thread(sampler_main);
+  if (s.sampling) return;
+  {
+    std::lock_guard<std::mutex> lk(s.cv_mu);
+    s.stop_sampler = false;
   }
+  s.sampling = true;
+  s.sampler = std::thread(sampler_main);
 }
 
-void native_point_end() {
+std::uint64_t point_end() {
   State& s = st();
-  if (!armed()) return;
+  if (!armed()) return 0;
   stop_sampler(s);
-  // Trailing partial interval: per-point deltas telescope to the point's
+  std::lock_guard<std::mutex> lk(s.mu);
+  // Trailing partial interval: a wall-clock point's deltas telescope to its
   // end-of-run aggregate (the invariant tests and BenchPoint::intervals
   // both rely on the point being closed out here).
-  std::lock_guard<std::mutex> lk(s.mu);
-  tick_wall(s);
+  if (s.point_wall) tick_wall(s);
+  return s.intervals.load(std::memory_order_relaxed) - s.point_intervals;
 }
 
 void force_tick() {

@@ -9,7 +9,7 @@
 //
 //   PTO_METRICS=<ms>       arm interval snapshots every <ms> milliseconds —
 //                          wall-clock ms on native runs (a background
-//                          sampler thread bracketed by the bench runner),
+//                          sampler thread bracketed by the bench point),
 //                          *virtual* ms on simx (1 ms = 3.4e6 virtual
 //                          cycles, the paper's 3.4 GHz clock), ticked from
 //                          the dispatcher at zero virtual cost: simulated
@@ -72,26 +72,26 @@ void configure(const Config& cfg);
 /// Redirect the NDJSON stream (tests); nullptr restores the configured file.
 void set_stream(std::ostream* os);
 
-/// Total metrics_interval records emitted so far (monotone). Bench runners
-/// diff this around a point to fill BenchPoint::intervals.
+/// Total metrics_interval records emitted so far (monotone).
 std::uint64_t intervals_emitted();
 
 /// Watchdog rule firings so far.
 unsigned watch_violations();
 
-/// Label attached to subsequent interval records; benchutil runners call
-/// this per measurement point. Pass nullptr to clear.
-void set_point_labels(const char* bench, const char* series,
-                      unsigned threads);
-
 // ---------------------------------------------------------------------------
-// Native (wall-clock) sampling. The native bench runner brackets each
-// measurement point; begin re-baselines (the runner resets obs latency just
-// before) and starts the sampler thread, end stops it and emits the trailing
-// partial interval so per-point deltas telescope to the point's aggregate.
+// Bench points. The bench-point bracket (benchutil/runner.h) opens and closes
+// every measured point with this pair. Opening labels subsequent interval
+// records with the point; a wall-clock point also re-baselines latency (the
+// bracket resets it just before) and starts the sampler thread. Closing a
+// wall-clock point stops the sampler and emits the trailing partial
+// interval, so the point's deltas telescope to its aggregate; simx points
+// tick on virtual time inside sim::run() instead.
 // ---------------------------------------------------------------------------
-void native_point_begin();
-void native_point_end();
+void point_begin(const char* bench, const char* series, unsigned threads,
+                 bool wall_clock);
+/// Returns the metrics_interval records emitted within the point (0 when
+/// metrics is off).
+std::uint64_t point_end();
 
 /// Synchronous wall-mode tick (tests: no sleeping on the sampler cadence).
 void force_tick();

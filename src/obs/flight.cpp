@@ -1,19 +1,17 @@
 #include "obs/flight.h"
 
-#include "common/warn.h"
-
-#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "common/env.h"
 #include "obs/tsc.h"
+#include "telemetry/registry.h"
 
 namespace pto::obs {
 
@@ -44,70 +42,10 @@ const FlightRec& FlightRing::at(std::uint32_t i) const {
 
 namespace {
 
-constexpr unsigned kMaxRings = 256;   // live native threads with rings
-constexpr unsigned kMaxSites = 1024;  // telemetry sites in the name table
-
-std::uint32_t env_capacity() {
-  const char* v = std::getenv("PTO_FLIGHT");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  unsigned long n = std::strtoul(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) {
-    warn_once("env.PTO_FLIGHT",
-              "ignoring invalid PTO_FLIGHT='%s' (want a positive event count)",
-              v);
-    return 0;
-  }
-  return static_cast<std::uint32_t>(n);
-}
-
-/// Fixed arrays with atomic publication counters: the dump path (which may
-/// run inside a fatal-signal handler) walks them without locking.
-struct FlightState {
-  std::uint32_t ring_capacity = 0;
-  std::atomic<unsigned> ring_count{0};
-  FlightRing* rings[kMaxRings] = {};
-  std::atomic<unsigned> site_count{0};
-  const char* site_names[kMaxSites] = {};
-};
-
-FlightState g_state;
-
-void install_dump_handlers();
-
-std::uint32_t init_capacity() {
-  const std::uint32_t cap = env_capacity();
-  if (cap != 0) {
-    // Calibrate now: the signal-time dump must not spin for 10 ms.
-    ticks_per_sec();
-    install_dump_handlers();
-  }
-  return cap;
-}
-
-FlightRing* make_thread_ring() {
-  auto* ring = new FlightRing(g_state.ring_capacity);
-  unsigned idx = g_state.ring_count.load(std::memory_order_relaxed);
-  for (;;) {
-    if (idx >= kMaxRings) {
-      warn_once("flight.ring_table_full",
-                "PTO_FLIGHT ring table full (%u threads); further threads "
-                "are not recorded",
-                kMaxRings);
-      delete ring;
-      return nullptr;
-    }
-    if (g_state.ring_count.compare_exchange_weak(
-            idx, idx + 1, std::memory_order_acq_rel)) {
-      break;
-    }
-  }
-  g_state.rings[idx] = ring;  // published by the ring_count acq/rel above
-  return ring;
-}
-
-thread_local FlightRing* tls_ring = nullptr;
-thread_local bool tls_ring_failed = false;
+/// Ring capacity (0 = disarmed) and dump path, resolved once at static init:
+/// the signal-time dump reads neither the environment nor the heap.
+std::uint32_t g_capacity = 0;
+const char* g_out_path = "pto_flight.bin";
 
 // -- dump ------------------------------------------------------------------
 
@@ -134,25 +72,29 @@ void dump_to_fd(int fd) {
   write_all(fd, "PTOFLT01", 8);
   put_u32(fd, 1);  // version
   put_u64(fd, ticks_per_sec());
-  const unsigned nsites = g_state.site_count.load(std::memory_order_acquire);
+  const telemetry::Registry& reg = telemetry::Registry::instance();
+  const unsigned nsites = reg.site_count();
   put_u32(fd, nsites);
   for (unsigned i = 0; i < nsites; ++i) {
-    const char* name = g_state.site_names[i];
-    if (name == nullptr) name = "";
-    const std::uint32_t len = static_cast<std::uint32_t>(std::strlen(name));
-    put_u32(fd, len);
-    write_all(fd, name, len);
+    const std::string& name = reg.site(i).name();
+    put_u32(fd, static_cast<std::uint32_t>(name.size()));
+    write_all(fd, name.data(), name.size());
   }
-  const unsigned nrings = g_state.ring_count.load(std::memory_order_acquire);
-  put_u32(fd, nrings);
-  for (unsigned i = 0; i < nrings; ++i) {
-    const FlightRing* ring = g_state.rings[i];
-    put_u32(fd, i);
-    if (ring == nullptr) {  // slot claimed but not yet published
-      put_u64(fd, 0);
-      put_u32(fd, 0);
-      continue;
+  // Rings only ever appear (a slot's ring is never freed), so the second
+  // pass finds at least the rings the first one counted.
+  std::uint32_t nrings = 0;
+  for (unsigned slot = 0; slot < kMaxThreads; ++slot) {
+    if (telemetry::slot_flight_ring(slot).load(std::memory_order_acquire)) {
+      ++nrings;
     }
+  }
+  put_u32(fd, nrings);
+  for (unsigned slot = 0; slot < kMaxThreads && nrings > 0; ++slot) {
+    const FlightRing* ring =
+        telemetry::slot_flight_ring(slot).load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    --nrings;
+    put_u32(fd, slot);
     put_u64(fd, ring->total_recorded());
     const std::uint32_t n = ring->size();
     put_u32(fd, n);
@@ -177,55 +119,43 @@ void handle_fatal(int sig) {
   std::raise(sig);
 }
 
-void install_dump_handlers() {
+const bool g_flight_env = [] {
+  g_capacity = static_cast<std::uint32_t>(
+      env::u64("PTO_FLIGHT", 0, 1, std::uint32_t{1} << 31));
+  if (g_capacity == 0) return false;
+  if (const char* v = env::str("PTO_FLIGHT_OUT")) g_out_path = v;
+  // Calibrate now: the signal-time dump must not spin for 10 ms.
+  ticks_per_sec();
   std::atexit([] { flight_dump(); });
   for (int sig : {SIGSEGV, SIGBUS, SIGABRT, SIGFPE, SIGILL}) {
     std::signal(sig, handle_fatal);
   }
-}
-
-const bool g_flight_env = [] {
-  g_state.ring_capacity = init_capacity();
-  if (g_state.ring_capacity != 0) {
-    telemetry::set_tap(telemetry::kTapFlight, true);
-  }
+  telemetry::set_tap(telemetry::kTapFlight, true);
   return true;
 }();
 
 }  // namespace
 
-void flight_record(std::uint16_t site, std::uint8_t event,
-                   std::uint32_t arg) {
-  FlightRing* ring = tls_ring;
-  if (ring == nullptr) {
-    if (tls_ring_failed) return;
-    ring = tls_ring = make_thread_ring();
-    if (ring == nullptr) {
-      tls_ring_failed = true;
-      return;
-    }
+void flight_record(std::atomic<FlightRing*>& ring, std::uint16_t site,
+                   std::uint8_t event, std::uint32_t arg) {
+  FlightRing* r = ring.load(std::memory_order_relaxed);
+  if (PTO_UNLIKELY(r == nullptr)) {
+    r = new FlightRing(g_capacity);
+    ring.store(r, std::memory_order_release);
   }
-  ring->push(now_ticks(), site, event, arg);
-}
-
-void flight_register_site(unsigned id, const char* name) {
-  if (id >= kMaxSites) return;
-  g_state.site_names[id] = name;
-  // Publish up to and including `id`; ids arrive in order from the registry
-  // (intern assigns them sequentially under its lock).
-  unsigned cur = g_state.site_count.load(std::memory_order_relaxed);
-  while (cur < id + 1 && !g_state.site_count.compare_exchange_weak(
-                             cur, id + 1, std::memory_order_release)) {
-  }
+  r->push(now_ticks(), site, event, arg);
 }
 
 void flight_dump() {
   if (!flight_on()) return;
   if (g_dumped.exchange(true)) return;  // once: atexit after a fatal signal
-  const char* path = std::getenv("PTO_FLIGHT_OUT");
-  if (path == nullptr || *path == '\0') path = "pto_flight.bin";
-  int fd = ::open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return;
+  const int fd = ::open(g_out_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    static const char kMsg[] =
+        "[pto] warning: cannot open PTO_FLIGHT_OUT; flight recording lost\n";
+    write_all(2, kMsg, sizeof kMsg - 1);
+    return;
+  }
   dump_to_fd(fd);
   ::close(fd);
 }

@@ -1,20 +1,27 @@
-// Per-thread lock-free flight recorder for native transaction events.
+// Lock-free flight recorder for native transaction events.
 //
-//   PTO_FLIGHT=<events>     arm; fixed ring of <events> records per thread
+//   PTO_FLIGHT=<events>     arm; fixed ring of <events> records per slot
 //                           (rounded up to a power of two, min 64)
 //   PTO_FLIGHT_OUT=<path>   dump destination (default pto_flight.bin)
 //
-// Each thread owns a fixed-size binary ring of 16-byte records
-// {tsc, site, event, arg}; recording is a thread-local store plus a counter
-// bump — no atomics, no sharing, old records overwritten. Rings are dumped
-// at process exit and on fatal signals (SIGSEGV/SIGBUS/SIGABRT/SIGFPE/
-// SIGILL), so the last <events> transaction events per thread survive a
-// crash for post-mortem timeline reconstruction with tools/pto_flight.py.
+// Rings ride the telemetry registry's slot lease (telemetry/registry.h): a
+// native thread records into the ring of the slot it leased, which the
+// slot's first recording owner allocates and later owners reuse, so rings
+// are bounded by live threads. A thread that owns no slot (beyond
+// kMaxThreads live threads, or recording after its exit hook) records
+// nothing; the lease warns once. Each ring is a fixed-size binary ring of
+// 16-byte records {tsc, site, event, arg}; recording is a single-writer
+// store plus a counter bump — no atomics, no sharing, old records
+// overwritten. Rings are dumped at process exit and on fatal signals
+// (SIGSEGV/SIGBUS/SIGABRT/SIGFPE/SIGILL), so the last <events> transaction
+// events per slot survive a crash for post-mortem timeline reconstruction
+// with tools/pto_flight.py.
 //
 // Events come from the flight tap of the telemetry event gate
 // (telemetry/taps.h, dispatched in telemetry/registry.cpp), recorded with
 // their telemetry::Event codes 1-4: prefix attempt (tx begin), commit, abort
-// (arg = cause code), and fallback-acquire.
+// (arg = cause code), and fallback-acquire; a record's site is the
+// registry's site id.
 // Simulated runs never record (simx already has PTO_TRACE with virtual-time
 // fidelity; the dispatcher checks sim::active()).
 //
@@ -25,11 +32,13 @@
 //   u32         site count N
 //   N x { u32 len, bytes }   site names, index = site id
 //   u32         ring count R
-//   R x { u32 thread_index, u64 total_recorded, u32 nrec,
+//   R x { u32 slot, u64 total_recorded, u32 nrec,
 //         nrec x { u64 tsc, u16 site, u8 event, u8 pad, u32 arg } }
-//       records oldest-first.
+//       records oldest-first. A slot is held by one thread at a time, so a
+//       ring's records may span its successive owners.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "telemetry/taps.h"
@@ -86,18 +95,15 @@ class FlightRing {
 /// True when PTO_FLIGHT armed the recorder (the flight tap).
 inline bool flight_on() { return telemetry::tap_on(telemetry::kTapFlight); }
 
-/// Record one event on this thread's ring (creates it on first use).
-/// Call only when flight_on(); never records inside a simulation.
-void flight_record(std::uint16_t site, std::uint8_t event, std::uint32_t arg);
+/// Record one event on `ring`, the calling thread's slot ring
+/// (telemetry::slot_flight_ring), allocating it on first use. Call only
+/// when flight_on() and only for the slot this thread owns.
+void flight_record(std::atomic<FlightRing*>& ring, std::uint16_t site,
+                   std::uint8_t event, std::uint32_t arg);
 
-/// Site-name table for the dump header. Registered eagerly by the telemetry
-/// registry at intern time (bounded, lock-free publication) so the fatal-
-/// signal dump path never touches a mutex. `name` must outlive the process
-/// (telemetry sites are never destroyed).
-void flight_register_site(unsigned id, const char* name);
-
-/// Write every ring to PTO_FLIGHT_OUT. Async-signal-safe (open/write only);
-/// also installed as the atexit + fatal-signal handler when armed.
+/// Write every ring to PTO_FLIGHT_OUT. Async-signal-safe (open/write only;
+/// an unopenable path writes one fixed line to stderr); also installed as
+/// the atexit + fatal-signal handler when armed.
 void flight_dump();
 
 }  // namespace pto::obs

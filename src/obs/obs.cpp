@@ -1,44 +1,23 @@
 #include "obs/obs.h"
 
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+
+#include "common/env.h"
 
 namespace pto::obs {
 
 namespace detail {
 
-namespace {
-bool env_truthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
-
-std::uint64_t env_sample_mask() {
-  const char* v = std::getenv("PTO_OBS_SAMPLE");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  unsigned long k = std::strtoul(v, &end, 10);
-  if (end == v || *end != '\0' || k == 0) {
-    std::fprintf(stderr,
-                 "[pto] warning: ignoring invalid PTO_OBS_SAMPLE='%s' "
-                 "(want a positive sample period)\n",
-                 v);
-    return 0;
-  }
-  return std::bit_ceil(static_cast<std::uint64_t>(k)) - 1;
-}
-}  // namespace
-
-std::uint64_t g_sample_mask = env_sample_mask();
+std::uint64_t g_sample_mask =
+    std::bit_ceil(env::u64("PTO_OBS_SAMPLE", 1, 1, std::uint64_t{1} << 62)) -
+    1;
 thread_local std::uint64_t tls_op_seq = 0;
 thread_local std::uint64_t tls_fallbacks = 0;
 
 }  // namespace detail
 
 const bool g_hist_env = [] {
-  if (detail::env_truthy("PTO_OBS")) set_hist_on(true);
+  if (env::flag("PTO_OBS")) set_hist_on(true);
   return true;
 }();
 

@@ -10,7 +10,8 @@
 //                      unbiased for a stationary workload; use k=8..64 when
 //                      the two RDTSCs per timed op would be material against
 //                      sub-microsecond ops.
-//   PTO_FLIGHT=<n>     arm the per-thread flight recorder, ring of n events
+//   PTO_FLIGHT=<n>     arm the flight recorder, ring of n events per native
+//                      telemetry slot (obs/flight.h)
 //   PTO_PERF=1         sample hardware perf counters around bench points
 //
 // Recording model: latency is recorded under a telemetry::Site named for the
@@ -20,8 +21,9 @@
 // path, one for ops that took at least one fallback — so the hot path is a
 // single-writer bucket increment with no sharing, and slots recycled at
 // thread exit bound the storage by live threads. Merging happens at
-// emission, after worker threads have quiesced (bench runners join before
-// reading), by bucket-wise summation across slots.
+// emission, after worker threads have quiesced (the bench-point bracket
+// closes after every trial's workers finished), by bucket-wise summation
+// across slots.
 //
 // Overhead budget (the native-obs CI job enforces <= 5% end to end): two
 // RDTSCs + one branch + one increment per op with PTO_OBS=1, a 16-byte ring

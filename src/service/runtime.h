@@ -2,7 +2,8 @@
 // thread pool: a persistent set of std::threads, optionally pinned
 // round-robin over the CPUs the process is allowed on, launched into
 // parallel sections with a spin barrier so every worker starts the measured
-// region together (the same start discipline as benchutil/native_runner).
+// region together. It is the trial executor of the native bench runner
+// (benchutil/native_runner.h).
 //
 // The pool is deliberately thin: per-thread epoch/hazard state lives in the
 // data structures' own domains (src/reclaim) via the per-shard ThreadCtx

@@ -2,13 +2,11 @@
 #include "sim/runtime_internal.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
 #include "check/check.h"
-#include "common/warn.h"
+#include "common/env.h"
 #include "metrics/metrics.h"
 #include "telemetry/prof.h"
 #include "telemetry/trace.h"
@@ -62,18 +60,10 @@ Runtime::Runtime(unsigned nthreads, const Config& c)
 }
 
 std::size_t fiber_stack_bytes(unsigned nthreads) {
-  if (const char* v = std::getenv("PTO_SIM_STACK_KB");
-      v != nullptr && *v != '\0') {
-    char* end = nullptr;
-    auto kb = std::strtoull(v, &end, 10);
-    if (end != v && *end == '\0' && kb >= 16) {
-      return static_cast<std::size_t>(kb) * 1024;
-    }
-    warn_once("env.PTO_SIM_STACK_KB",
-              "ignoring invalid PTO_SIM_STACK_KB='%s' (want an integer >= 16)",
-              v);
-  }
-  return nthreads <= kFiberStackSmallCutoff ? kFiberStack : kFiberStackLarge;
+  const std::size_t dflt =
+      nthreads <= kFiberStackSmallCutoff ? kFiberStack : kFiberStackLarge;
+  return env::u64("PTO_SIM_STACK_KB", dflt / 1024, 16, std::uint64_t{1} << 30) *
+         1024;
 }
 
 }  // namespace internal

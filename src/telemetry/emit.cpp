@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <iostream>
 #include <ostream>
@@ -13,6 +11,7 @@
 #endif
 
 #include "common/buildinfo.h"
+#include "common/env.h"
 #include "telemetry/registry.h"
 
 namespace pto::telemetry {
@@ -20,13 +19,11 @@ namespace pto::telemetry {
 namespace {
 
 StatsFormat format_from_env() {
-  const char* v = std::getenv("PTO_STATS");
-  if (v == nullptr || *v == '\0') return StatsFormat::kOff;
-  if (std::strcmp(v, "csv") == 0) return StatsFormat::kCsv;
-  if (std::strcmp(v, "json") == 0) return StatsFormat::kJson;
-  std::fprintf(stderr, "PTO_STATS=%s not recognized (json|csv); ignoring\n",
-               v);
-  return StatsFormat::kOff;
+  switch (env::choice("PTO_STATS", {"json", "csv"}, -1)) {
+    case 0: return StatsFormat::kJson;
+    case 1: return StatsFormat::kCsv;
+    default: return StatsFormat::kOff;
+  }
 }
 
 struct State {

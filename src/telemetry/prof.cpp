@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/defs.h"
+#include "common/env.h"
 #include "common/warn.h"
 #include "sim/sim.h"
 #include "telemetry/emit.h"
@@ -133,25 +134,15 @@ struct ProfState {
   ProfState() {
     scopes.push_back(std::make_unique<ScopeData>(""));
     cur = scopes.front().get();
-    if (const char* v = std::getenv("PTO_PROF"); v != nullptr && *v != '\0') {
-      if (std::strcmp(v, "json") == 0) {
+    if (env::str("PTO_PROF") != nullptr) {
+      if (env::choice("PTO_PROF", {"text", "json"}, 0) == 1) {
         fmt = Format::kJson;
-      } else if (std::strcmp(v, "text") != 0) {
-        warn_once("env.PTO_PROF",
-                  "PTO_PROF=%s not recognized (text|json); using text", v);
       }
       set_tap(kTapProf, true);
       report_at_exit = true;
     }
-    if (const char* v = std::getenv("PTO_PROF_OUT");
-        v != nullptr && *v != '\0') {
-      out_path = v;
-    }
-    if (const char* v = std::getenv("PTO_PROF_TOPN")) {
-      char* end = nullptr;
-      auto parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) topn = static_cast<unsigned>(parsed);
-    }
+    if (const char* v = env::str("PTO_PROF_OUT")) out_path = v;
+    topn = static_cast<unsigned>(env::u64("PTO_PROF_TOPN", topn, 1, ~0u));
   }
 };
 

@@ -5,8 +5,10 @@
 #include <iomanip>
 #include <iostream>
 #include <ostream>
+#include <stdexcept>
 
 #include "check/check.h"
+#include "common/env.h"
 #include "common/warn.h"
 #include "obs/flight.h"
 #include "obs/obs.h"
@@ -29,15 +31,10 @@ void set_tap(unsigned tap, bool on) {
 
 namespace {
 
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0';
-}
-
 // PTO_METRICS arms the counters tap through metrics::configure().
 const bool g_counters_env = [] {
-  if (env_set("PTO_TELEMETRY") || env_set("PTO_STATS") ||
-      env_set("PTO_TRACE")) {
+  if (env::str("PTO_TELEMETRY") != nullptr ||
+      env::str("PTO_STATS") != nullptr || env::str("PTO_TRACE") != nullptr) {
     set_enabled(true);
   }
   return true;
@@ -60,9 +57,10 @@ SlotPool& slot_pool() {
   return *p;
 }
 
-/// An owned slot is exclusive, so its histograms have a single writer. A
-/// thread beyond kMaxThreads live ones, or one recording after its exit
-/// hook ran, counts into shared slot 0 and records no latency.
+/// An owned slot is exclusive, so its histograms and flight ring have a
+/// single writer. A thread beyond kMaxThreads live ones, or one recording
+/// after its exit hook ran, counts into shared slot 0 and records no latency
+/// and no flight events.
 struct SlotLease {
   unsigned slot = kNoSlot;
   bool owned = false;
@@ -101,7 +99,7 @@ void lease_slot() {
   if (!l.owned) {
     warn_once("registry.slot_overflow",
               "more than %u live threads; the excess share a telemetry slot "
-              "(counters stay exact) and record no latency",
+              "(counters stay exact) and record no latency or flight events",
               kMaxThreads);
     return;
   }
@@ -109,7 +107,13 @@ void lease_slot() {
   (void)ret;
 }
 
+constinit std::atomic<obs::FlightRing*> g_slot_rings[kMaxThreads]{};
+
 }  // namespace
+
+std::atomic<obs::FlightRing*>& slot_flight_ring(unsigned slot) {
+  return g_slot_rings[slot];
+}
 
 Site::~Site() {
   for_each_shard(*this, [](const SiteShard& sh) {
@@ -226,8 +230,7 @@ void Site::reset() {
 Registry& Registry::instance() {
   static Registry* r = [] {
     auto* reg = new Registry();
-    if (const char* v = std::getenv("PTO_TELEMETRY_REPORT");
-        v != nullptr && *v != '\0') {
+    if (env::str("PTO_TELEMETRY_REPORT") != nullptr) {
       set_enabled(true);
       std::atexit([] { Registry::instance().report(std::cerr); });
     }
@@ -238,23 +241,22 @@ Registry& Registry::instance() {
 
 Site* Registry::intern(std::string_view name) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const auto& s : sites_) {
-    if (s->name() == name) return s.get();
+  const unsigned n = count_.load(std::memory_order_relaxed);
+  for (unsigned i = 0; i < n; ++i) {
+    if (sites_[i]->name() == name) return sites_[i];
   }
-  const unsigned id = static_cast<unsigned>(sites_.size());
-  sites_.push_back(std::make_unique<Site>(std::string(name), id));
-  // Publish the name into the flight recorder's lock-free table so a
-  // fatal-signal dump can label records without touching mu_.
-  obs::flight_register_site(id, sites_.back()->name().c_str());
-  return sites_.back().get();
+  if (n == kSiteCapacity) {
+    throw std::length_error("telemetry registry full: cannot intern '" +
+                            std::string(name) + "' beyond " +
+                            std::to_string(kSiteCapacity) + " sites");
+  }
+  sites_[n] = new Site(std::string(name), n);
+  count_.store(n + 1, std::memory_order_release);
+  return sites_[n];
 }
 
 std::vector<Site*> Registry::sites() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<Site*> out;
-  out.reserve(sites_.size());
-  for (const auto& s : sites_) out.push_back(s.get());
-  return out;
+  return std::vector<Site*>(sites_, sites_ + site_count());
 }
 
 PrefixStats Registry::totals() {
@@ -319,12 +321,17 @@ void on_event(Site* site, unsigned event, unsigned cause) {
   const unsigned t = taps();
   if (t & kTapCounters) site->count(event, cause);
   if ((t & kTapHist) && event == kEventFallback) obs::note_fallback();
-  // The flight recorder is native-only: simulated runs already have
-  // PTO_TRACE with virtual-time fidelity.
+  // The flight recorder is native-only (simulated runs already have
+  // PTO_TRACE with virtual-time fidelity) and rides the slot lease: a
+  // thread records into its slot's ring, and one that owns no slot records
+  // nothing (lease_slot warned).
   if ((t & kTapFlight) && event != kEventFallbackEnd && !sim::active()) {
-    obs::flight_record(static_cast<std::uint16_t>(
-                           site->id() < 0xffffu ? site->id() : 0xffffu),
-                       static_cast<std::uint8_t>(event), cause);
+    if (PTO_UNLIKELY(tls_lease.slot == kNoSlot)) lease_slot();
+    if (tls_lease.owned) {
+      obs::flight_record(g_slot_rings[tls_lease.slot],
+                         static_cast<std::uint16_t>(site->id()),
+                         static_cast<std::uint8_t>(event), cause);
+    }
   }
   if (t & kTapProf) prof::on_event(site, event, cause);
   if (t & kTapCheck) check::on_event(site, event, cause);

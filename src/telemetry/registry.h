@@ -18,7 +18,8 @@
 // may observe a record mid-flight — exact totals are guaranteed only at
 // quiescence (which is when benches and tests read them). A shard's latency
 // histograms are single-writer: they are allocated on the first sample its
-// slot's thread records while histograms are armed.
+// slot's thread records while histograms are armed. The flight recorder's
+// rings hang off the same lease, one per native slot.
 //
 // Zero overhead when off: every event passes the tap word (telemetry/taps.h).
 // The counters tap is armed by PTO_STATS / PTO_TRACE / PTO_TELEMETRY /
@@ -42,6 +43,10 @@
 #include "htm/txcode.h"
 #include "obs/histogram.h"
 #include "telemetry/taps.h"
+
+namespace pto::obs {
+class FlightRing;
+}  // namespace pto::obs
 
 namespace pto::telemetry {
 
@@ -74,8 +79,9 @@ class Site {
   Site& operator=(const Site&) = delete;
 
   const std::string& name() const { return name_; }
-  /// Dense registration index (assigned by Registry::intern); used as the
-  /// compact site key in flight-recorder records (obs/flight.h).
+  /// Dense registration index (assigned by Registry::intern): the site's
+  /// index in the registry table and its key in flight-recorder records
+  /// (obs/flight.h).
   unsigned id() const { return id_; }
 
   /// Count one prefix event (telemetry/taps.h) in this thread's shard.
@@ -129,6 +135,9 @@ struct Snapshot {
 
 class Registry {
  public:
+  /// Sites the table holds; interning one more throws std::length_error.
+  static constexpr unsigned kSiteCapacity = 1024;
+
   static Registry& instance();
 
   /// Find-or-create the site named `name`. Pointers are stable for the
@@ -137,6 +146,13 @@ class Registry {
 
   /// Stable pointers to every registered site, in registration order.
   std::vector<Site*> sites();
+
+  /// Lock-free, allocation-free reads of the site table (the fatal-signal
+  /// flight dump reads it): sites [0, site_count()) are published.
+  unsigned site_count() const {
+    return count_.load(std::memory_order_acquire);
+  }
+  const Site& site(unsigned id) const { return *sites_[id]; }
 
   /// Sum over every site.
   PrefixStats totals();
@@ -152,9 +168,17 @@ class Registry {
 
  private:
   Registry() = default;
-  std::mutex mu_;
-  std::vector<std::unique_ptr<Site>> sites_;
+  std::mutex mu_;  ///< serializes intern(); readers never take it
+  /// Entries [0, count_) are written before count_'s release store.
+  Site* sites_[kSiteCapacity] = {};
+  std::atomic<unsigned> count_{0};
 };
+
+/// The flight-recorder ring (obs/flight.h) of native slot `slot`, kept with
+/// the slot lease: the slot's first recording owner allocates it and later
+/// owners reuse it, so rings are bounded by live threads. Null until then.
+/// Constant-initialized, so the fatal-signal dump may read it at any time.
+std::atomic<obs::FlightRing*>& slot_flight_ring(unsigned slot);
 
 /// Registry::instance().totals(), and its delta against an earlier snapshot.
 PrefixStats registry_totals();

@@ -1,12 +1,12 @@
 #include "telemetry/trace.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/env.h"
+#include "common/warn.h"
 #include "htm/txcode.h"
 
 namespace pto::telemetry {
@@ -51,21 +51,16 @@ struct Rec {
 struct State {
   std::string path;
   std::vector<Rec> buf;
-  std::uint64_t cap = kDefaultCap;
+  std::uint64_t cap =
+      env::u64("PTO_TRACE_CAP", kDefaultCap, 1, std::uint64_t{1} << 40);
   std::uint64_t count = 0;  ///< total events ever pushed
   std::uint32_t run = 0;    ///< current run ordinal
 
   State() {
-    if (const char* v = std::getenv("PTO_TRACE_CAP")) {
-      char* end = nullptr;
-      auto parsed = std::strtoull(v, &end, 10);
-      if (end != v && parsed > 0) cap = parsed;
-    }
-    if (const char* v = std::getenv("PTO_TRACE_SCHED");
-        v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0) {
+    if (env::flag("PTO_TRACE_SCHED")) {
       trace_detail::g_sched_on.store(true, std::memory_order_relaxed);
     }
-    if (const char* v = std::getenv("PTO_TRACE"); v != nullptr && *v != '\0') {
+    if (const char* v = env::str("PTO_TRACE")) {
       path = v;
       trace_detail::g_on.store(true, std::memory_order_relaxed);
     }
@@ -198,7 +193,11 @@ void trace_flush() {
   State& s = state();
   if (s.path.empty()) return;
   std::ofstream os(s.path, std::ios::trunc);
-  if (!os) return;
+  if (!os) {
+    warn_once("trace.open", "cannot open PTO_TRACE=%s; trace not written",
+              s.path.c_str());
+    return;
+  }
   const std::uint64_t kept = s.count < s.cap ? s.count : s.cap;
   const std::uint64_t dropped = s.count - kept;
   os << "{\"traceEvents\":[\n";

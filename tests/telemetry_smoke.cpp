@@ -1,10 +1,10 @@
-// telemetry_smoke — run one small bench point through the runner with JSON
-// stats emission and validate that the record parses and carries the full
-// schema (throughput, aborts by every cause, fallback fraction, cycle share).
+// telemetry_smoke — run one small bench point through the simulated runner
+// (run_variant) with JSON stats emission and validate that the record parses
+// and carries the full schema (throughput, aborts by every cause, fallback
+// fraction, cycle share).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -33,28 +33,31 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
   opts.trials = 1;
   sim::Config cfg;
 
-  auto make_fixture = [] {
-    auto counter =
-        std::make_shared<pto::Atom<SimPlatform, std::uint64_t>>();
-    counter->init(0);
-    return std::function<void(unsigned, std::uint64_t)>(
-        [counter](unsigned, std::uint64_t ops) {
-          for (std::uint64_t i = 0; i < ops; ++i) {
-            pto::prefix<SimPlatform>(
-                2,
-                [&] {
-                  auto v = counter->load(std::memory_order_relaxed);
-                  counter->store(v + 1, std::memory_order_relaxed);
-                },
-                [&] { counter->fetch_add(1, std::memory_order_seq_cst); },
-                PTO_TELEMETRY_SITE("smoke.op"));
-            sim::op_done();
-          }
-        });
+  // One counter bumped through the instrumented prefix per op.
+  struct Fixture {
+    pto::Atom<SimPlatform, std::uint64_t> counter;
+    void prefill(std::uint64_t) { counter.init(0); }
+    void thread_body(unsigned, std::uint64_t ops) {
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        pto::prefix<SimPlatform>(
+            2,
+            [&] {
+              auto v = counter.load(std::memory_order_relaxed);
+              counter.store(v + 1, std::memory_order_relaxed);
+            },
+            [&] { counter.fetch_add(1, std::memory_order_seq_cst); },
+            PTO_TELEMETRY_SITE("smoke.op"));
+        sim::op_done();
+      }
+    }
   };
 
-  double mean = bench::measure_point(opts, /*threads=*/2, cfg, make_fixture,
-                                     "smoke", "Counter(PTO)");
+  bench::Figure fig;
+  fig.id = "smoke";
+  fig.xs = {2};
+  bench::run_variant<Fixture>(fig, opts, cfg, "Counter(PTO)",
+                              [] { return new Fixture(); });
+  const double mean = fig.series.at(0).y.at(0);
   tel::set_stats_stream(nullptr);
   tel::set_stats_format(tel::StatsFormat::kOff);
   EXPECT_GT(mean, 0.0);

@@ -202,8 +202,7 @@ TEST(Metrics, WallObsSampleTotalsTelescopeUnderThreadChurn) {
   metrics::Config cfg;
   cfg.interval_ms = 100000;  // sampler never self-ticks; forced ticks only
   Capture cap(cfg);
-  metrics::set_point_labels("churn_bench", "s1", 3);
-  metrics::native_point_begin();
+  metrics::point_begin("churn_bench", "s1", 3, /*wall_clock=*/true);
 
   auto record_n = [&](unsigned nthreads, int per_thread) {
     std::vector<std::thread> ts;
@@ -223,7 +222,7 @@ TEST(Metrics, WallObsSampleTotalsTelescopeUnderThreadChurn) {
   record_n(3, 500);
   metrics::force_tick();
   record_n(2, 300);
-  metrics::native_point_end();
+  metrics::point_end();
 
   std::uint64_t samples = 0;
   double prev_t1 = 0.0;

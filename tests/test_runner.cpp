@@ -1,13 +1,30 @@
 // RunnerOptions / ServiceOptions environment parsing: valid overrides apply,
 // malformed or zero values fall back to defaults with a (once-per-variable)
-// stderr warning so sweep misconfigurations are not invisible.
+// stderr warning so sweep misconfigurations are not invisible. Also the one
+// environment reader behind them, and a native point through the bench-point
+// bracket.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "benchutil/native_runner.h"
 #include "benchutil/runner.h"
+#include "common/env.h"
+#include "common/warn.h"
+#include "core/prefix.h"
+#include "json_util.h"
+#include "metrics/metrics.h"
+#include "obs/obs.h"
+#include "platform/native_platform.h"
 #include "service/loadgen.h"
+#include "service/runtime.h"
+#include "telemetry/emit.h"
+#include "telemetry/registry.h"
 
 namespace {
 
@@ -178,6 +195,217 @@ TEST_F(RunnerEnv, MaxThreadsAboveSimulatorLimitClampsWithWarning) {
   err = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(o.max_threads, 1024u);
   EXPECT_EQ(err.find("clamping"), std::string::npos) << err;
+}
+
+// ---------------------------------------------------------------------------
+// The one environment reader
+// ---------------------------------------------------------------------------
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto i = text.find(needle); i != std::string::npos;
+       i = text.find(needle, i + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(EnvReader, MalformedFormsKeepDefaultAndWarnOnce) {
+  namespace env = pto::env;
+  const struct {
+    const char* name;
+    const char* value;
+    std::function<bool()> keeps_default;  ///< reads `name` once
+  } rows[] = {
+      {"PTO_PROF_TOPN", "12x",
+       [] { return env::u64("PTO_PROF_TOPN", 10, 1, ~0u) == 10; }},
+      {"PTO_CHECK_MAX", "abc",
+       [] { return env::u64("PTO_CHECK_MAX", 100, 1, ~0u) == 100; }},
+      {"PTO_BENCH_RANGE", "abc",
+       [] { return env::u64("PTO_BENCH_RANGE", 512, 2, 1u << 30) == 512; }},
+      {"PTO_SIM_SPEED_OPS", "1e5",
+       [] { return env::u64("PTO_SIM_SPEED_OPS", 1'000'000) == 1'000'000; }},
+      {"PTO_TRACE_CAP", "-5",
+       [] {
+         return env::u64("PTO_TRACE_CAP", 1u << 18, 1,
+                         std::uint64_t{1} << 40) == 1u << 18;
+       }},
+      {"PTO_OBS_SAMPLE", "+16",
+       [] { return env::u64("PTO_OBS_SAMPLE", 1) == 1; }},
+      {"PTO_METRICS", "99999999999999999999",  // overflows 64 bits
+       [] { return env::u64("PTO_METRICS", 0) == 0; }},
+      {"PTO_SVC_HOTFRAC", "0.5x",
+       [] { return env::f64("PTO_SVC_HOTFRAC", 0.01, 1e-6, 1.0) == 0.01; }},
+      {"PTO_HTM", "sfot",
+       [] { return env::choice("PTO_HTM", {"soft", "rtm"}, -1) == -1; }},
+      {"PTO_STATS", "xml",
+       [] { return env::choice("PTO_STATS", {"json", "csv"}, -1) == -1; }},
+      {"PTO_CHECK", "yes",
+       [] { return env::choice("PTO_CHECK", {"1", "on", "report"}, 0) == 0; }},
+  };
+  for (const auto& r : rows) {
+    SCOPED_TRACE(r.name);
+    const std::string key = std::string("env.") + r.name;
+    ASSERT_EQ(pto::warn_count(key.c_str()), 0u);
+    setenv(r.name, r.value, 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(r.keeps_default());
+    EXPECT_TRUE(r.keeps_default());  // a second read stays quiet
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    unsetenv(r.name);
+    EXPECT_EQ(pto::warn_count(key.c_str()), 2u);
+    EXPECT_EQ(count_of(err, "[pto] warning:"), 1u) << err;
+    EXPECT_NE(err.find(std::string(r.name) + "='" + r.value + "'"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("using default"), std::string::npos) << err;
+  }
+}
+
+TEST(EnvReader, EmptyMeansUnsetAndValidFormsParse) {
+  namespace env = pto::env;
+  setenv("PTO_BENCH_RANGE", "", 1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(env::str("PTO_BENCH_RANGE"), nullptr);
+  EXPECT_EQ(env::u64("PTO_BENCH_RANGE", 512, 2, 1u << 30), 512u);
+  EXPECT_FALSE(env::flag("PTO_BENCH_RANGE"));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  setenv("PTO_BENCH_RANGE", "18446744073709551615", 1);
+  EXPECT_EQ(env::u64("PTO_BENCH_RANGE", 1), 18446744073709551615ull);
+  setenv("PTO_BENCH_RANGE", "0.25", 1);
+  EXPECT_DOUBLE_EQ(env::f64("PTO_BENCH_RANGE", 1.0, 0.0, 1.0), 0.25);
+  setenv("PTO_BENCH_RANGE", "0", 1);
+  EXPECT_FALSE(env::flag("PTO_BENCH_RANGE"));
+  setenv("PTO_BENCH_RANGE", "csv", 1);
+  EXPECT_EQ(env::choice("PTO_BENCH_RANGE", {"json", "csv"}, -1), 1);
+  EXPECT_TRUE(env::flag("PTO_BENCH_RANGE"));
+  unsetenv("PTO_BENCH_RANGE");
+}
+
+// ---------------------------------------------------------------------------
+// A native point through the bench-point bracket
+// ---------------------------------------------------------------------------
+
+std::vector<testjson::Value> json_lines(const std::string& text) {
+  std::vector<testjson::Value> out;
+  std::istringstream is(text);
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.empty()) continue;
+    testjson::Value v;
+    EXPECT_TRUE(testjson::parse(line, &v)) << line;
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+double num(const testjson::Value& v, const char* key) {
+  const testjson::Value* f = v.find(key);
+  EXPECT_NE(f, nullptr) << "missing field " << key;
+  return f != nullptr ? f->num() : -1.0;
+}
+
+constexpr std::uint64_t kPointOps = 3000;  // per thread per trial
+constexpr double kPointTotal = kPointOps * 2 * 2;  // x threads x trials
+
+/// Two native points, "first" then "second", of 2 threads x 2 trials, each
+/// op timed under one site and run through one prefix; returns the emitted
+/// bench_point records.
+std::vector<testjson::Value> run_two_native_points() {
+  namespace tel = pto::telemetry;
+  using pto::NativePlatform;
+  std::ostringstream stats;
+  tel::set_stats_format(tel::StatsFormat::kJson);
+  tel::set_stats_stream(&stats);
+  RunnerOptions opts;
+  opts.ops_per_thread = kPointOps;
+  opts.trials = 2;
+  tel::Site* op = tel::Registry::instance().intern("native_point.op");
+  auto make_fixture = [op] {
+    auto counter = std::make_shared<pto::Atom<NativePlatform, std::uint64_t>>();
+    counter->init(0);
+    return std::function<void(unsigned, std::uint64_t)>(
+        [counter, op](unsigned, std::uint64_t ops) {
+          for (std::uint64_t i = 0; i < ops; ++i) {
+            pto::obs::OpTimer t(op);
+            pto::prefix<NativePlatform>(
+                2,
+                [&] {
+                  auto v = counter->load(std::memory_order_relaxed);
+                  counter->store(v + 1, std::memory_order_relaxed);
+                },
+                [&] { counter->fetch_add(1, std::memory_order_seq_cst); },
+                PTO_TELEMETRY_SITE("native_point.prefix"));
+          }
+        });
+  };
+  pto::service::Runtime rt({2, /*pin=*/true});
+  for (const char* series : {"first", "second"}) {
+    EXPECT_GT(pto::bench::native_measure_point(opts, rt, make_fixture,
+                                               "native_point", series),
+              0.0);
+  }
+  tel::set_stats_stream(nullptr);
+  tel::set_stats_format(tel::StatsFormat::kOff);
+  std::vector<testjson::Value> points = json_lines(stats.str());
+  EXPECT_EQ(points.size(), 2u) << stats.str();  // one record per point
+  for (const testjson::Value& p : points) {
+    EXPECT_EQ(p.find("bench")->str(), "native_point");
+    EXPECT_EQ(num(p, "threads"), 2.0);
+    EXPECT_EQ(num(p, "trials"), 2.0);
+    EXPECT_EQ(num(p, "ops"), kPointTotal);
+  }
+  return points;
+}
+
+TEST(NativePoint, EachPointCarriesOnlyItsOwnLatencySamples) {
+  pto::obs::set_hist_on(true);
+  const std::vector<testjson::Value> points = run_two_native_points();
+  pto::obs::set_hist_on(false);
+  pto::obs::reset_latency();
+  // Latency is reset when a point opens: the second point carries none of
+  // the first point's samples.
+  for (const testjson::Value& p : points) {
+    SCOPED_TRACE(p.find("series")->str());
+    EXPECT_EQ(num(*p.find("latency"), "samples"), kPointTotal);
+  }
+}
+
+TEST(NativePoint, IntervalsSumToTheirPoint) {
+  namespace metrics = pto::metrics;
+  // Histograms stay off: the sampler then reads only atomic counters while
+  // the workers run.
+  std::ostringstream stream;
+  metrics::set_stream(&stream);
+  metrics::Config cfg;
+  cfg.interval_ms = 1;
+  metrics::configure(cfg);
+  const std::vector<testjson::Value> points = run_two_native_points();
+  metrics::configure({});
+  metrics::set_stream(nullptr);
+
+  const std::vector<testjson::Value> records = json_lines(stream.str());
+  for (const testjson::Value& p : points) {
+    const std::string& series = p.find("series")->str();
+    SCOPED_TRACE(series);
+    double intervals = 0, attempts = 0, commits = 0, fallbacks = 0;
+    for (const testjson::Value& r : records) {
+      if (r.find("type")->str() != "metrics_interval") continue;
+      if (r.find("series")->str() != series) continue;
+      ++intervals;
+      const testjson::Value& d = *r.find("prefix");
+      attempts += num(d, "attempts");
+      commits += num(d, "commits");
+      fallbacks += num(d, "fallbacks");
+    }
+    EXPECT_GE(intervals, 1.0);
+    EXPECT_EQ(num(p, "intervals"), intervals);
+    EXPECT_EQ(num(p, "prefix_attempts"), attempts);
+    EXPECT_EQ(num(p, "prefix_commits"), commits);
+    EXPECT_EQ(num(p, "prefix_fallbacks"), fallbacks);
+    // Every op ran the prefix once (the HTM facade's commits add more).
+    EXPECT_GE(commits + fallbacks, kPointTotal);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // Chrome-trace golden file.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/warn.h"
 #include "core/prefix.h"
 #include "json_util.h"
 #include "obs/obs.h"
@@ -85,6 +87,36 @@ TEST(TelemetryRegistry, ConcurrentHostRegistrationIsSafe) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
   std::set<tel::Site*> distinct(seen[0].begin(), seen[0].end());
   EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kNames));
+}
+
+TEST(TelemetryRegistry, NativeReadersSeeOnlyPublishedSites) {
+  // sites() and the fatal-signal flight dump read the site table without the
+  // intern mutex; every entry they see must be a whole, published site.
+  std::atomic<bool> done{false};
+  std::thread reader([&done] {
+    const tel::Registry& reg = tel::Registry::instance();
+    while (!done.load()) {
+      for (unsigned i = 0, n = reg.site_count(); i < n; ++i) {
+        EXPECT_EQ(reg.site(i).id(), i);
+        EXPECT_FALSE(reg.site(i).name().empty());
+      }
+      for (tel::Site* s : tel::Registry::instance().sites()) {
+        EXPECT_NE(s, nullptr);
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([t] {
+      for (int n = 0; n < 32; ++n) {
+        tel::Registry::instance().intern("test.publish." + std::to_string(t) +
+                                         "." + std::to_string(n));
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  done.store(true);
+  reader.join();
 }
 
 TEST(TelemetryRegistry, SimThreadsAccumulateIntoShards) {
@@ -280,6 +312,22 @@ TEST(TelemetryTrace, ChromeTraceGoldenFile) {
   EXPECT_GT(tx_events, 0u) << "no transaction events recorded";
   EXPECT_GT(abort_events, 0u) << "contended run recorded no aborts";
   std::remove(path);
+}
+
+TEST(TelemetryTrace, UnwritablePathWarnsOnce) {
+  const char* path = "/nonexistent/dir/pto_trace.json";
+  tel::trace_set_path(path);
+  const std::uint64_t before = pto::warn_count("trace.open");
+  ::testing::internal::CaptureStderr();
+  tel::trace_flush();
+  tel::trace_flush();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  tel::trace_set_path(nullptr);
+  EXPECT_EQ(pto::warn_count("trace.open"), before + 2);
+  const std::string line = std::string("cannot open PTO_TRACE=") + path;
+  const auto at = err.find(line);
+  EXPECT_NE(at, std::string::npos) << err;
+  EXPECT_EQ(err.find(line, at + 1), std::string::npos) << err;
 }
 
 }  // namespace

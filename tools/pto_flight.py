@@ -3,13 +3,15 @@
 
 The dump (format documented in src/obs/flight.h, written by flight_dump at
 process exit or on a fatal signal) holds the last N transaction events per
-thread: prefix attempts, commits, aborts (with decoded cause), and fallback
-acquisitions, each stamped with the raw TSC.
+ring: prefix attempts, commits, aborts (with decoded cause), and fallback
+acquisitions, each stamped with the raw TSC. A ring belongs to a telemetry
+slot, which one thread holds at a time, so a ring's records may span the
+slot's successive owners; the `thread` field and CSV column carry the slot.
 
-Default output: per-thread ring occupancy, per-site event counts with the
+Default output: per-slot ring occupancy, per-site event counts with the
 abort-cause breakdown, and a validation summary ("malformed records: K") —
 CI asserts K == 0. `--timeline N` additionally prints the last N events
-across all threads, merged by timestamp, with times relative to the newest
+across all rings, merged by timestamp, with times relative to the newest
 event.
 
 Usage:
@@ -58,7 +60,7 @@ class Reader:
 def parse(data):
     """Parse a dump into {tsc_hz, sites, rings}; raises Truncated/ValueError.
 
-    Each ring is {thread, total, records}; each record is a dict with a
+    Each ring is {thread (its slot), total, records}; each record has a
     `malformed` reason (None when clean). Malformed records are kept so the
     timeline still shows them, flagged.
     """
@@ -94,7 +96,7 @@ def parse(data):
                 bad = f"site id {site} out of range"
             elif event == 3 and arg not in CAUSE_NAMES:
                 bad = f"abort cause {arg} out of range"
-            # A backwards TSC within one thread is a hardware artifact
+            # A backwards TSC within one ring is a hardware artifact
             # (core migration on a non-invariant TSC), not a parse error:
             # note it but do not count it malformed.
             warp = tsc < prev_tsc
@@ -118,14 +120,14 @@ def site_name(dump, sid):
 def print_summary(dump):
     hz = dump["tsc_hz"]
     print(f"tsc: {hz} ticks/s ({hz / 1e9:.3f} GHz)")
-    print(f"sites: {len(dump['sites'])}, threads with rings: "
+    print(f"sites: {len(dump['sites'])}, slots with rings: "
           f"{len(dump['rings'])}")
     print()
-    print("per-thread rings:")
+    print("per-slot rings (a slot is held by one thread at a time):")
     for ring in dump["rings"]:
         kept = len(ring["records"])
         dropped = ring["total"] - kept
-        print(f"  thread {ring['thread']}: {ring['total']} recorded, "
+        print(f"  slot {ring['thread']}: {ring['total']} recorded, "
               f"{kept} kept, {dropped} overwritten")
     # site -> {event -> count}; abort causes broken out.
     per_site = {}
@@ -153,7 +155,7 @@ def window_records(dump, since_us=None, last=None):
     """Merge all rings by timestamp and trim to a window.
 
     `since_us` keeps only events within that many microseconds of the newest
-    event across all threads (inclusive at the boundary); `last` then keeps
+    event across all rings (inclusive at the boundary); `last` then keeps
     the newest N of those. Both default to "no trimming". Pure function of
     the parsed dump — unit-tested against a synthetic fixture.
     """
@@ -199,7 +201,7 @@ def print_timeline(dump, n):
         if rec["event"] == 3:
             detail = f" cause={CAUSE_NAMES.get(rec['arg'], rec['arg'])}"
         flag = f"  [MALFORMED: {rec['malformed']}]" if rec["malformed"] else ""
-        print(f"  -{dt_us:10.1f}us  t{thread}  "
+        print(f"  -{dt_us:10.1f}us  s{thread}  "
               f"{site_name(dump, rec['site'])}  {ev}{detail}{flag}")
 
 
@@ -208,7 +210,7 @@ def main():
     ap.add_argument("file", nargs="?", default="pto_flight.bin",
                     help="flight dump (default pto_flight.bin)")
     ap.add_argument("--timeline", type=int, metavar="N", default=0,
-                    help="also print the last N events across threads")
+                    help="also print the last N events across rings")
     ap.add_argument("--since", type=float, metavar="US", default=None,
                     help="restrict to events within US microseconds of the "
                          "newest event")
