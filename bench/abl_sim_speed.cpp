@@ -6,7 +6,7 @@
 // trials a sweep can explore.
 //
 // Output: a human table on stdout plus BENCH_sim.json (one JSON object with
-// one point per thread count), which seeds the repo's perf trajectory.
+// one point per thread count), which tools/speedgate.py sim reads.
 //
 //   PTO_SIM_SPEED_OPS     total benchmark ops across all virtual threads per
 //                         point (default 1'000'000)
@@ -106,8 +106,8 @@ int main() {
   const unsigned reps =
       static_cast<unsigned>(pto::env::u64("PTO_SIM_SPEED_REPS", 3, 1, ~0u));
   // 256 and 1024 exercise the multi-word ThreadSet path and the widened
-  // dispatcher; the shared-count prefix {1, 8, 32, 64} is what the perf gate
-  // compares against historical baselines.
+  // dispatcher. tools/speedgate.py sim compares every count against the
+  // merge-base's build and checks the tail past 64 for linear-in-N cost.
   const unsigned counts[] = {1, 8, 32, 64, 256, 1024};
 
   std::vector<Point> points;

@@ -18,8 +18,8 @@
 //
 // Output: figure table on stdout, svc_kv.csv, BENCH_svc.json (the host's
 // nproc, HTM backend and git sha, then one point per series x thread count;
-// tools/check_svc_speed.py gates CI on it), and schema-v2 BenchPoints on
-// PTO_STATS.
+// tools/speedgate.py svc gates CI on it against the merge-base's build), and
+// schema-v2 BenchPoints on PTO_STATS.
 #include <cstdint>
 #include <cstdio>
 #include <fstream>

@@ -7,8 +7,9 @@
 // Memory is reclaimed through epoch-based reclamation. A subtle interaction
 // (remove retires a node whose upper levels a lagging insert can still link —
 // "resurrection") is closed by the inserter's post-link check: if its node
-// became marked during linking, it runs one more find() inside its own epoch
-// guard to physically unlink every level before the node can be freed.
+// became marked during linking, it runs one more cleanup search (unlink())
+// inside its own epoch guard to physically unlink every level before the
+// node can be freed.
 //
 // Keys are int64; head/tail sentinels use the extreme values, so user keys
 // must lie strictly in (INT64_MIN, INT64_MAX).
@@ -261,7 +262,10 @@ class SkipList {
   /// Harris-style search: returns whether a node with `key` is present in
   /// the bottom list; fills preds/succs at every level; physically unlinks
   /// marked nodes encountered on the way. Caller holds an epoch guard.
-  bool find(ThreadCtx& ctx, std::int64_t key, Node** preds, Node** succs) {
+  /// With `past_equal`, the walk also steps over unmarked nodes whose key
+  /// equals `key` (see unlink()).
+  bool find(ThreadCtx& ctx, std::int64_t key, Node** preds, Node** succs,
+            bool past_equal = false) {
     (void)ctx;
   retry:
     Node* pred = head_;
@@ -277,7 +281,7 @@ class SkipList {
           curr = ptr(strip(sw));
           sw = curr->next[lvl].load();
         }
-        if (curr->key < key) {
+        if (curr->key < key || (past_equal && curr->key == key)) {
           pred = curr;
           curr = ptr(sw);
         } else {
@@ -288,6 +292,18 @@ class SkipList {
       succs[lvl] = curr;
     }
     return succs[0]->key == key;
+  }
+
+  /// Cleanup search for a marked node with `key`: physically unlink it at
+  /// every level before it is retired. An inserter whose search passed the
+  /// upper levels before the mark can link its new same-key node in front
+  /// of the marked one there (from stale preds/succs), and a plain find()
+  /// stops at that new node; walking past unmarked same-key nodes reaches
+  /// and snips the marked one behind it.
+  void unlink(ThreadCtx& ctx, std::int64_t key) {
+    Node* preds[kMaxLevel];
+    Node* succs[kMaxLevel];
+    find(ctx, key, preds, succs, true);
   }
 
   /// Lock-free insert; *node (allocated by caller or lazily here) is consumed
@@ -333,9 +349,7 @@ class SkipList {
       // Anti-resurrection pass: if a concurrent remove marked us while we
       // were linking upper levels, physically unlink everything now — inside
       // our guard, before the remover's retirement can mature.
-      if (is_marked(n->next[0].load())) {
-        find(ctx, key, preds, succs);
-      }
+      if (is_marked(n->next[0].load())) unlink(ctx, key);
       *node = nullptr;  // consumed
       return true;
     }
@@ -353,8 +367,6 @@ class SkipList {
   /// Mark `victim` top-down; the winner of the bottom-level mark unlinks and
   /// retires it. Returns whether this thread was the logical remover.
   bool remove_node(ThreadCtx& ctx, std::int64_t key, Node* victim) {
-    Node* preds[kMaxLevel];
-    Node* succs[kMaxLevel];
     for (int l = victim->toplevel - 1; l >= 1; --l) {
       std::uintptr_t sw = victim->next[l].load();
       while (!is_marked(sw)) {
@@ -365,7 +377,7 @@ class SkipList {
     for (;;) {
       if (is_marked(sw)) return false;  // someone else removed it
       if (victim->next[0].compare_exchange_strong(sw, mark(sw))) {
-        find(ctx, key, preds, succs);  // physical unlink of all levels
+        unlink(ctx, key);  // physical unlink of all levels
         ctx.epoch.retire(victim);
         return true;
       }

@@ -117,6 +117,7 @@ class EpochDomain {
    public:
     Handle(Handle&& o) noexcept
         : domain_(o.domain_), slot_(o.slot_), depth_(o.depth_),
+          scanned_epoch_(o.scanned_epoch_), limbo_visits_(o.limbo_visits_),
           limbo_(std::move(o.limbo_)) {
       o.domain_ = nullptr;
     }
@@ -172,6 +173,13 @@ class EpochDomain {
         std::uint64_t expect = g;
         if (d.global_epoch_.compare_exchange_strong(expect, g + 1)) g = g + 1;
       }
+      // Same-thread coherence gives every entry retired since the previous
+      // scan an epoch at least that scan's g, so an unchanged epoch frees
+      // nothing: skip the host-side scan. While a guard pins the epoch,
+      // retire then stays O(1) instead of rescanning the whole limbo list.
+      if (g == scanned_epoch_) return;
+      scanned_epoch_ = g;
+      limbo_visits_ += limbo_.size();
       std::size_t kept = 0;
       for (std::size_t i = 0; i < limbo_.size(); ++i) {
         if (limbo_[i].epoch + 2 <= g) {
@@ -189,6 +197,8 @@ class EpochDomain {
     }
 
     std::size_t limbo_size() const { return limbo_.size(); }
+    /// Limbo entries visited by reclaim scans so far (host-side work).
+    std::uint64_t limbo_visits() const { return limbo_visits_; }
     unsigned slot() const { return slot_; }
 
    private:
@@ -199,6 +209,8 @@ class EpochDomain {
     EpochDomain* domain_;
     unsigned slot_;
     int depth_ = 0;
+    std::uint64_t scanned_epoch_ = 0;  ///< global epoch the last scan used
+    std::uint64_t limbo_visits_ = 0;
     struct Retired {
       void* p;
       std::uint64_t epoch;

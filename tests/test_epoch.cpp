@@ -205,4 +205,25 @@ TEST(Epoch, NativePlatformBasics) {
   EXPECT_LT(h.limbo_size(), 200u);
 }
 
+TEST(Epoch, PinnedEpochRetireStaysLinear) {
+  // While a guard pins the epoch no retire can free anything, so the limbo
+  // list must not be rescanned on every retire: host work stays O(1)
+  // amortized per retire (the rescan made 2^16 retires visit ~2^31 entries).
+  using P = pto::NativePlatform;
+  constexpr std::uint64_t kRetires = std::uint64_t{1} << 16;
+  EpochDomain<P> dom;
+  auto h = dom.register_thread();
+  {
+    typename EpochDomain<P>::Guard g(h);
+    for (std::uint64_t i = 0; i < kRetires; ++i) {
+      h.retire(P::make<Atom<P, int>>());
+    }
+    EXPECT_EQ(h.limbo_size(), kRetires);
+  }
+  EXPECT_LE(h.limbo_visits(), 2 * kRetires);
+  dom.advance_epochs();
+  h.reclaim_some();
+  EXPECT_EQ(h.limbo_size(), 0u);
+}
+
 }  // namespace

@@ -392,23 +392,28 @@ TEST(ExploreFaults, WorkloadRngStreamUntouched) {
 // ---------------------------------------------------------------------------
 
 TEST(ExploreCheck, SkiplistCleanUnderAdversarialSchedules) {
-  auto run_skiplist = [](unsigned threads, int ops, const xp::Options& x) {
+  // Two inputs: a PTO mix over 32 keys, and an LF update-only run over a
+  // 2-key hot set, where a remover's cleanup search races same-key inserts.
+  auto run_skiplist = [](unsigned threads, int ops, unsigned keys, bool lf,
+                         const xp::Options& x) {
     pto::SkipList<SimPlatform> s;
     std::vector<typename pto::SkipList<SimPlatform>::ThreadCtx> ctxs;
     for (unsigned t = 0; t < threads; ++t) ctxs.push_back(s.make_ctx());
     sim::Config cfg;
     cfg.seed = 1;
     cfg.explore = x;
-    sim::run(threads, cfg, [&](unsigned tid) {
+    auto res = sim::run(threads, cfg, [&](unsigned tid) {
       for (int i = 0; i < ops; ++i) {
-        auto k = static_cast<std::int64_t>(sim::rnd() % 32);
+        auto k = static_cast<std::int64_t>(sim::rnd() % keys);
         if (i % 2 == 0) {
-          s.insert_pto(ctxs[tid], k);
+          lf ? s.insert_lf(ctxs[tid], k) : s.insert_pto(ctxs[tid], k);
         } else {
-          s.remove_pto(ctxs[tid], k);
+          lf ? s.remove_lf(ctxs[tid], k) : s.remove_pto(ctxs[tid], k);
         }
       }
     });
+    EXPECT_TRUE(s.check_invariants()) << tu::note_failure(x, "invariants");
+    EXPECT_EQ(res.uaf_count, 0u) << tu::note_failure(x, "use after free");
   };
   // When the process is already env-armed (PTO_CHECK=...), leave the checker
   // on and its findings intact afterwards so the atexit report still covers
@@ -419,7 +424,8 @@ TEST(ExploreCheck, SkiplistCleanUnderAdversarialSchedules) {
   for (const xp::Options& x :
        tu::sweep_policies(tu::test_seed(37), tu::explore_seeds(2), 0.02)) {
     PTO_TRACE_EXPLORE(x);
-    run_skiplist(4, 120, x);
+    run_skiplist(4, 120, 32, false, x);
+    run_skiplist(8, 200, 2, true, x);
   }
   auto found = pto::check::findings();
   if (!was_on) {

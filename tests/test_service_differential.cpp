@@ -1,5 +1,6 @@
 // Differential tests for the sharded KV service (src/service/shard.h), in
-// three tiers, parameterized over shards x threads x key skew x structure:
+// three tiers, parameterized over shards x threads x key skew x structure
+// (and, for the skiplist, PTO or lock-free ops):
 //
 //   1. Single-thread exact — one client replays a loadgen stream and every
 //      result must equal the STL set oracle's; final size and invariants
@@ -65,6 +66,7 @@ struct Config {
   svc::Dist dist;
   double theta;
   svc::Structure structure;
+  bool lf = false;  ///< skiplist only: the lock-free ops instead of PTO's
 };
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
@@ -75,7 +77,7 @@ std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   if (c.dist == svc::Dist::kZipf) {
     n += std::to_string(static_cast<int>(c.theta * 100));
   }
-  return n;
+  return c.lf ? n + "_lf" : n;
 }
 
 svc::WorkloadSpec spec_of(const Config& c, std::uint64_t keyspace,
@@ -221,7 +223,7 @@ void run_sampled_key_oracle(const Config& c, A adapter) {
 template <template <class> class Body>
 void dispatch(const Config& c) {
   if (c.structure == svc::Structure::kSkiplist) {
-    Body<svc::SkipAdapter<NativePlatform>>::run(c, {});
+    Body<svc::SkipAdapter<NativePlatform>>::run(c, {!c.lf});
   } else {
     Body<svc::HashAdapter<NativePlatform>>::run(c, {});
   }
@@ -261,6 +263,8 @@ INSTANTIATE_TEST_SUITE_P(
         Config{4, 4, svc::Dist::kZipf, 0.99, svc::Structure::kSkiplist},
         Config{4, 2, svc::Dist::kUniform, 0.0, svc::Structure::kSkiplist},
         Config{8, 4, svc::Dist::kHotset, 0.0, svc::Structure::kSkiplist},
+        Config{1, 4, svc::Dist::kZipf, 0.99, svc::Structure::kSkiplist, true},
+        Config{4, 4, svc::Dist::kZipf, 0.99, svc::Structure::kSkiplist, true},
         Config{4, 4, svc::Dist::kZipf, 0.99, svc::Structure::kHash},
         Config{4, 4, svc::Dist::kUniform, 0.0, svc::Structure::kHash}),
     config_name);

@@ -133,6 +133,57 @@ TEST(SkipList, NativePlatformSequential) {
   pto::testutil::sequential_model_check(a, Mode::kPto, 128, 2000, 3);
 }
 
+// White-box replay of an LF remove racing an LF insert of the same key, one
+// step at a time on one thread. The inserter's search passes level 1 before
+// the remover marks X, snips X at level 0, and links its new node Y at
+// levels 0-1 from those stale preds/succs, so Y->next[1] == X. The remover's
+// cleanup must still unlink X at every level before it retires X.
+struct StaleSameKeyLink : SkipList<pto::NativePlatform> {
+  using P = pto::NativePlatform;
+
+  bool reachable(Node* x) {
+    for (int l = 0; l < kMaxLevel; ++l) {
+      for (Node* n = ptr(head_->next[l].load()); n != tail_;
+           n = ptr(n->next[l].load())) {
+        if (n == x) return true;
+      }
+    }
+    return false;
+  }
+
+  void replay() {
+    ThreadCtx ctx = make_ctx();
+    typename pto::EpochDomain<P>::Guard g(ctx.epoch);
+    Node* x = alloc_node(6);
+    x->toplevel = 2;
+    Node* arg = x;
+    ASSERT_TRUE(insert_impl(ctx, 6, &arg));
+    Node* preds[kMaxLevel];
+    Node* succs[kMaxLevel];
+    ASSERT_TRUE(find(ctx, 6, preds, succs));  // the inserter's search
+    for (int l = 1; l >= 0; --l) x->next[l].store(mark(x->next[l].load()));
+    succs[0] = ptr(x->next[0].load());
+    preds[0]->next[0].store(word(succs[0]));  // it snips X at level 0
+    Node* y = alloc_node(6);
+    y->toplevel = 2;
+    for (int l = 0; l < 2; ++l) {
+      y->next[l].store(word(succs[l]));
+      preds[l]->next[l].store(word(y));
+    }
+    ASSERT_EQ(ptr(y->next[1].load()), x);
+    unlink(ctx, 6);  // the remover's cleanup
+    EXPECT_FALSE(reachable(x));
+    EXPECT_TRUE(check_invariants());
+    EXPECT_TRUE(contains(ctx, 6));
+    P::destroy<Node>(x);  // never retired in this replay
+  }
+};
+
+TEST(SkipList, CleanupUnlinksMarkedNodeBehindSameKeyNode) {
+  StaleSameKeyLink s;
+  s.replay();
+}
+
 // ---------------------------------------------------------------------------
 // SkipQueue (priority queue)
 // ---------------------------------------------------------------------------
