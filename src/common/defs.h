@@ -13,9 +13,9 @@ namespace pto {
 inline constexpr std::size_t kCacheLine = 64;
 
 /// Maximum number of threads (native) or virtual threads (simulator) that may
-/// concurrently use a single data-structure instance. The simulator's per-line
-/// conflict tracking uses fixed-capacity ThreadSet bitsets (common/threadset.h)
-/// of this many bits; the packed dispatcher keys reserve 10 bits for the tid.
+/// concurrently use a single data-structure instance. The simulator's thread
+/// sets (common/threadset.h, and the per-line sets in sim/runtime_internal.h)
+/// have this many bits; the packed dispatcher keys reserve 10 bits for the tid.
 inline constexpr unsigned kMaxThreads = 1024;
 
 /// 64-bit words in a kMaxThreads-wide ThreadSet.

@@ -1,9 +1,14 @@
-// Fixed-capacity set of thread ids, the successor of the simulator's single
-// uint64_t per-line bitmasks. Storage is always kThreadWords words; every
-// operation that must scan takes the *active* word count `nw` (derived from
-// the run's thread count), so a run with <= 64 threads executes exactly the
-// old single-word sequence — same loads, same branches — which is what keeps
-// simulated cycles byte-identical to the pre-ThreadSet simulator.
+// Fixed-capacity set of thread ids: kThreadWords words, one bit per tid.
+// Every operation that must scan takes the *active* word count `nw` (derived
+// from the run's thread count), so a run with <= 64 threads executes the old
+// single-uint64_t mask sequence — same loads, same branches.
+//
+// The simulator's run-wide sets (the scheduler's and explorer's runnable
+// mask) are ThreadSets. Its per-line sharer and tx-reader sets are not: they
+// are sim::internal::LineSet (sim/runtime_internal.h), which keeps word 0
+// inline in a 32-byte LineState and the other words in a block taken only
+// once a tid >= 64 joins. A LineSet must mean exactly what a ThreadSet means
+// at every word count, which tests/test_threadset.cpp checks op by op.
 //
 // Iteration order is ascending tid (per-word tzcnt, words low to high),
 // matching the old `ctzll / clear-lowest` loops bit for bit.

@@ -1,6 +1,7 @@
 // Arena allocator with line-aligned carving and quarantined frees.
 #include "sim/runtime_internal.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "telemetry/prof.h"
@@ -13,18 +14,24 @@ void* Arena::allocate(std::size_t bytes) {
   // Round to whole cache lines so distinct allocations never share a line
   // (keeps conflict detection per-object and makes freed-line tracking exact).
   bytes = (bytes + kCacheLine - 1) & ~(kCacheLine - 1);
-  if (left_ < bytes) {
-    std::size_t chunk = bytes > kChunk ? bytes + kCacheLine : kChunk;
-    chunks_.emplace_back(new char[chunk + kCacheLine]);
-    auto base = reinterpret_cast<std::uintptr_t>(chunks_.back().get());
-    auto aligned = (base + kCacheLine - 1) & ~(kCacheLine - 1);
-    cur_ = reinterpret_cast<char*>(aligned);
-    left_ = chunk;
-  }
+  if (left_ < bytes) next_chunk(bytes);
   void* p = cur_;
   cur_ += bytes;
   left_ -= bytes;
   return p;
+}
+
+void Arena::next_chunk(std::size_t bytes) {
+  while (next_ < chunks_.size() && chunks_[next_].bytes < bytes) ++next_;
+  if (next_ == chunks_.size()) {
+    const std::size_t size = std::max(bytes, kChunk);
+    chunks_.push_back({std::unique_ptr<char[]>(new char[size + kCacheLine]),
+                       size});
+  }
+  Chunk& c = chunks_[next_++];
+  auto base = reinterpret_cast<std::uintptr_t>(c.mem.get());
+  cur_ = reinterpret_cast<char*>((base + kCacheLine - 1) & ~(kCacheLine - 1));
+  left_ = c.bytes;
 }
 
 void* Runtime::do_alloc(std::size_t bytes) {
@@ -80,11 +87,11 @@ void Runtime::do_dealloc(void* p, std::size_t bytes) {
     if (L.tx_writer != kNobody && L.tx_writer != cur) {
       doom(L.tx_writer, TX_ABORT_CONFLICT, la);
     }
-    L.tx_readers.for_each_other(cur, nwords, [&](unsigned v) {
+    L.tx_readers().for_each_other(cur, nwords, [&](unsigned v) {
       doom(v, TX_ABORT_CONFLICT, la);
     });
     L.freed = true;
-    L.sharers.assign_single(cur, nwords);
+    L.sharers().assign_single(cur, nwords);
   }
   end_doom_batch();
   if (cfg.trap_use_after_free) std::memset(p, 0xDD, bytes);

@@ -13,8 +13,8 @@ namespace check = ::pto::check;
 
 void Runtime::release_tx_footprint(TxDesc& tx, unsigned tid) {
   // Tracked lines are held as direct LineState pointers (regions never move
-  // and are only reclaimed by reset_memory, which cannot run mid-tx).
-  for (LineState* l : tx.rlines) l->tx_readers.clear(tid);
+  // and are only recycled by reset_memory, which cannot run mid-tx).
+  for (LineState* l : tx.rlines) l->tx_readers().clear(tid);
   for (LineState* l : tx.wlines) {
     if (l->tx_writer == tid) l->tx_writer = kNobody;
   }

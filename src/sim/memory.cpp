@@ -15,7 +15,8 @@ namespace check = ::pto::check;
 
 // ---------------------------------------------------------------------------
 // LineTable cold paths. The hot lookup (runtime_internal.h) is a single
-// probe; these run only on first touch of a 256 KB region.
+// probe; these run only on first touch of a 256 KB region, and the first
+// time a tid >= 64 joins one of a line's sets.
 // ---------------------------------------------------------------------------
 
 void LineTable::init_table(std::size_t cap) {
@@ -25,17 +26,16 @@ void LineTable::init_table(std::size_t cap) {
   used_ = 0;
 }
 
-void LineTable::destroy() {
-  for (LineRegion* r : vals_) delete r;
-  vals_.clear();
-  keys_.clear();
-}
-
 LineRegion* LineTable::create_region(std::uintptr_t region) {
   if (used_ * 2 >= keys_.size()) grow();
-  // new LineRegion runs LineState's member initializers (tx_writer =
-  // kNobody), so a plain zeroed page would be wrong here.
-  auto* r = new LineRegion();
+  if (used_ == regions_.size()) {
+    regions_.push_back(std::make_unique<LineRegion>());
+  } else {
+    // A region a cleared run used: every line starts over.
+    LineState* lines = regions_[used_]->lines;
+    std::fill(lines, lines + kLinesPerRegion, LineState{});
+  }
+  LineRegion* r = regions_[used_].get();
   std::size_t i = probe_start(region);
   while (keys_[i] != kEmpty) i = (i + 1) & mask_;
   keys_[i] = region;
@@ -43,6 +43,19 @@ LineRegion* LineTable::create_region(std::uintptr_t region) {
   ++used_;
   return r;
 }
+
+HighWords* LineTable::take_high_words() {
+  const std::size_t chunk = high_used_ / kHighWordsPerChunk;
+  if (chunk == high_chunks_.size()) {
+    high_chunks_.push_back(std::make_unique<HighWords[]>(kHighWordsPerChunk));
+  }
+  HighWords* h = &high_chunks_[chunk][high_used_ % kHighWordsPerChunk];
+  ++high_used_;
+  std::fill(std::begin(h->w), std::end(h->w), 0);
+  return h;
+}
+
+HighWords* take_high_words() { return g_mem.lines.take_high_words(); }
 
 void LineTable::grow() {
   std::vector<std::uintptr_t> old_keys = std::move(keys_);
@@ -80,7 +93,7 @@ std::uintptr_t line_addr(const void* addr) {
 /// that victim's own bits, so later words are never perturbed mid-scan.
 void doom_other_readers(Runtime& rt, LineState& L, unsigned self,
                         std::uintptr_t la) {
-  L.tx_readers.for_each_other(self, rt.nwords, [&](unsigned v) {
+  L.tx_readers().for_each_other(self, rt.nwords, [&](unsigned v) {
     rt.doom(v, TX_ABORT_CONFLICT, la);
   });
 }
@@ -97,11 +110,11 @@ void doom_other_writer(Runtime& rt, LineState& L, unsigned self,
 /// (the HtmConfig limit, jittered down under HTM fault injection).
 void tx_track_read(Runtime& rt, LineState& L) {
   VThread& t = rt.me();
-  if (L.tx_readers.test(rt.cur)) return;
+  if (L.tx_readers().test(rt.cur)) return;
   if (t.tx.rlines.size() >= t.tx.rcap) {
     rt.self_abort(TX_ABORT_CAPACITY, TX_CODE_NONE);
   }
-  L.tx_readers.set(rt.cur);
+  L.tx_readers().set(rt.cur);
   t.tx.rlines.push_back(&L);
 }
 
@@ -125,9 +138,9 @@ std::uint64_t Runtime::do_load(const void* addr, unsigned size,
   if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
   std::uintptr_t la = line_addr(addr);
   std::uint64_t cost = cfg.cost.load_hit;
-  if (!L.sharers.test(cur)) {
+  if (!L.sharers().test(cur)) {
     cost += cfg.cost.coherence_miss;
-    L.sharers.set(cur);
+    L.sharers().set(cur);
     if (PTO_UNLIKELY(telemetry::trace_on())) {
       telemetry::trace_miss(cur, t.clock, la);
     }
@@ -160,13 +173,13 @@ void Runtime::do_store(void* addr, unsigned size, std::uint64_t val,
   if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
   std::uintptr_t la = line_addr(addr);
   std::uint64_t cost = cfg.cost.store_hit;
-  if (L.sharers.any_other(cur, nwords)) {
+  if (L.sharers().any_other(cur, nwords)) {
     cost += cfg.cost.coherence_miss;
     if (PTO_UNLIKELY(telemetry::trace_on())) {
       telemetry::trace_miss(cur, t.clock, la);
     }
   }
-  L.sharers.assign_single(cur, nwords);
+  L.sharers().assign_single(cur, nwords);
   if (t.tx.active) {
     tx_access_checks();
     begin_doom_batch();
@@ -223,13 +236,13 @@ bool Runtime::do_cas(void* addr, unsigned size, std::uint64_t& expected,
     if (PTO_UNLIKELY(prof::on())) {
       prof::on_cas_collapsed(cfg.cost.cas > cost ? cfg.cost.cas - cost : 0);
     }
-    if (!L.sharers.test(cur)) {
+    if (!L.sharers().test(cur)) {
       cost += cfg.cost.coherence_miss;
       if (PTO_UNLIKELY(telemetry::trace_on())) {
         telemetry::trace_miss(cur, t.clock, la);
       }
     }
-    L.sharers.set(cur);
+    L.sharers().set(cur);
   } else {
     // A CAS takes the line exclusive whether or not it succeeds.
     begin_doom_batch();
@@ -237,13 +250,13 @@ bool Runtime::do_cas(void* addr, unsigned size, std::uint64_t& expected,
     doom_other_readers(*this, L, cur, la);
     end_doom_batch();
     cost = cfg.cost.cas;
-    if (L.sharers.any_other(cur, nwords)) {
+    if (L.sharers().any_other(cur, nwords)) {
       cost += cfg.cost.coherence_miss;
       if (PTO_UNLIKELY(telemetry::trace_on())) {
         telemetry::trace_miss(cur, t.clock, la);
       }
     }
-    L.sharers.assign_single(cur, nwords);
+    L.sharers().assign_single(cur, nwords);
     std::uint64_t curv = raw_read(addr, size);
     ok = (curv == expected);
     if (ok) {
@@ -292,13 +305,13 @@ std::uint64_t Runtime::do_fetch_add(void* addr, unsigned size,
     end_doom_batch();
     cost = cfg.cost.cas;
   }
-  if (L.sharers.any_other(cur, nwords)) {
+  if (L.sharers().any_other(cur, nwords)) {
     cost += cfg.cost.coherence_miss;
     if (PTO_UNLIKELY(telemetry::trace_on())) {
       telemetry::trace_miss(cur, t.clock, la);
     }
   }
-  L.sharers.assign_single(cur, nwords);
+  L.sharers().assign_single(cur, nwords);
   std::uint64_t old = raw_read(addr, size);
   raw_write(addr, size, old + delta);
   ++t.stats.rmws;

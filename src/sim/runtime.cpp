@@ -23,7 +23,7 @@ GlobalMemory g_mem;
 
 Runtime::Runtime(unsigned nthreads, const Config& c)
     : cfg(c), xopts(explore::resolved(c.explore)), threads([&] {
-        // Per-line conflict tracking is a kMaxThreads-bit ThreadSet and the
+        // Per-line conflict tracking uses kMaxThreads-bit sets and the
         // dispatcher packs the tid into 10 key bits, so reject early with a
         // clear message rather than corrupting line state.
         if (nthreads == 0 || nthreads > kMaxThreads) {
@@ -249,7 +249,7 @@ void dealloc(void* p, std::size_t bytes) {
   for (auto la = first; la <= last; ++la) {
     LineState& L = g_mem.lines.line_by_index(la);
     L.freed = true;
-    L.sharers.reset(g_mem.line_words);
+    L.sharers().reset(g_mem.line_words);
   }
   std::memset(p, 0xDD, bytes);
 }

@@ -3,6 +3,7 @@
 // public API — include sim/sim.h instead.
 #pragma once
 
+#include <algorithm>
 #include <csetjmp>
 #include <cstdint>
 #include <memory>
@@ -28,12 +29,131 @@ inline constexpr std::size_t kFiberStackLarge = 128 * 1024;
 inline constexpr unsigned kFiberStackSmallCutoff = 64;
 std::size_t fiber_stack_bytes(unsigned nthreads);
 
-struct LineState {
-  ThreadSet sharers;       ///< threads with this line "cached"
-  ThreadSet tx_readers;    ///< txs with this line in their read set
-  unsigned tx_writer = kNobody;    ///< at most one tx writer (requester-wins)
-  bool freed = false;
+// ---------------------------------------------------------------------------
+// Per-line metadata. Each simulated line tracks two kMaxThreads-bit thread
+// sets (sharers and tx readers), but only word 0 of each is stored inline,
+// so a LineState is 32 bytes and a 4096-line region 128 KiB. Words
+// 1..kThreadWords-1 of both sets share one HighWords block, which the line
+// takes from its LineTable the first time a tid >= 64 joins either set: runs
+// of <= 64 threads never allocate one, and wide runs pay for it only on the
+// lines their high tids touch.
+// ---------------------------------------------------------------------------
+
+/// Words 1..kThreadWords-1 of a line's two sets: the sharers' word i is
+/// w[i], the tx readers' w[kThreadWords + i]. Slots 0 and kThreadWords are
+/// unused, which puts each set's words on two host cache lines of their own.
+struct alignas(kCacheLine) HighWords {
+  std::uint64_t w[2 * kThreadWords];
 };
+
+class LineSet;
+
+struct alignas(32) LineState {
+  std::uint64_t lo[2] = {0, 0};  ///< word 0 of sharers, of tx readers
+  HighWords* high = nullptr;     ///< their other words; null until needed
+  unsigned tx_writer = kNobody;  ///< at most one tx writer (requester-wins)
+  bool freed = false;
+
+  LineSet sharers();     ///< threads with this line "cached"
+  LineSet tx_readers();  ///< txs with this line in their read set
+};
+static_assert(sizeof(LineState) <= 32, "line metadata must stay compact");
+static_assert(sizeof(LineState) == alignof(LineState) &&
+                  kCacheLine % alignof(LineState) == 0,
+              "a LineState must never straddle a host cache line");
+
+/// A zeroed HighWords block from g_mem's line table (memory.cpp).
+HighWords* take_high_words();
+
+/// One of a line's two thread sets, as a view into its LineState. Every
+/// operation means what the same ThreadSet operation means at every word
+/// count `nw`, down to the visit order of for_each_other; words past 0 read
+/// as zero while the line has no HighWords block.
+class LineSet {
+ public:
+  LineSet(LineState& line, unsigned which) : l_(line), which_(which) {}
+
+  bool test(unsigned tid) const {
+    return (word(ThreadSet::word_of(tid)) & ThreadSet::bit_of(tid)) != 0;
+  }
+
+  void set(unsigned tid) {
+    const unsigned wi = ThreadSet::word_of(tid);
+    if (PTO_LIKELY(wi == 0)) {
+      l_.lo[which_] |= ThreadSet::bit_of(tid);
+      return;
+    }
+    if (l_.high == nullptr) l_.high = take_high_words();
+    hi(wi) |= ThreadSet::bit_of(tid);
+  }
+
+  void clear(unsigned tid) {
+    const unsigned wi = ThreadSet::word_of(tid);
+    if (PTO_LIKELY(wi == 0)) {
+      l_.lo[which_] &= ~ThreadSet::bit_of(tid);
+    } else if (l_.high != nullptr) {
+      hi(wi) &= ~ThreadSet::bit_of(tid);
+    }
+  }
+
+  /// Zero the first `nw` words.
+  void reset(unsigned nw) {
+    l_.lo[which_] = 0;
+    if (l_.high == nullptr) return;
+    for (unsigned i = 1; i < nw; ++i) hi(i) = 0;
+  }
+
+  /// The exclusive take: only `tid` remains set in the first `nw` words.
+  void assign_single(unsigned tid, unsigned nw) {
+    reset(nw);
+    set(tid);
+  }
+
+  /// Any member besides `self` in the first `nw` words (or in self's own)?
+  bool any_other(unsigned self, unsigned nw) const {
+    const unsigned wi = ThreadSet::word_of(self);
+    std::uint64_t acc = word(wi) & ~ThreadSet::bit_of(self);
+    if (wi != 0) acc |= l_.lo[which_];
+    if (l_.high != nullptr) {
+      for (unsigned i = 1; i < nw; ++i) {
+        if (i != wi) acc |= hi(i);
+      }
+    }
+    return acc != 0;
+  }
+
+  /// Visit every member of the first `nw` words except `self`, ascending.
+  /// Each word is read just before its members are visited, so a callback
+  /// that clears members (doom() releasing a victim's footprint) never
+  /// changes which members of the current word are visited.
+  template <class F>
+  void for_each_other(unsigned self, unsigned nw, F&& f) const {
+    const unsigned wi = ThreadSet::word_of(self);
+    for (unsigned i = 0; i < nw; ++i) {
+      std::uint64_t m = word(i);
+      if (i == wi) m &= ~ThreadSet::bit_of(self);
+      while (m != 0) {
+        f(i * 64 + static_cast<unsigned>(__builtin_ctzll(m)));
+        m &= m - 1;
+      }
+    }
+  }
+
+ private:
+  std::uint64_t word(unsigned i) const {
+    if (PTO_LIKELY(i == 0)) return l_.lo[which_];
+    return l_.high != nullptr ? hi(i) : 0;
+  }
+  std::uint64_t& hi(unsigned i) const {
+    return l_.high->w[which_ * kThreadWords + i];
+  }
+
+  LineState& l_;
+  unsigned which_;
+};
+
+inline LineSet LineState::sharers() { return LineSet(*this, 0); }
+inline LineSet LineState::tx_readers() { return LineSet(*this, 1); }
 
 struct UndoEntry {
   void* addr;
@@ -79,20 +199,30 @@ struct VThread {
 
 inline constexpr unsigned kTcacheRefill = 64;
 
-/// Simple bump arena; never reuses memory within a run, so freed lines stay
-/// poisoned and use-after-free is detectable.
+/// Bump arena of line-aligned chunks. It never reuses memory within a run,
+/// so freed lines stay poisoned and use-after-free is detectable. reset()
+/// keeps the chunks and carves them again from the first, so a process that
+/// replays many runs holds its peak arena instead of allocating it anew.
 class Arena {
  public:
   void* allocate(std::size_t bytes);
   void reset() {
-    chunks_.clear();
+    next_ = 0;
     cur_ = nullptr;
     left_ = 0;
   }
 
  private:
+  struct Chunk {
+    std::unique_ptr<char[]> mem;
+    std::size_t bytes;  ///< usable bytes past the line-aligned start
+  };
+  /// Make the next kept chunk that fits `bytes` current, or a new one.
+  void next_chunk(std::size_t bytes);
+
   static constexpr std::size_t kChunk = 4u << 20;
-  std::vector<std::unique_ptr<char[]>> chunks_;
+  std::vector<Chunk> chunks_;
+  std::size_t next_ = 0;  ///< chunks_[next_] is the next one to carve
   char* cur_ = nullptr;
   std::size_t left_ = 0;
 };
@@ -104,7 +234,9 @@ class Arena {
 // expected probe), each region backed by a flat dense LineState[4096] indexed
 // by line offset. Arena traffic — the bulk of all accesses — lands in a
 // handful of regions; stack and global addresses get regions lazily through
-// the same probe path.
+// the same probe path. clear() (reset_memory) forgets every line but keeps
+// the regions and HighWords blocks, and hands them out again, re-initialized,
+// to the lines of later runs.
 // ---------------------------------------------------------------------------
 
 inline constexpr unsigned kRegionShift = 18;  ///< 256 KB regions
@@ -118,7 +250,6 @@ struct LineRegion {
 class LineTable {
  public:
   LineTable() { init_table(64); }
-  ~LineTable() { destroy(); }
   LineTable(const LineTable&) = delete;
   LineTable& operator=(const LineTable&) = delete;
 
@@ -134,14 +265,21 @@ class LineTable {
         ->lines[la & (kLinesPerRegion - 1)];
   }
 
-  /// Drop all regions and metadata (reset_memory).
+  /// Forget every line (reset_memory); the storage stays for reuse.
   void clear() {
-    destroy();
-    init_table(64);
+    std::fill(keys_.begin(), keys_.end(), kEmpty);
+    used_ = 0;
+    high_used_ = 0;
   }
+
+  /// A zeroed HighWords block (memory.cpp).
+  HighWords* take_high_words();
+  /// HighWords blocks handed out since the last clear().
+  std::size_t high_words_used() const { return high_used_; }
 
  private:
   static constexpr std::uintptr_t kEmpty = ~std::uintptr_t{0};
+  static constexpr std::size_t kHighWordsPerChunk = 256;  // 64 KiB
 
   LineRegion* region_for(std::uintptr_t region) {
     std::size_t i = probe_start(region);
@@ -160,22 +298,26 @@ class LineTable {
   LineRegion* create_region(std::uintptr_t region);
   void grow();
   void init_table(std::size_t cap);
-  void destroy();
 
   std::vector<std::uintptr_t> keys_;
   std::vector<LineRegion*> vals_;
   std::size_t mask_ = 0;
+  /// Keys in the table. Regions are handed out in order, so regions_[used_]
+  /// is the next one to reuse.
   std::size_t used_ = 0;
+  std::vector<std::unique_ptr<LineRegion>> regions_;
+  std::vector<std::unique_ptr<HighWords[]>> high_chunks_;
+  std::size_t high_used_ = 0;
 };
 
 /// Process-global memory state. Global (not per-run) so that benchmark
 /// fixtures built outside sim::run() — or across a setup run and a measure
-/// run — stay valid; sim::reset_memory() reclaims everything between
-/// measurement points.
+/// run — stay valid; sim::reset_memory() forgets everything between
+/// measurement points and keeps the storage for the runs after it.
 struct GlobalMemory {
   LineTable lines;
   Arena arena;
-  /// Active ThreadSet word count: the monotonic max of (nthreads+63)/64 over
+  /// Active line-set word count: the monotonic max of (nthreads+63)/64 over
   /// every run since the last reset_memory(). Lines persist across runs, so
   /// a run after a wide run must keep scanning the high words its
   /// predecessor may have populated; reset_memory() drops it back to 1.
@@ -194,12 +336,12 @@ extern GlobalMemory g_mem;
 class Runtime {
  public:
   /// Throws std::invalid_argument for nthreads outside [1, kMaxThreads]:
-  /// per-line conflict tracking is a kMaxThreads-bit ThreadSet and the
-  /// packed dispatcher key reserves 10 bits for the tid.
+  /// per-line conflict tracking uses kMaxThreads-bit sets and the packed
+  /// dispatcher key reserves 10 bits for the tid.
   Runtime(unsigned nthreads, const Config& cfg);
 
   Config cfg;
-  /// ThreadSet words every per-line scan covers this run (g_mem.line_words
+  /// Set words every per-line scan covers this run (g_mem.line_words
   /// at construction: wide enough for this run *and* for any stale bits a
   /// wider earlier run may have left on persisting lines). 1 for <= 64
   /// threads, which keeps every mask operation the old single-word sequence.

@@ -172,9 +172,10 @@ unsigned char last_user_code();
 void* alloc(std::size_t bytes);
 void dealloc(void* p, std::size_t bytes);
 
-/// Free the process-global arena and line table (invalid while a simulation
-/// is running). Call between benchmark points; everything allocated through
-/// sim::alloc so far becomes invalid.
+/// Forget the process-global arena and line table (invalid while a
+/// simulation is running). Call between benchmark points; everything
+/// allocated through sim::alloc so far becomes invalid. The storage is kept
+/// and handed out again, with fresh line metadata, to the runs after it.
 void reset_memory();
 
 /// Total use-after-free accesses detected since process start / last run.

@@ -284,9 +284,9 @@ std::string iso8601_now() {
   const auto ms = static_cast<int>(
       duration_cast<milliseconds>(now.time_since_epoch()).count() % 1000);
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec, ms);
+  const std::size_t n =
+      std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%S", &tm);
+  std::snprintf(buf + n, sizeof buf - n, ".%03dZ", ms);
   return buf;
 }
 

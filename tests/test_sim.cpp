@@ -381,6 +381,109 @@ TEST(Sim, DeterministicScheduleAtWideThreadCounts) {
   }
 }
 
+TEST(Sim, NarrowRunAfterWideRunKeepsHighWords) {
+  // Lines persist across runs until reset_memory(), and so does the widest
+  // word count since then: a 1-vthread store after a 128-vthread run must
+  // still see the sharer in word 1 that the wide run left on the line.
+  sim::reset_memory();
+  sim::Config cfg;
+  pto::CacheAligned<Atom<SimPlatform, std::uint64_t>> x;
+  x.value.init(0);
+  sim::run(128, cfg, [&](unsigned tid) {
+    if (tid == 100) (void)x.value.load(std::memory_order_relaxed);
+  });
+  auto store_cost = [&] {
+    std::uint64_t cost = 0;
+    sim::run(1, cfg, [&](unsigned) {
+      const std::uint64_t before = sim::now();
+      x.value.store(1, std::memory_order_relaxed);
+      cost = sim::now() - before;
+    });
+    return cost;
+  };
+  EXPECT_EQ(store_cost(), cfg.cost.store_hit + cfg.cost.coherence_miss);
+  sim::reset_memory();
+  EXPECT_EQ(store_cost(), cfg.cost.store_hit);
+}
+
+TEST(Sim, ResetMemoryReusesStorageWithFreshLines) {
+  // reset_memory() keeps the arena and the line metadata for reuse: the
+  // next run gets the same address back, but on a line with no sharers and
+  // no freed mark, in the inline word (tid 0) and in the high words (tid 64).
+  using Cell = Atom<SimPlatform, std::uint64_t>;
+  sim::Config cfg;
+  for (unsigned tid : {0u, 64u}) {
+    const unsigned n = tid + 1;
+    sim::reset_memory();
+    void* first = nullptr;
+    sim::run(n, cfg, [&](unsigned me) {
+      if (me != tid) return;
+      Cell* c = SimPlatform::make<Cell>();
+      c->store(1, std::memory_order_relaxed);
+      first = c;
+      SimPlatform::destroy(c);
+    });
+    sim::reset_memory();
+    std::uint64_t load_cost = 0, store_cost = 0;
+    void* again = nullptr;
+    auto res = sim::run(n, cfg, [&](unsigned me) {
+      if (me != 0) return;
+      Cell* c = SimPlatform::make<Cell>();
+      again = c;
+      std::uint64_t before = sim::now();
+      (void)c->load(std::memory_order_relaxed);
+      load_cost = sim::now() - before;
+      before = sim::now();
+      c->store(2, std::memory_order_relaxed);
+      store_cost = sim::now() - before;
+      SimPlatform::destroy(c);
+    });
+    EXPECT_EQ(again, first) << "tid " << tid;
+    EXPECT_EQ(res.uaf_count, 0u) << "tid " << tid;
+    // A stale sharer would turn the load into a hit (tid 0 freed the line)
+    // or the store into a miss (tid 64 freed it).
+    EXPECT_EQ(load_cost, cfg.cost.load_hit + cfg.cost.coherence_miss)
+        << "tid " << tid;
+    EXPECT_EQ(store_cost, cfg.cost.store_hit) << "tid " << tid;
+  }
+}
+
+TEST(Sim, NarrowRunsTakeNoHighWords) {
+  // Word 0 of a line's sets is inline; a HighWords block is taken only when
+  // a tid >= 64 first joins one of them.
+  namespace si = pto::sim::internal;
+  sim::reset_memory();
+  Atom<SimPlatform, std::uint64_t> x;
+  x.init(0);
+  auto body = [&](unsigned) {
+    for (int i = 0; i < 4; ++i) {
+      pto::prefix<SimPlatform>(
+          1, [&] { return x.load(std::memory_order_relaxed); },
+          [&] { return x.load(); });
+      x.fetch_add(1);
+    }
+  };
+  sim::run(64, {}, body);
+  EXPECT_EQ(si::g_mem.lines.high_words_used(), 0u);
+  sim::run(65, {}, body);
+  EXPECT_GT(si::g_mem.lines.high_words_used(), 0u);
+  sim::reset_memory();
+  EXPECT_EQ(si::g_mem.lines.high_words_used(), 0u);
+}
+
+TEST(Sim, LineStatesNeverStraddleAHostLine) {
+  namespace si = pto::sim::internal;
+  static_assert(sizeof(si::LineState) <= 32);
+  sim::reset_memory();
+  std::vector<char> buf(4 * pto::kCacheLine);
+  for (std::size_t off = 0; off < buf.size(); off += pto::kCacheLine) {
+    auto a = reinterpret_cast<std::uintptr_t>(&si::g_mem.line_of(&buf[off]));
+    EXPECT_EQ(a / pto::kCacheLine,
+              (a + sizeof(si::LineState) - 1) / pto::kCacheLine);
+  }
+  sim::reset_memory();
+}
+
 TEST(Sim, NoDispatchWhileCurrentThreadIsMinimum) {
   // Thread 0 does cheap private stores; thread 1 finishes immediately. After
   // thread 1 is gone, thread 0 is the clock minimum at every charge() and

@@ -293,7 +293,9 @@ TEST(TelemetryTrace, ChromeTraceGoldenFile) {
     // Every event needs pid/tid; non-metadata events also need a timestamp.
     EXPECT_NE(e.find("pid"), nullptr);
     EXPECT_NE(e.find("tid"), nullptr);
-    if (ph->str() != "M") EXPECT_NE(e.find("ts"), nullptr);
+    if (ph->str() != "M") {
+      EXPECT_NE(e.find("ts"), nullptr);
+    }
     if (ph->str() == "X") {
       ++tx_events;
       EXPECT_NE(e.find("dur"), nullptr);

@@ -1,12 +1,16 @@
 // ThreadSet unit tests: word-boundary behavior, iteration order, and
 // equivalence with the single-uint64_t bitmask semantics the simulator used
-// before the 1024-thread scale-out (the "oracle" tests).
+// before the 1024-thread scale-out (the "oracle" tests). The simulator's
+// compact per-line sets (sim::internal::LineSet) are checked against
+// ThreadSet itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "common/threadset.h"
+#include "sim/runtime_internal.h"
+#include "sim/sim.h"
 
 using pto::ThreadSet;
 using pto::kMaxThreads;
@@ -178,4 +182,70 @@ TEST(ThreadSet, SingleWordMatchesUint64Oracle) {
       ASSERT_EQ(s.first(1), static_cast<unsigned>(__builtin_ctzll(oracle)));
     }
   }
+}
+
+// Oracle test for the simulator's per-line sets: a LineState's sharer and
+// tx-reader views must agree with two ThreadSets through one random op
+// sequence, at the word counts of a 64-, a 128- and a 1024-vthread run, for
+// every tid (ThreadSet also reads and writes a tid past the word count in
+// place, so LineSet must too). Both views share one HighWords block.
+TEST(LineSet, MatchesThreadSetOracleAtEveryWidth) {
+  namespace si = pto::sim::internal;
+  for (unsigned nw : {1u, 2u, kThreadWords}) {
+    pto::sim::reset_memory();
+    si::LineState line;
+    ThreadSet oracle[2];
+    std::uint64_t rng = 0x9E3779B97F4A7C15ull * (nw + 1);
+    auto next = [&rng]() {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return rng;
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const unsigned which = static_cast<unsigned>(next() & 1);
+      si::LineSet s = which == 0 ? line.sharers() : line.tx_readers();
+      ThreadSet& o = oracle[which];
+      // Mostly tids inside the word count, sometimes any tid at all.
+      const unsigned span = next() % 4 == 0 ? kMaxThreads : nw * 64;
+      const unsigned tid = static_cast<unsigned>(next() % span);
+      switch (next() % 6) {
+        case 0:
+        case 1:
+          o.set(tid);
+          s.set(tid);
+          break;
+        case 2:
+          o.clear(tid);
+          s.clear(tid);
+          break;
+        case 3:
+          o.reset(nw);
+          s.reset(nw);
+          break;
+        case 4:
+          o.assign_single(tid, nw);
+          s.assign_single(tid, nw);
+          break;
+        case 5: {
+          std::vector<unsigned> expect, got;
+          o.for_each_other(tid, nw, [&](unsigned t) { expect.push_back(t); });
+          s.for_each_other(tid, nw, [&](unsigned t) { got.push_back(t); });
+          ASSERT_EQ(got, expect) << "nw " << nw << " step " << step;
+          break;
+        }
+      }
+      ASSERT_EQ(s.test(tid), o.test(tid)) << "nw " << nw << " step " << step;
+      ASSERT_EQ(s.any_other(tid, nw), o.any_other(tid, nw))
+          << "nw " << nw << " step " << step;
+      if (step % 64 == 0) {
+        for (unsigned t = 0; t < kMaxThreads; ++t) {
+          ASSERT_EQ(line.sharers().test(t), oracle[0].test(t)) << t;
+          ASSERT_EQ(line.tx_readers().test(t), oracle[1].test(t)) << t;
+        }
+      }
+    }
+    EXPECT_EQ(pto::sim::internal::g_mem.lines.high_words_used(), 1u) << nw;
+  }
+  pto::sim::reset_memory();
 }
