@@ -58,26 +58,24 @@ Backend probe_backend() {
   return Backend::kSoft;
 }
 
-}  // namespace detail
+constinit BackendWord g_backend;
 
-Backend backend() {
-  static const Backend b = detail::probe_backend();
+Backend publish_backend() {
+  // A function-local static: racing first callers wait for the one probe.
+  static const Backend b = [] {
+    const Backend p = probe_backend();
+    g_backend.value.store(static_cast<std::uint8_t>(p),
+                          std::memory_order_release);
+    return p;
+  }();
   return b;
 }
 
-namespace detail {
 telemetry::Site* native_site() {
   static telemetry::Site* const s = telemetry::Registry::instance().intern(
       backend() == Backend::kRTM ? "htm.rtm" : "htm.soft");
   return s;
 }
 }  // namespace detail
-
-unsigned char last_user_code() {
-#if defined(PTO_HAVE_RTM)
-  if (backend() == Backend::kRTM) return detail::tls_rtm_user_code;
-#endif
-  return softhtm::last_user_code();
-}
 
 }  // namespace pto::htm

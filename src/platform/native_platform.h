@@ -1,10 +1,12 @@
 // NativePlatform: Platform implementation for real threads, backed by
 // std::atomic plus the native HTM facade (RTM when available, SoftHTM
-// otherwise). Under SoftHTM every access is routed through the strongly-
-// atomic accessors (see htm/softhtm.h): transactional accesses go to the
-// redo log, and non-transactional ones take or seqlock-read only the
-// versioned lock of their own cache line's stripe. Under RTM accesses
-// compile to plain std::atomic operations.
+// otherwise). Every access reads the facade's backend word (htm/htm.h) and
+// branches once on it; nothing is called to find the backend. Under SoftHTM
+// the access is routed through the strongly-atomic accessors (see
+// htm/softhtm.h): transactional accesses go to the redo log, and
+// non-transactional ones take or seqlock-read only the versioned lock of
+// their own cache line's stripe. Under RTM accesses compile to plain
+// std::atomic operations.
 #pragma once
 
 #include <atomic>
@@ -23,13 +25,17 @@
 namespace pto {
 
 struct NativePlatform {
-  static bool soft_backend() { return htm::backend() == htm::Backend::kSoft; }
+  /// One load and one branch: the word is published before any access (see
+  /// the constructors below), so "not RTM" means SoftHTM here.
+  static bool soft_backend() { return !htm::detail::rtm(); }
 
   template <class T>
   class atomic {
    public:
-    atomic() : a_{} {}
-    explicit atomic(T v) : a_(v) {}
+    // Construction publishes the backend word. Every access to this atomic
+    // happens after its construction, so it reads the published word.
+    atomic() : a_{} { (void)htm::backend(); }
+    explicit atomic(T v) : a_(v) { (void)htm::backend(); }
     atomic(const atomic&) = delete;
     atomic& operator=(const atomic&) = delete;
 

@@ -64,8 +64,9 @@ unsigned Runtime::allowed_cpus() {
 }
 
 Runtime::Runtime(RuntimeOptions opts) : opts_(opts) {
-  // Resolve the HTM backend before any worker can race the probe
-  // (htm.h requires selection before concurrent transactions).
+  // Probe the HTM backend here, so the probe's cost (an environment read
+  // and, on a TSX CPU, up to 16 probe transactions) lands outside the
+  // sections run() measures. Racing first calls would be safe (htm.h).
   (void)htm::backend();
   workers_.reserve(opts_.threads);
   for (unsigned t = 0; t < opts_.threads; ++t) {

@@ -1,9 +1,40 @@
 #include "sim/fiber.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace pto::sim {
+
+namespace {
+
+constexpr std::uint64_t kRedZoneWord = 0xFDFDFDFDFDFDFDFDull;
+
+/// The red zone sits below the stack, outside what the context switch is
+/// given, and carries kRedZoneWord in every word.
+std::unique_ptr<char[]> make_stack(std::size_t stack_bytes) {
+  std::unique_ptr<char[]> mem(new char[kRedZone + stack_bytes]);
+  std::memset(mem.get(), 0xFD, kRedZone);
+  return mem;
+}
+
+}  // namespace
+
+void Fiber::check_red_zone(unsigned tid) const {
+  const char* p = mem_.get();
+  for (std::size_t i = 0; i < kRedZone; i += sizeof(std::uint64_t)) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, sizeof w);
+    if (w != kRedZoneWord) {
+      std::fprintf(stderr,
+                   "[pto] fatal: vthread %u overflowed its %zu KiB fiber "
+                   "stack; raise PTO_SIM_STACK_KB\n",
+                   tid, stack_bytes_ / 1024);
+      std::abort();
+    }
+  }
+}
 
 #if PTO_FAST_FIBER
 
@@ -57,14 +88,14 @@ void Fiber::entry(void* self) {
 }
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> fn)
-    : stack_(new char[stack_bytes]), stack_bytes_(stack_bytes),
+    : mem_(make_stack(stack_bytes)), stack_bytes_(stack_bytes),
       fn_(std::move(fn)) {
   // Fabricate the frame pto_ctx_switch restores from. Memory layout, from
   // sp upward: [mxcsr:4][fcw:2][pad:2] r15 r14 r13 r12 rbx rbp [ret addr].
   // The restore sequence pops six registers and `ret`s into pto_ctx_entry
   // with rsp = sp+64; the ABI wants rsp ≡ 8 (mod 16) at function entry, so
   // sp ≡ 8 (mod 16), placed 56 bytes below the aligned stack top.
-  auto top = (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes) &
+  auto top = (reinterpret_cast<std::uintptr_t>(stack()) + stack_bytes) &
              ~std::uintptr_t{15};
   auto sp = top - 120;  // ≡ 8 (mod 16); entry runs with rsp = top-56
   auto* words = reinterpret_cast<std::uint64_t*>(sp);
@@ -95,10 +126,10 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
 }
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> fn)
-    : stack_(new char[stack_bytes]), stack_bytes_(stack_bytes),
+    : mem_(make_stack(stack_bytes)), stack_bytes_(stack_bytes),
       fn_(std::move(fn)) {
   if (getcontext(&ctx_.uc) != 0) std::abort();
-  ctx_.uc.uc_stack.ss_sp = stack_.get();
+  ctx_.uc.uc_stack.ss_sp = stack();
   ctx_.uc.uc_stack.ss_size = stack_bytes;
   ctx_.uc.uc_link = nullptr;
   auto ptr = reinterpret_cast<std::uintptr_t>(this);

@@ -64,6 +64,11 @@ inline void ctx_switch(ExecContext& save, ExecContext& resume) {
 
 #endif
 
+/// Patterned bytes allocated below every fiber stack, beyond its requested
+/// size. A stack that grows past its bottom damages the pattern; the
+/// simulator checks it when the fiber finishes and before freeing it.
+inline constexpr std::size_t kRedZone = 4096;
+
 class Fiber {
  public:
   /// Creates a fiber that will execute `fn` when first switched to. `fn` must
@@ -84,9 +89,13 @@ class Fiber {
   /// No-op outside ASan builds.
   void unpoison_stack() {
 #if PTO_ASAN_FIBERS
-    __asan_unpoison_memory_region(stack_.get(), stack_bytes_);
+    __asan_unpoison_memory_region(mem_.get(), kRedZone + stack_bytes_);
 #endif
   }
+
+  /// Aborts with a message naming vthread `tid` when this fiber's stack has
+  /// overflowed into its red zone.
+  void check_red_zone(unsigned tid) const;
 
  private:
 #if PTO_FAST_FIBER
@@ -95,8 +104,10 @@ class Fiber {
   static void trampoline(unsigned hi, unsigned lo);
 #endif
 
+  char* stack() const { return mem_.get() + kRedZone; }
+
   ExecContext ctx_{};
-  std::unique_ptr<char[]> stack_;
+  std::unique_ptr<char[]> mem_;  ///< kRedZone red-zone bytes, then the stack
   std::size_t stack_bytes_ = 0;
   std::function<void()> fn_;
 };

@@ -61,7 +61,8 @@ Runtime::Runtime(unsigned nthreads, const Config& c)
 
 std::size_t fiber_stack_bytes(unsigned nthreads) {
   const std::size_t dflt =
-      nthreads <= kFiberStackSmallCutoff ? kFiberStack : kFiberStackLarge;
+      (nthreads <= kFiberStackSmallCutoff ? kFiberStack : kFiberStackLarge) -
+      kRedZone;
   return env::u64("PTO_SIM_STACK_KB", dflt / 1024, 16, std::uint64_t{1} << 30) *
          1024;
 }
@@ -132,6 +133,9 @@ RunResult run(unsigned nthreads, const Config& cfg,
         });
   }
   rt.run_all();
+  for (unsigned i = 0; i < nthreads; ++i) {
+    rt.threads[i].fiber->check_red_zone(i);  // before ~Runtime frees it
+  }
   if (PTO_UNLIKELY(check::on())) check::on_run_end();
   if (PTO_UNLIKELY(metrics::armed())) {
     std::uint64_t final_vt = 0;

@@ -20,10 +20,13 @@
 namespace pto::sim::internal {
 
 inline constexpr unsigned kNobody = 0xFFFFFFFFu;
-/// Fiber stack size. Runs of <= kFiberStackSmallCutoff threads get the
-/// roomy classic stacks; larger fleets drop to kFiberStackLarge so a
-/// 1024-vthread run costs ~128 MB of stacks, not 512 MB. Overridable with
-/// PTO_SIM_STACK_KB (runtime.cpp).
+/// Host bytes per fiber: the stack and the red zone below it (sim/fiber.h).
+/// Runs of <= kFiberStackSmallCutoff threads get the roomy classic stacks;
+/// larger fleets drop to kFiberStackLarge so a 1024-vthread run costs
+/// ~128 MB of stacks, not 512 MB. The red zone comes out of these round
+/// sizes: a larger block changes how the host heap reuses freed stacks
+/// (sim-kv-twin's peak RSS went from a steady 51.8 MB to anywhere in
+/// 47-57 MB). PTO_SIM_STACK_KB (runtime.cpp) sets the stack alone.
 inline constexpr std::size_t kFiberStack = 512 * 1024;
 inline constexpr std::size_t kFiberStackLarge = 128 * 1024;
 inline constexpr unsigned kFiberStackSmallCutoff = 64;

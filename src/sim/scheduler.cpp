@@ -132,6 +132,7 @@ void Runtime::yield_to_next() {
 
 void Runtime::on_fiber_done() {
   VThread& t = threads[cur];
+  t.fiber->check_red_zone(cur);
   t.done = true;
   if (PTO_UNLIKELY(explorer != nullptr)) {
     runnable_.clear(cur);

@@ -3,6 +3,8 @@
 // nesting), allocator quarantine and use-after-free detection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "core/prefix.h"
@@ -17,6 +19,36 @@ namespace {
 using pto::Atom;
 using pto::SimPlatform;
 namespace sim = pto::sim;
+
+/// Recurses until its frame lies at or below `until`, writing every frame
+/// on the way down; returns the deepest frame address.
+PTO_NOINLINE std::uintptr_t dig(std::uintptr_t until) {
+  volatile char pad[256];
+  for (auto& c : pad) c = 0;
+  const auto here =
+      reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+  if (here <= until) return here;
+  return dig(until) + static_cast<std::uintptr_t>(pad[0]);  // no tail call
+}
+
+// A fiber stack overflow that stays inside the red zone must stop the run
+// with a message that names the vthread, not corrupt the heap.
+TEST(SimDeathTest, FiberStackOverflowNamesTheVthread) {
+  EXPECT_DEATH(
+      {
+        setenv("PTO_SIM_STACK_KB", "16", 1);
+        sim::run(2, {}, [](unsigned tid) {
+          if (tid != 1) return;
+          // The stack's bottom lies less than 16 KiB below this frame, so
+          // digging 17 KiB down overflows it by more than 1 KiB and, with
+          // the frames above this one, by less than the 4 KiB red zone.
+          const auto start =
+              reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+          (void)dig(start - 17 * 1024);
+        });
+      },
+      "vthread 1 overflowed its 16 KiB fiber stack; raise PTO_SIM_STACK_KB");
+}
 
 TEST(Sim, ClockAdvancesPerAccess) {
   sim::Config cfg;

@@ -465,10 +465,22 @@ TEST(Htm, BackendProbeIsSticky) {
 TEST(Htm, InTxReflectsState) {
   EXPECT_FALSE(NativePlatform::in_tx());
   bool was_in_tx = false;
-  pto::prefix<NativePlatform>(
-      4, [&] { was_in_tx = NativePlatform::in_tx(); }, [&] {});
+  const int path = pto::prefix<NativePlatform>(
+      4,
+      [&] {
+        was_in_tx = NativePlatform::in_tx();
+        return 1;
+      },
+      [&] { return 0; });
   EXPECT_FALSE(NativePlatform::in_tx());
-  (void)was_in_tx;  // rolled back under RTM on abort; only meaningful if committed
+  // One thread alone never conflicts, so SoftHTM commits; RTM may abort
+  // (and roll back was_in_tx) for reasons of its own.
+  if (pto::htm::backend() == pto::htm::Backend::kSoft) {
+    EXPECT_EQ(path, 1);
+  }
+  if (path == 1) {
+    EXPECT_TRUE(was_in_tx);
+  }
 }
 
 }  // namespace
