@@ -11,11 +11,20 @@
 // inside its own epoch guard to physically unlink every level before the
 // node can be freed.
 //
+// Each node is allocated at the size of its own tower: a 16-byte header
+// (key, toplevel) followed by exactly `toplevel` links (alloc_node/free_node
+// over P::alloc_bytes/P::free_bytes); only head and tail carry all
+// kMaxLevel. No path reads a link at or above a node's toplevel: a node is
+// only ever reached at level l through a level-l link, so its tower is
+// taller than l.
+//
 // Keys are int64; head/tail sentinels use the extreme values, so user keys
 // must lie strictly in (INT64_MIN, INT64_MAX).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <optional>
 
 #include "core/prefix.h"
@@ -31,10 +40,14 @@ class SkipList {
   static constexpr int kMaxLevel = 16;
   static constexpr PrefixPolicy kDefaultPolicy{4};
 
+  /// Header plus a tower of `toplevel` links, all zero (see alloc_node).
   struct Node {
+    Node(std::int64_t k, int top) : key(k), toplevel(top) {
+      for (int l = 0; l < top; ++l) ::new (&next[l]) Atom<P, std::uintptr_t>(0);
+    }
     std::int64_t key;
     int toplevel;
-    Atom<P, std::uintptr_t> next[kMaxLevel];
+    Atom<P, std::uintptr_t> next[];  // toplevel entries
   };
 
   /// Per-thread context: the epoch handle.
@@ -44,23 +57,16 @@ class SkipList {
   };
 
   SkipList() {
-    head_ = P::template make<Node>();
-    tail_ = P::template make<Node>();
-    head_->key = INT64_MIN;
-    head_->toplevel = kMaxLevel;
-    tail_->key = INT64_MAX;
-    tail_->toplevel = kMaxLevel;
-    for (int l = 0; l < kMaxLevel; ++l) {
-      head_->next[l].init(word(tail_));
-      tail_->next[l].init(word(nullptr));
-    }
+    head_ = alloc_node(INT64_MIN, kMaxLevel);
+    tail_ = alloc_node(INT64_MAX, kMaxLevel);
+    for (int l = 0; l < kMaxLevel; ++l) head_->next[l].init(word(tail_));
   }
 
   ~SkipList() {
     Node* n = head_;
     while (n != nullptr) {
       Node* nx = ptr(n->next[0].load(std::memory_order_relaxed));
-      P::template destroy<Node>(n);
+      free_node(n);
       n = nx;
     }
   }
@@ -101,7 +107,7 @@ class SkipList {
     typename EpochDomain<P>::Guard g(ctx.epoch);
     Node* n = nullptr;
     bool ok = insert_impl(ctx, key, &n);
-    if (!ok && n != nullptr) P::template destroy<Node>(n);
+    if (!ok && n != nullptr) free_node(n);
     return ok;
   }
 
@@ -120,10 +126,10 @@ class SkipList {
     Node* n = nullptr;
     for (int a = 0; a < pol.attempts; ++a) {
       if (find(ctx, key, preds, succs)) {
-        if (n != nullptr) P::template destroy<Node>(n);
+        if (n != nullptr) free_node(n);
         return false;
       }
-      if (n == nullptr) n = alloc_node(key);
+      if (n == nullptr) n = alloc_node(key, random_level());
       const int top = n->toplevel;
       // One transaction validates every predecessor link and performs all
       // the level insertions at once.
@@ -149,7 +155,7 @@ class SkipList {
     }
     // Lock-free fallback, reusing the already-allocated node.
     bool ok = insert_impl(ctx, key, &n);
-    if (!ok && n != nullptr) P::template destroy<Node>(n);
+    if (!ok && n != nullptr) free_node(n);
     return ok;
   }
 
@@ -193,7 +199,7 @@ class SkipList {
           },
           [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skiplist.remove"));
       if (r == 1) {
-        ctx.epoch.retire(victim);
+        retire(ctx, victim);
         return true;
       }
       if (r == 2) return false;
@@ -245,18 +251,34 @@ class SkipList {
   static std::uintptr_t mark(std::uintptr_t w) { return w | 1; }
   static std::uintptr_t strip(std::uintptr_t w) { return w & ~std::uintptr_t{1}; }
 
-  Node* alloc_node(std::int64_t key) {
-    Node* n = P::template make<Node>();
-    n->key = key;
+  /// Tower height: one plus the trailing one bits of a draw, capped.
+  static int random_level() {
     int lvl = 1;
     std::uint64_t r = P::rnd();
     while ((r & 1) != 0 && lvl < kMaxLevel) {
       ++lvl;
       r >>= 1;
     }
-    n->toplevel = lvl;
-    for (int l = 0; l < kMaxLevel; ++l) n->next[l].init(0);
-    return n;
+    return lvl;
+  }
+
+  static std::size_t node_bytes(int toplevel) {
+    return sizeof(Node) +
+           static_cast<std::size_t>(toplevel) * sizeof(Atom<P, std::uintptr_t>);
+  }
+
+  /// Every node is made here and given back through free_node(), at the
+  /// size of its own tower.
+  static Node* alloc_node(std::int64_t key, int toplevel) {
+    return ::new (P::alloc_bytes(node_bytes(toplevel))) Node(key, toplevel);
+  }
+
+  static void free_node(Node* n) { P::free_bytes(n, node_bytes(n->toplevel)); }
+
+  /// Free `n` through free_node() once no guard can still reach it.
+  static void retire(ThreadCtx& ctx, Node* n) {
+    ctx.epoch.retire_custom(
+        n, [](void* p, void*) { free_node(static_cast<Node*>(p)); }, nullptr);
   }
 
   /// Harris-style search: returns whether a node with `key` is present in
@@ -315,7 +337,7 @@ class SkipList {
       if (find(ctx, key, preds, succs)) return false;
       Node* n = *node;
       if (n == nullptr) {
-        n = alloc_node(key);
+        n = alloc_node(key, random_level());
         *node = n;
       }
       const int top = n->toplevel;
@@ -378,7 +400,7 @@ class SkipList {
       if (is_marked(sw)) return false;  // someone else removed it
       if (victim->next[0].compare_exchange_strong(sw, mark(sw))) {
         unlink(ctx, key);  // physical unlink of all levels
-        ctx.epoch.retire(victim);
+        retire(ctx, victim);
         return true;
       }
     }

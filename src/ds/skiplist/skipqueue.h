@@ -31,6 +31,7 @@ class SkipQueue : private SkipList<P> {
   using Base::mark;
   using Base::ptr;
   using Base::remove_node;
+  using Base::retire;
   using Base::tail_;
   using Base::word;
 
@@ -132,7 +133,7 @@ class SkipQueue : private SkipList<P> {
           },
           [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skipqueue.pop"));
       if (r == 1) {
-        ctx.base.epoch.retire(victim);
+        retire(ctx.base, victim);
         return static_cast<std::int32_t>(key >> kPrioShift);
       }
       if (r == 2) return std::nullopt;

@@ -185,8 +185,10 @@ T stable_read(const std::atomic<T>& a, const Stripe& s,
 // Transactional accessors
 // ---------------------------------------------------------------------------
 
+// Out of line on purpose: inlined into every NativePlatform load site,
+// tx_load cost kv-skip-zipf ops_s_1t x0.78-0.86 (4-vCPU VM, SoftHTM).
 template <class T>
-T tx_load(const std::atomic<T>& a) {
+PTO_NOINLINE T tx_load(const std::atomic<T>& a) {
   detail::check_type<T>();
   Tx& tx = detail::t_tx;
   // Read-own-writes: the write log holds one entry per address.
@@ -201,7 +203,7 @@ T tx_load(const std::atomic<T>& a) {
 }
 
 template <class T>
-void tx_store(std::atomic<T>& a, T v) {
+PTO_NOINLINE void tx_store(std::atomic<T>& a, T v) {
   detail::check_type<T>();
   Tx& tx = detail::t_tx;
   for (unsigned i = 0; i < tx.nwrites; ++i) {

@@ -25,6 +25,7 @@
 // identical simulated makespans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -67,7 +68,12 @@ struct Config {
   double theta;
   svc::Structure structure;
   bool lf = false;  ///< skiplist only: the lock-free ops instead of PTO's
+  // The extremes below fit the struct's tail padding: gtest prints each
+  // parameter's bytes into the test name, and the other cases keep theirs.
+  bool no_reads = false;  ///< half puts, half deletes
+  std::uint8_t keys = 0;  ///< keyspace; 0 keeps each tier's own
 };
+static_assert(sizeof(Config) == 32, "test names print Config's bytes");
 
 std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   const Config& c = info.param;
@@ -77,17 +83,20 @@ std::string config_name(const ::testing::TestParamInfo<Config>& info) {
   if (c.dist == svc::Dist::kZipf) {
     n += std::to_string(static_cast<int>(c.theta * 100));
   }
+  if (c.keys != 0) n += "_k" + std::to_string(c.keys);
+  if (c.no_reads) n += "_r0";
   return c.lf ? n + "_lf" : n;
 }
 
 svc::WorkloadSpec spec_of(const Config& c, std::uint64_t keyspace,
                           std::uint64_t seed) {
   svc::WorkloadSpec spec;
-  spec.keyspace = keyspace;
+  spec.keyspace = c.keys != 0 ? c.keys : keyspace;
   spec.dist = c.dist;
   spec.theta = c.theta;
-  spec.get_pct = 30;  // update-heavy: differentials want state churn
-  spec.put_pct = 40;
+  // Update-heavy by default: differentials want state churn.
+  spec.get_pct = c.no_reads ? 0 : 30;
+  spec.put_pct = c.no_reads ? 50 : 40;
   spec.seed = seed;
   return spec;
 }
@@ -128,11 +137,12 @@ void run_single_thread_exact(const Config& c, A adapter) {
 template <class A>
 void run_concurrent_conservation(const Config& c, A adapter) {
   using KV = svc::ShardedKV<NativePlatform, A>;
-  constexpr std::uint64_t kKeys = 256;
+  const svc::WorkloadSpec spec = spec_of(c, 256, 0xC0513);
+  const std::uint64_t nkeys = spec.keyspace;
   KV kv(c.shards, adapter);
-  const svc::OpStream stream(spec_of(c, kKeys, 0xC0513));
+  const svc::OpStream stream(spec);
 
-  std::vector<std::vector<int>> net(c.threads, std::vector<int>(kKeys, 0));
+  std::vector<std::vector<int>> net(c.threads, std::vector<int>(nkeys, 0));
   std::vector<std::uint64_t> puts_ok(c.threads, 0), dels_ok(c.threads, 0);
   std::vector<std::thread> threads;
   for (unsigned t = 0; t < c.threads; ++t) {
@@ -156,7 +166,7 @@ void run_concurrent_conservation(const Config& c, A adapter) {
 
   auto check = kv.make_client();
   std::size_t expect_size = 0;
-  for (std::uint64_t k = 0; k < kKeys; ++k) {
+  for (std::uint64_t k = 0; k < nkeys; ++k) {
     int total = 0;
     for (const auto& v : net) total += v[static_cast<std::size_t>(k)];
     ASSERT_TRUE(total == 0 || total == 1) << "key " << k;
@@ -178,12 +188,14 @@ void run_concurrent_conservation(const Config& c, A adapter) {
 template <class A>
 void run_sampled_key_oracle(const Config& c, A adapter) {
   using KV = svc::ShardedKV<NativePlatform, A>;
-  constexpr std::uint64_t kKeys = 256;
+  const svc::WorkloadSpec spec = spec_of(c, 256, 0x5A3D);
   // Keys [0, 8) are the sampled set — under zipf these are also the hottest
-  // keys, so the locked differential sees the most contended traffic.
-  constexpr std::int64_t kSampled = 8;
+  // keys, so the locked differential sees the most contended traffic. A
+  // keyspace under 16 samples its lower half, so unlocked ops still race.
+  const auto sampled =
+      static_cast<std::int64_t>(std::min<std::uint64_t>(8, spec.keyspace / 2));
   KV kv(c.shards, adapter);
-  const svc::OpStream stream(spec_of(c, kKeys, 0x5A3D));
+  const svc::OpStream stream(spec);
 
   std::mutex mu;
   std::set<std::int64_t> oracle;
@@ -196,7 +208,7 @@ void run_sampled_key_oracle(const Config& c, A adapter) {
       std::vector<svc::Op> ops;
       stream.fill(t, kOpsPerThread, ops);
       for (const svc::Op& op : ops) {
-        if (op.key < kSampled) {
+        if (op.key < sampled) {
           std::lock_guard<std::mutex> lk(mu);
           const bool got = client.exec(op);
           const bool want = oracle_exec(oracle, op);
@@ -213,7 +225,7 @@ void run_sampled_key_oracle(const Config& c, A adapter) {
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_GT(sampled_ops.load(), 0u) << "sample set never hit - test is vacuous";
   auto check = kv.make_client();
-  for (std::int64_t k = 0; k < kSampled; ++k) {
+  for (std::int64_t k = 0; k < sampled; ++k) {
     EXPECT_EQ(check.get(k), oracle.count(k) == 1) << "sampled key " << k;
   }
   EXPECT_TRUE(kv.check_invariants());
@@ -265,6 +277,21 @@ INSTANTIATE_TEST_SUITE_P(
         Config{8, 4, svc::Dist::kHotset, 0.0, svc::Structure::kSkiplist},
         Config{1, 4, svc::Dist::kZipf, 0.99, svc::Structure::kSkiplist, true},
         Config{4, 4, svc::Dist::kZipf, 0.99, svc::Structure::kSkiplist, true},
+        // Extremes on skiplist shards: the smallest keyspace PTO_SVC_KEYS
+        // accepts at 0% reads, and more shards than keys. This churn
+        // recycles the same few towers hardest.
+        Config{.shards = 4, .threads = 4, .dist = svc::Dist::kUniform,
+               .theta = 0.0, .structure = svc::Structure::kSkiplist,
+               .no_reads = true, .keys = 2},
+        Config{.shards = 4, .threads = 4, .dist = svc::Dist::kUniform,
+               .theta = 0.0, .structure = svc::Structure::kSkiplist,
+               .lf = true, .no_reads = true, .keys = 2},
+        Config{.shards = 8, .threads = 4, .dist = svc::Dist::kUniform,
+               .theta = 0.0, .structure = svc::Structure::kSkiplist,
+               .keys = 4},
+        Config{.shards = 8, .threads = 4, .dist = svc::Dist::kUniform,
+               .theta = 0.0, .structure = svc::Structure::kSkiplist,
+               .lf = true, .keys = 4},
         Config{4, 4, svc::Dist::kZipf, 0.99, svc::Structure::kHash},
         Config{4, 4, svc::Dist::kUniform, 0.0, svc::Structure::kHash}),
     config_name);

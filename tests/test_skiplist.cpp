@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <mutex>
 #include <queue>
+#include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "ds/skiplist/skiplist.h"
@@ -154,8 +157,7 @@ struct StaleSameKeyLink : SkipList<pto::NativePlatform> {
   void replay() {
     ThreadCtx ctx = make_ctx();
     typename pto::EpochDomain<P>::Guard g(ctx.epoch);
-    Node* x = alloc_node(6);
-    x->toplevel = 2;
+    Node* x = alloc_node(6, 2);
     Node* arg = x;
     ASSERT_TRUE(insert_impl(ctx, 6, &arg));
     Node* preds[kMaxLevel];
@@ -164,8 +166,7 @@ struct StaleSameKeyLink : SkipList<pto::NativePlatform> {
     for (int l = 1; l >= 0; --l) x->next[l].store(mark(x->next[l].load()));
     succs[0] = ptr(x->next[0].load());
     preds[0]->next[0].store(word(succs[0]));  // it snips X at level 0
-    Node* y = alloc_node(6);
-    y->toplevel = 2;
+    Node* y = alloc_node(6, 2);
     for (int l = 0; l < 2; ++l) {
       y->next[l].store(word(succs[l]));
       preds[l]->next[l].store(word(y));
@@ -175,13 +176,143 @@ struct StaleSameKeyLink : SkipList<pto::NativePlatform> {
     EXPECT_FALSE(reachable(x));
     EXPECT_TRUE(check_invariants());
     EXPECT_TRUE(contains(ctx, 6));
-    P::destroy<Node>(x);  // never retired in this replay
+    free_node(x);  // never retired in this replay
   }
 };
 
 TEST(SkipList, CleanupUnlinksMarkedNodeBehindSameKeyNode) {
   StaleSameKeyLink s;
   s.replay();
+}
+
+// NativePlatform that records every allocation, so a test can check that a
+// node takes exactly its tower and gives back what it took. Skiplist nodes
+// are the only things a SkipList or SkipQueue allocates through P.
+struct TowerLedger {
+  std::mutex mu;
+  std::unordered_map<void*, std::size_t> live;
+  std::uint64_t allocs = 0;
+  std::uint64_t tall = 0;  ///< nodes freed with toplevel > 1
+  std::uint64_t bad = 0;   ///< frees of the wrong size or of no allocation
+
+  void reset() {
+    live.clear();
+    allocs = tall = bad = 0;
+  }
+};
+TowerLedger g_ledger;
+
+struct LedgerPlatform : pto::NativePlatform {
+  static void* alloc_bytes(std::size_t n) {
+    void* p = NativePlatform::alloc_bytes(n);
+    std::lock_guard<std::mutex> lk(g_ledger.mu);
+    g_ledger.live.emplace(p, n);
+    ++g_ledger.allocs;
+    return p;
+  }
+  static void free_bytes(void* p, std::size_t n) {
+    const int top = static_cast<SkipList<LedgerPlatform>::Node*>(p)->toplevel;
+    {
+      std::lock_guard<std::mutex> lk(g_ledger.mu);
+      auto it = g_ledger.live.find(p);
+      // Header (key, toplevel, padding) plus one 8-byte link per level.
+      if (it == g_ledger.live.end() || it->second != n || top < 1 ||
+          top > SkipList<LedgerPlatform>::kMaxLevel ||
+          n != 16 + 8 * static_cast<std::size_t>(top)) {
+        ++g_ledger.bad;
+      }
+      if (it != g_ledger.live.end()) g_ledger.live.erase(it);
+      if (top > 1) ++g_ledger.tall;
+    }
+    NativePlatform::free_bytes(p, n);
+  }
+};
+
+void expect_ledger_settled() {
+  EXPECT_GT(g_ledger.allocs, 2u);
+  EXPECT_GT(g_ledger.tall, 2u);  // towers of several heights were freed
+  EXPECT_EQ(g_ledger.bad, 0u);
+  EXPECT_TRUE(g_ledger.live.empty()) << g_ledger.live.size() << " outstanding";
+}
+
+TEST(SkipList, NativeNodesTakeExactlyTheirTower) {
+  g_ledger.reset();
+  {
+    SkipList<LedgerPlatform> s;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 4; ++t) {
+      threads.emplace_back([&s, t] {
+        auto ctx = s.make_ctx();
+        pto::SplitMix64 rng(100 + t);
+        for (int i = 0; i < 4000; ++i) {
+          const auto k = static_cast<std::int64_t>(rng.next_below(32));
+          switch (rng.next_below(4)) {
+            case 0: s.insert_pto(ctx, k); break;
+            case 1: s.remove_pto(ctx, k); break;
+            case 2: s.insert_lf(ctx, k); break;
+            default: s.remove_lf(ctx, k); break;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_TRUE(s.check_invariants());
+  }
+  expect_ledger_settled();
+}
+
+TEST(SkipQueue, NativeNodesTakeExactlyTheirTower) {
+  g_ledger.reset();
+  {
+    SkipQueue<LedgerPlatform> q;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < 4; ++t) {
+      threads.emplace_back([&q, t] {
+        auto ctx = q.make_ctx();
+        pto::SplitMix64 rng(200 + t);
+        for (int i = 0; i < 4000; ++i) {
+          const auto v = static_cast<std::int32_t>(rng.next_below(64));
+          switch (rng.next_below(4)) {
+            case 0: q.push_pto(ctx, v); break;
+            case 1: q.pop_min_pto(ctx); break;
+            case 2: q.push_lf(ctx, v); break;
+            default: q.pop_min_lf(ctx); break;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  expect_ledger_settled();
+}
+
+// On simx a freed tower poisons its own lines and no neighbour's: the arena
+// line-aligns every allocation, so the node carved right after a 1-level
+// node starts on the next line. A free sized for a full tower would poison
+// that neighbour too.
+struct TowerNeighbours : SkipList<SimPlatform> {
+  void probe() {
+    std::uint64_t neighbour_uaf = 0;
+    std::uint64_t freed_uaf = 0;
+    pto::sim::run(1, pto::sim::Config{}, [&](unsigned) {
+      Node* a = alloc_node(1, 1);
+      Node* b = alloc_node(2, 1);
+      free_node(a);
+      const std::uint64_t before = pto::sim::uaf_count();
+      (void)b->next[0].load();
+      neighbour_uaf = pto::sim::uaf_count() - before;
+      (void)a->next[0].load();
+      freed_uaf = pto::sim::uaf_count() - before - neighbour_uaf;
+      free_node(b);
+    });
+    EXPECT_EQ(neighbour_uaf, 0u);
+    EXPECT_EQ(freed_uaf, 1u);
+  }
+};
+
+TEST(SkipList, FreedTowerPoisonsOnlyItsOwnLines) {
+  TowerNeighbours s;
+  s.probe();
 }
 
 // ---------------------------------------------------------------------------
