@@ -23,7 +23,7 @@ using pto::Atom;
 using pto::NativePlatform;
 
 int main() {
-  // Arm the site counters (PTO_STATS / PTO_TELEMETRY do the same).
+  // Arm the site counters (PTO_STATS and PTO_TELEMETRY_REPORT do the same).
   pto::telemetry::set_enabled(true);
   std::printf("HTM backend: %s\n",
               pto::htm::backend() == pto::htm::Backend::kRTM

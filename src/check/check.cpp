@@ -13,16 +13,19 @@
 
 #include "common/defs.h"
 #include "common/env.h"
+#include "common/warn.h"
 #include "htm/txcode.h"
 #include "sim/sim.h"
 #include "telemetry/registry.h"
+#include "telemetry/span.h"
 
 namespace pto::check {
 
 namespace {
 
+using telemetry::span_name;
+
 constexpr unsigned kNoTid = 0xFFFFFFFFu;
-constexpr unsigned kMaxSpans = 32;
 constexpr std::size_t kTxLogCap = 4096;
 constexpr std::size_t kPoisonCap = 64;
 constexpr unsigned kDefaultMaxFindings = 100;
@@ -38,11 +41,6 @@ constexpr std::uint64_t kCapacityAbortThreshold = 8;
 /// checker's footprint proportional to the threads actually running.
 struct VClock {
   std::vector<std::uint64_t> c;
-};
-
-struct SpanRef {
-  const telemetry::Site* site = nullptr;
-  bool fallback = false;
 };
 
 struct TxRead {
@@ -109,17 +107,6 @@ struct ThreadState {
   std::vector<TxRead> tx_log;
   bool tx_overflow = false;
   std::vector<PoisonEntry> poison;
-  SpanRef spans[kMaxSpans];
-  unsigned depth = 0;
-
-  void clear() {
-    vc = VClock{};
-    pending.clear();
-    tx_log.clear();
-    tx_overflow = false;
-    poison.clear();
-    depth = 0;
-  }
 };
 
 struct SiteCap {
@@ -129,10 +116,18 @@ struct SiteCap {
   std::size_t max_wset = 0;
 };
 
+/// Orders the capacity table by registration id, so it reads the same on
+/// every run (a Site* key would follow ASLR); the null site comes first.
+struct BySiteId {
+  bool operator()(const telemetry::Site* a, const telemetry::Site* b) const {
+    return (a != nullptr ? a->id() + 1 : 0) < (b != nullptr ? b->id() + 1 : 0);
+  }
+};
+
 struct CheckState {
   bool active = false;  ///< inside sim::run with checking enabled
   unsigned nthreads = 0;
-  ThreadState threads[kMaxThreads];
+  std::vector<ThreadState> threads;  ///< sized by on_run_begin
   std::unordered_map<std::uintptr_t, VarState> shadow;
   VClock fence_vc;
   Stats st;
@@ -141,7 +136,7 @@ struct CheckState {
   std::map<std::tuple<unsigned, std::uint64_t, std::string, std::string>,
            std::size_t>
       index;
-  std::map<const telemetry::Site*, SiteCap> site_caps;
+  std::map<const telemetry::Site*, SiteCap, BySiteId> site_caps;
 
   unsigned max_findings = kDefaultMaxFindings;
   bool full_report = false;
@@ -193,19 +188,16 @@ bool pointer_like(std::uint64_t v) {
          v < (std::uint64_t{1} << 48);
 }
 
-std::string span_name(const telemetry::Site* site, bool fallback) {
-  if (site == nullptr) return "(none)";
-  std::string s = site->name();
-  if (fallback) s += "/fallback";
-  return s;
+/// `tid`'s innermost open prefix span (telemetry/span.h); a span with no
+/// site outside any prefix.
+const telemetry::Span& cur_span(unsigned tid) {
+  static const telemetry::Span kNone;
+  const telemetry::Span* s = telemetry::top_span(tid);
+  return s != nullptr ? *s : kNone;
 }
 
-SpanRef cur_span(const ThreadState& t) {
-  return t.depth > 0 ? t.spans[t.depth - 1] : SpanRef{};
-}
-
-std::string cur_site_name(const ThreadState& t) {
-  SpanRef s = cur_span(t);
+std::string cur_site_name(unsigned tid) {
+  const telemetry::Span& s = cur_span(tid);
   return span_name(s.site, s.fallback);
 }
 
@@ -261,7 +253,8 @@ void drain_pending(CheckState& S, ThreadState& t, unsigned tid) {
   t.pending.clear();
 }
 
-void record_read(VarState& vs, unsigned tid, std::uint64_t clk, SpanRef span) {
+void record_read(VarState& vs, unsigned tid, std::uint64_t clk,
+                 const telemetry::Span& span) {
   for (ReadEntry& r : vs.reads) {
     if (r.tid == tid) {
       r.clk = clk;
@@ -297,12 +290,12 @@ void check_poison(CheckState& S, ThreadState& t, unsigned tid,
                      reinterpret_cast<void*>(p.origin), is_store ? 1 : 0);
       }
       add_finding(S, FindingKind::kDoomedAddressUse, addr, p.victim_tid, tid,
-                  p.site, cur_site_name(t));
+                  p.site, cur_site_name(tid));
     }
     const bool same_ptr = ((value ^ p.value) & ~kTagMask) == 0;
     if (is_store && same_ptr) {
       add_finding(S, FindingKind::kDoomedValueStore, addr, p.victim_tid, tid,
-                  p.site, cur_site_name(t));
+                  p.site, cur_site_name(tid));
     }
     if (!is_store && same_ptr) {
       ++S.st.revalidated_values;
@@ -352,7 +345,7 @@ void reset() {
   CheckState& S = state();
   S.active = false;
   S.nthreads = 0;
-  for (auto& t : S.threads) t.clear();
+  S.threads.clear();
   S.shadow.clear();
   S.fence_vc = VClock{};
   S.st = Stats{};
@@ -370,9 +363,9 @@ void on_run_begin(unsigned nthreads) {
   S.active = true;
   S.nthreads = nthreads;
   // Addresses recycle across runs (the arena resets between measurement
-  // points), so shadow state from a previous run would be garbage. Clear the
+  // points), so shadow state from a previous run would be garbage. Drop the
   // per-thread pointers into it first.
-  for (auto& t : S.threads) t.clear();
+  S.threads.assign(nthreads, ThreadState{});
   S.shadow.clear();
   S.fence_vc.c.assign(nthreads, 0);
   // Fork point: epochs start at 1 so a first-access epoch is never
@@ -421,9 +414,9 @@ void on_load(unsigned tid, const void* addr, unsigned size,
     if (vs.w.tid != kNoTid && vs.w.plain && vs.w.tid != tid &&
         !epoch_hb(vs.w.tid, vs.w.clk, t.vc)) {
       add_finding(S, FindingKind::kRaceWriteRead, a, vs.w.tid, tid,
-                  span_name(vs.w.site, vs.w.fallback), cur_site_name(t));
+                  span_name(vs.w.site, vs.w.fallback), cur_site_name(tid));
     }
-    record_read(vs, tid, t.vc.c[tid], cur_span(t));
+    record_read(vs, tid, t.vc.c[tid], cur_span(tid));
   } else {
     ++S.st.sync_ops;
   }
@@ -440,7 +433,7 @@ void on_store(unsigned tid, void* addr, unsigned size, std::uint64_t value,
     check_poison(S, t, tid, a, value, /*is_store=*/true);
   }
   VarState& vs = var_of(S, a);
-  SpanRef span = cur_span(t);
+  const telemetry::Span& span = cur_span(tid);
   if (in_tx) {
     // Theorem 2 as an HB rule: an in-tx write is ordered against every
     // conflicting access by the HTM (conflicts doom one side), so it is a
@@ -458,12 +451,12 @@ void on_store(unsigned tid, void* addr, unsigned size, std::uint64_t value,
     if (vs.w.tid != kNoTid && vs.w.plain && vs.w.tid != tid &&
         !epoch_hb(vs.w.tid, vs.w.clk, t.vc)) {
       add_finding(S, FindingKind::kRaceWriteWrite, a, vs.w.tid, tid,
-                  span_name(vs.w.site, vs.w.fallback), cur_site_name(t));
+                  span_name(vs.w.site, vs.w.fallback), cur_site_name(tid));
     }
     for (const ReadEntry& r : vs.reads) {
       if (r.tid != tid && !epoch_hb(r.tid, r.clk, t.vc)) {
         add_finding(S, FindingKind::kRaceReadWrite, a, r.tid, tid,
-                    span_name(r.site, r.fallback), cur_site_name(t));
+                    span_name(r.site, r.fallback), cur_site_name(tid));
       }
     }
     vs.w = LastWrite{t.vc.c[tid], tid, true, span.site, span.fallback};
@@ -492,7 +485,7 @@ void on_rmw(unsigned tid, void* addr, unsigned size, std::uint64_t observed,
     check_poison(S, t, tid, a, observed, /*is_store=*/false);
   }
   VarState& vs = var_of(S, a);
-  SpanRef span = cur_span(t);
+  const telemetry::Span& span = cur_span(tid);
   if (in_tx) {
     // In-tx CAS degenerates to load(+store); log the read for opacity.
     if (t.tx_log.size() < kTxLogCap) {
@@ -562,7 +555,8 @@ void on_tx_doomed(unsigned victim, std::uintptr_t line) {
   // lands, so a logged value that differs from memory was invalidated by the
   // rollback (read-your-own-write) or an earlier aggressor; the faulting
   // line covers the conflicting value the aggressor is about to replace.
-  std::string site = cur_site_name(t);
+  std::string site = cur_site_name(victim);
+  const unsigned depth = telemetry::span_depth(victim);
   for (const TxRead& r : t.tx_log) {
     if (!pointer_like(r.value)) continue;
     std::uint64_t now_val = 0;
@@ -580,10 +574,10 @@ void on_tx_doomed(unsigned victim, std::uintptr_t line) {
     if (dup || t.poison.size() >= kPoisonCap) continue;
     if (debug_on()) {
       std::fprintf(stderr, "[dbg] poison t%u depth=%u site=%s value=%p\n",
-                   victim, t.depth, site.c_str(),
+                   victim, depth, site.c_str(),
                    reinterpret_cast<void*>(r.value));
     }
-    t.poison.push_back(PoisonEntry{r.value, r.addr, victim, t.depth, site});
+    t.poison.push_back(PoisonEntry{r.value, r.addr, victim, depth, site});
     ++S.st.poisoned_values;
   }
   t.tx_log.clear();
@@ -600,7 +594,7 @@ void on_tx_self_abort(unsigned tid, unsigned cause, std::size_t rset,
   t.tx_log.clear();
   t.tx_overflow = false;
   if (cause == TX_ABORT_CAPACITY) {
-    SiteCap& cap = S.site_caps[cur_span(t).site];
+    SiteCap& cap = S.site_caps[cur_span(tid).site];
     ++cap.capacity_aborts;
     if (rset > cap.max_rset) cap.max_rset = rset;
     if (wset > cap.max_wset) cap.max_wset = wset;
@@ -616,65 +610,24 @@ void on_op_done(unsigned tid) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefix-site spans (attribution; mirrors pto::prof's span stack).
+// Prefix-site spans (telemetry/span.h: one stack, shared with pto::prof).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Pop the innermost span matching (site, kind), discarding spans above it —
-/// attempts abandoned when an abort longjmp'd through their frames.
-///
-/// `call_done` marks pops that end the whole prefix() call (a fast-path
-/// commit or the fallback returning, never a per-attempt abort): poison from
-/// attempts doomed inside that call expires there. The hazard window of a
-/// doomed read is the prefix call itself — only its retries and its fallback
-/// closure can see the attempt's captured locals; once the call returns, the
-/// operation re-derives state from the structure, and values that merely
-/// *equal* a stale pointer (a thread-local node cache, a re-inserted key)
-/// would be false positives.
-void pop_span(ThreadState& t, const telemetry::Site* site, bool fallback,
-              bool call_done) {
-  for (unsigned i = t.depth; i-- > 0;) {
-    if (t.spans[i].site == site && t.spans[i].fallback == fallback) {
-      t.depth = i;
-      break;
-    }
-  }
-  if (call_done && !t.poison.empty()) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < t.poison.size(); ++i) {
-      if (t.poison[i].depth <= t.depth) t.poison[kept++] = t.poison[i];
-    }
-    t.poison.resize(kept);
-  }
-}
-
-}  // namespace
-
-void on_event(const telemetry::Site* site, unsigned event, unsigned) {
-  if (!sim::active()) return;
+void on_span_end(const telemetry::Site* site, unsigned event,
+                 unsigned depth) {
   CheckState& S = state();
-  if (!S.active) return;
-  ThreadState& t = S.threads[sim::thread_id() % kMaxThreads];
-  switch (event) {
-    case telemetry::kEventAttempt:
-    case telemetry::kEventFallback:
-      if (t.depth < kMaxSpans) {
-        t.spans[t.depth++] =
-            SpanRef{site, event == telemetry::kEventFallback};
-      }
-      return;
-    case telemetry::kEventAbort:
-      pop_span(t, site, false, /*call_done=*/false);
-      return;
-    case telemetry::kEventFallbackEnd:
-      pop_span(t, site, true, /*call_done=*/true);
-      return;
-    case telemetry::kEventCommit:
-      pop_span(t, site, false, /*call_done=*/true);
-      ++S.site_caps[site].commits;
-      return;
-  }
+  if (!S.active || event == telemetry::kEventAbort) return;
+  // A commit or the fallback returning ends the whole prefix() call (an
+  // abort ends one attempt): poison from attempts doomed inside that call
+  // expires there. The hazard window of a doomed read is the prefix call
+  // itself — only its retries and its fallback closure can see the
+  // attempt's captured locals; once the call returns, the operation
+  // re-derives state from the structure, and values that merely *equal* a
+  // stale pointer (a thread-local node cache, a re-inserted key) would be
+  // false positives.
+  std::erase_if(S.threads[sim::thread_id()].poison,
+                [depth](const PoisonEntry& p) { return p.depth > depth; });
+  if (event == telemetry::kEventCommit) ++S.site_caps[site].commits;
 }
 
 // ---------------------------------------------------------------------------
@@ -689,6 +642,8 @@ std::vector<Finding> findings() {
 }
 
 std::uint64_t finding_count() { return findings().size(); }
+
+std::size_t thread_states() { return state().threads.size(); }
 
 Stats stats() { return state().st; }
 
@@ -746,8 +701,8 @@ void report_if_enabled() {
       report(os, S.full_report);
       return;
     }
-    std::fprintf(stderr, "[pto] warning: cannot open PTO_CHECK_OUT=%s\n",
-                 S.out_path.c_str());
+    warn_once("env.PTO_CHECK_OUT", "cannot open PTO_CHECK_OUT=%s",
+              S.out_path.c_str());
   }
   report(std::cerr, S.full_report);
 }

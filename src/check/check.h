@@ -33,9 +33,10 @@
 //     target ISA never reorders a load before the store it reads from).
 //     A **plain** access is a relaxed, non-transactional one. Two concurrent
 //     plain accesses to the same address, at least one a write, with no HB
-//     path are reported with both sites (prefix-site attribution reuses the
-//     span machinery the profiler introduced, fed by the checker's tap of
-//     the telemetry event gate).
+//     path are reported with both sites: each access is attributed to the
+//     innermost open prefix span of its thread, read from the one span stack
+//     the telemetry event gate keeps for the profiler and the checker
+//     (telemetry/span.h).
 //
 //  2. **Opacity / doomed-read checker.** Each transactional read is logged
 //     (address, observed value). When a transaction is doomed by a conflict,
@@ -109,6 +110,10 @@ struct Finding {
 std::vector<Finding> findings();
 std::uint64_t finding_count();
 
+/// Virtual threads the checker holds state for: sized when a checked run
+/// begins, so 0 until then (and after reset()).
+std::size_t thread_states();
+
 /// Aggregate checker statistics (reported in `report` mode).
 struct Stats {
   std::uint64_t plain_reads = 0;
@@ -124,7 +129,7 @@ struct Stats {
 Stats stats();
 
 /// Write a findings report. `full` additionally dumps checker statistics and
-/// the per-site capacity table (the PTO_CHECK=report exit format).
+/// the per-site capacity table, by site id (the PTO_CHECK=report format).
 void report(std::ostream& os, bool full);
 
 /// Honor PTO_CHECK / PTO_CHECK_OUT (the atexit path; callable manually).
@@ -159,8 +164,9 @@ void on_tx_self_abort(unsigned tid, unsigned cause, std::size_t rset,
                       std::size_t wset);
 void on_op_done(unsigned tid);
 
-/// One prefix event (telemetry/taps.h), dispatched by telemetry::on_event
-/// (the same path that feeds pto::prof). A no-op outside a simulation.
-void on_event(const telemetry::Site* site, unsigned event, unsigned cause);
+/// A commit, abort or fallback-end event at `site` left `depth` spans open
+/// on the current thread (telemetry::on_event popped; telemetry/span.h).
+void on_span_end(const telemetry::Site* site, unsigned event,
+                 unsigned depth);
 
 }  // namespace pto::check

@@ -5,6 +5,7 @@
 
 #include "common/defs.h"
 #include "common/env.h"
+#include "common/warn.h"
 
 namespace pto::explore::internal {
 
@@ -31,10 +32,10 @@ Explorer::Explorer(const Options& opts, unsigned nthreads) : opts_(opts) {
   if (opts_.policy == Policy::kReplay) {
     std::FILE* f = std::fopen(opts_.replay_path.c_str(), "r");
     if (f == nullptr) {
-      std::fprintf(stderr,
-                   "[pto] warning: PTO_SCHED replay file '%s' unreadable; "
-                   "running with an empty decision list\n",
-                   opts_.replay_path.c_str());
+      warn_once("explore.replay_open",
+                "PTO_SCHED replay file '%s' unreadable; running with an "
+                "empty decision list",
+                opts_.replay_path.c_str());
     } else {
       char line[128];
       while (std::fgets(line, sizeof line, f) != nullptr) {
@@ -52,8 +53,7 @@ Explorer::Explorer(const Options& opts, unsigned nthreads) : opts_(opts) {
   if (const char* path = env::str("PTO_SCHED_DUMP")) {
     dump_ = std::fopen(path, "w");
     if (dump_ == nullptr) {
-      std::fprintf(stderr, "[pto] warning: cannot open PTO_SCHED_DUMP='%s'\n",
-                   path);
+      warn_once("env.PTO_SCHED_DUMP", "cannot open PTO_SCHED_DUMP='%s'", path);
     } else {
       std::fprintf(dump_, "# %s\n# step tid\n", token(opts_).c_str());
       std::fflush(dump_);

@@ -663,7 +663,7 @@ void configure(const Config& cfg) {
   if (on) {
     // The interval deltas are fed by the telemetry registry; arming metrics
     // without it would stream all-zero counters, so switch it on the same
-    // way PTO_STATS/PTO_TELEMETRY would.
+    // way PTO_STATS/PTO_TELEMETRY_REPORT would.
     telemetry::set_enabled(true);
     // Baseline every source at arm so the first interval covers
     // [arm, first tick) only, whichever mode runs first.

@@ -142,13 +142,7 @@ class EpochDomain {
     /// Schedule *p for deletion once no earlier-epoch guard can hold it.
     template <class T>
     void retire(T* p) {
-      limbo_.push_back(
-          {p, domain_->global_epoch_.load(std::memory_order_relaxed),
-           &deleter<T>, nullptr});
-      // Host-side gauge for the metrics watchdog (`reclaim_backlog` rule);
-      // a relaxed host atomic, so it never charges virtual cycles.
-      gauges::reclaim_backlog().fetch_add(1, std::memory_order_relaxed);
-      if (limbo_.size() >= kReclaimBatch) reclaim_some();
+      retire_custom(p, &deleter<T>, nullptr);
     }
 
     /// Retire with a custom disposer and context (e.g. recycle into a pool).
@@ -159,6 +153,8 @@ class EpochDomain {
       limbo_.push_back(
           {p, domain_->global_epoch_.load(std::memory_order_relaxed), del,
            ctx});
+      // Host-side gauge for the metrics watchdog (`reclaim_backlog` rule);
+      // a relaxed host atomic, so it never charges virtual cycles.
       gauges::reclaim_backlog().fetch_add(1, std::memory_order_relaxed);
       if (limbo_.size() >= kReclaimBatch) reclaim_some();
     }

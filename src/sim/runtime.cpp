@@ -9,6 +9,7 @@
 #include "common/env.h"
 #include "metrics/metrics.h"
 #include "telemetry/prof.h"
+#include "telemetry/span.h"
 #include "telemetry/trace.h"
 
 namespace pto::sim {
@@ -122,6 +123,7 @@ RunResult run(unsigned nthreads, const Config& cfg,
     telemetry::trace_run_begin(nthreads, cfg.seed);
   }
   g_rt = &rt;
+  telemetry::clear_spans();  // no span outlives the run that opened it
   if (PTO_UNLIKELY(check::on())) check::on_run_begin(nthreads);
   if (PTO_UNLIKELY(metrics::armed())) metrics::sim_run_begin(nthreads);
   const std::size_t stack_bytes = fiber_stack_bytes(nthreads);

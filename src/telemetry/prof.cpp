@@ -21,41 +21,23 @@
 #include "sim/sim.h"
 #include "telemetry/emit.h"
 #include "telemetry/registry.h"
+#include "telemetry/span.h"
 #include "telemetry/trace.h"
 
 namespace pto::telemetry::prof {
 
 namespace {
 
-constexpr unsigned kMaxSpans = 32;
 constexpr unsigned kDefaultTopN = 10;
 
 const char* kClassNames[kClassCount] = {
     "load",  "store",       "sync",  "fence", "alloc",
     "tx_overhead", "pause", "bench", "other"};
 
-/// One open prefix attempt or fallback execution on a virtual thread.
-struct Span {
-  const Site* site = nullptr;
-  bool fallback = false;
-  std::uint64_t start = 0;  ///< thread virtual clock at push
-  std::uint64_t classed[kClassCount] = {};
-  std::uint64_t fence_elided_count = 0;
-  std::uint64_t fence_elided_cycles = 0;
-  std::uint64_t cas_collapsed_cycles = 0;
-  void open(const Site* s, bool fb, std::uint64_t now) {
-    *this = Span{};
-    site = s;
-    fallback = fb;
-    start = now;
-  }
-};
-
-/// Per-virtual-thread profiling state. The simulator multiplexes all virtual
-/// threads onto one host thread, so no synchronization is needed.
+/// Per-virtual-thread profiling state beside the thread's span stack
+/// (telemetry/span.h). The simulator multiplexes all virtual threads onto
+/// one host thread, so no synchronization is needed.
 struct ThreadProf {
-  Span stack[kMaxSpans];
-  unsigned depth = 0;
   /// Identity of the thread's live transaction for conflict attribution:
   /// the attempt span that was on top at the outermost tx_begin (the span
   /// whose site will record the CONFLICT abort after the longjmp).
@@ -63,12 +45,6 @@ struct ThreadProf {
   /// Non-zero while inside do_alloc/do_dealloc: nested charges (the shared
   /// refill RMW) class as allocation traffic.
   unsigned alloc_depth = 0;
-
-  void clear() {
-    depth = 0;
-    tx_site = nullptr;
-    alloc_depth = 0;
-  }
 };
 
 struct LedgerData {
@@ -89,6 +65,7 @@ struct MatrixEntry {
 };
 
 struct LineData {
+  std::uint64_t ordinal = 0;  ///< order of first conflict (HotLine::line)
   std::uint64_t aborts = 0;
   std::uint64_t doomed_cycles = 0;
   /// Victim-site histogram; small, linear scan (first touch keeps order).
@@ -100,7 +77,7 @@ struct ScopeData {
   /// First-touch order; site count is small, linear find.
   std::vector<std::pair<const Site*, LedgerData>> sites;
   std::vector<MatrixEntry> matrix;
-  std::map<std::uint64_t, LineData> lines;  ///< keyed by line index
+  std::map<std::uint64_t, LineData> lines;  ///< keyed by address / kCacheLine
   std::uint64_t unattributed[kClassCount] = {};
 
   explicit ScopeData(std::string l) : label(std::move(l)) {}
@@ -117,11 +94,8 @@ struct ScopeData {
 struct ProfState {
   std::vector<std::unique_ptr<ScopeData>> scopes;
   ScopeData* cur = nullptr;
-  /// Per-virtual-thread profiles, grown on demand (~4 KB each: sizing for
-  /// kMaxThreads = 1024 eagerly would be ~4 MB; runs of <= 64 threads never
-  /// grow past the initial 64). References into this vector are invalidated
-  /// by growth — call ensure_threads() before taking any.
-  std::vector<ThreadProf> threads = std::vector<ThreadProf>(64);
+  /// Per-virtual-thread profiles, grown by thread_prof().
+  std::vector<ThreadProf> threads;
   /// Cumulative process-wide counters feeding the perfetto counter tracks.
   std::uint64_t conflicts_total = 0;
   std::uint64_t doomed_total = 0;
@@ -161,46 +135,18 @@ const bool g_env_scanned = [] {
   return true;
 }();
 
-/// Grow the per-thread profile vector to cover `tid` (invalidates earlier
-/// ThreadProf references; callers take refs only after all growth). Warn
-/// once on an out-of-range id instead of silently aliasing a shared slot.
+/// Grow the per-thread profile vector to cover `tid` (sim::run keeps ids
+/// below kMaxThreads); growth invalidates earlier references.
 ThreadProf& thread_prof(ProfState& ps, unsigned tid) {
-  if (PTO_UNLIKELY(tid >= kMaxThreads)) {
-    warn_once("prof.thread_id_overflow",
-              "prof thread id %u >= kMaxThreads (%u); profile slots are "
-              "being reused",
-              tid, kMaxThreads);
-    tid %= kMaxThreads;
-  }
-  if (PTO_UNLIKELY(tid >= ps.threads.size())) {
-    ps.threads.resize(tid + 1);
-  }
+  if (PTO_UNLIKELY(tid >= ps.threads.size())) ps.threads.resize(tid + 1);
   return ps.threads[tid];
 }
 
 ThreadProf& me() { return thread_prof(state(), sim::thread_id()); }
 
-/// Pop the innermost span matching (site, kind), discarding any spans above
-/// it — those are attempts abandoned when an abort longjmp'd through their
-/// frames. Returns nullptr (stack untouched) when no span matches.
-Span* pop_match(ThreadProf& tp, const Site* site, bool fallback) {
-  for (unsigned i = tp.depth; i-- > 0;) {
-    Span& s = tp.stack[i];
-    if (s.site == site && s.fallback == fallback) {
-      tp.depth = i;  // storage stays valid until the next push
-      return &s;
-    }
-  }
-  return nullptr;
-}
-
 void fold(SpanProfile& p, const Span& s) {
   ++p.count;
   for (unsigned c = 0; c < kClassCount; ++c) p.classed[c] += s.classed[c];
-}
-
-std::string site_name(const Site* s) {
-  return s != nullptr ? s->name() : std::string("(none)");
 }
 
 // ---------------------------------------------------------------------------
@@ -273,8 +219,7 @@ void report_json(std::ostream& os, const std::vector<ScopeSnapshot>& scopes) {
     os << "],\"hot_lines\":[";
     for (std::size_t i = 0; i < sc.hot_lines.size(); ++i) {
       const HotLine& h = sc.hot_lines[i];
-      os << (i == 0 ? "" : ",") << "{\"line\":" << h.line
-         << ",\"region\":" << h.region << ",\"owner\":";
+      os << (i == 0 ? "" : ",") << "{\"line\":" << h.line << ",\"owner\":";
       json_str(os, h.owner);
       os << ",\"aborts\":" << h.aborts
          << ",\"doomed_cycles\":" << h.doomed_cycles << "}";
@@ -344,9 +289,8 @@ void report_text(std::ostream& os, const std::vector<ScopeSnapshot>& scopes,
       unsigned shown = 0;
       for (const HotLine& h : sc.hot_lines) {
         if (shown++ >= topn) break;
-        os << "  line 0x" << std::hex << h.line << std::dec << " region "
-           << h.region << " owner " << std::left << std::setw(22) << h.owner
-           << std::right << std::setw(8) << h.aborts << " aborts"
+        os << "  line #" << h.line << " owner " << std::left << std::setw(22)
+           << h.owner << std::right << std::setw(8) << h.aborts << " aborts"
            << std::setw(12) << h.doomed_cycles << " doomed cycles\n";
       }
     }
@@ -379,28 +323,24 @@ void set_enabled(bool on) {
 
 void on_charge(unsigned cls, std::uint64_t cycles) {
   ProfState& ps = state();
-  ThreadProf& tp = me();
-  if (tp.alloc_depth > 0) cls = kClassAlloc;
+  if (me().alloc_depth > 0) cls = kClassAlloc;
   if (cls >= kClassCount) cls = kClassOther;
-  if (tp.depth > 0) {
-    tp.stack[tp.depth - 1].classed[cls] += cycles;
+  if (Span* s = top_span(sim::thread_id())) {
+    s->classed[cls] += cycles;
   } else {
     ps.cur->unattributed[cls] += cycles;
   }
 }
 
 void on_fence_elided(std::uint64_t cycles) {
-  ThreadProf& tp = me();
-  if (tp.depth == 0) return;
-  Span& s = tp.stack[tp.depth - 1];
-  ++s.fence_elided_count;
-  s.fence_elided_cycles += cycles;
+  Span* s = top_span(sim::thread_id());
+  if (s == nullptr) return;
+  ++s->fence_elided_count;
+  s->fence_elided_cycles += cycles;
 }
 
 void on_cas_collapsed(std::uint64_t saved) {
-  ThreadProf& tp = me();
-  if (tp.depth == 0) return;
-  tp.stack[tp.depth - 1].cas_collapsed_cycles += saved;
+  if (Span* s = top_span(sim::thread_id())) s->cas_collapsed_cycles += saved;
 }
 
 void on_alloc_enter() { ++me().alloc_depth; }
@@ -411,10 +351,8 @@ void on_alloc_exit() {
 }
 
 void on_tx_begin() {
-  ThreadProf& tp = me();
-  tp.tx_site = (tp.depth > 0 && !tp.stack[tp.depth - 1].fallback)
-                   ? tp.stack[tp.depth - 1].site
-                   : nullptr;
+  const Span* s = top_span(sim::thread_id());
+  me().tx_site = (s != nullptr && !s->fallback) ? s->site : nullptr;
 }
 
 void on_tx_commit() { me().tx_site = nullptr; }
@@ -422,17 +360,13 @@ void on_tx_commit() { me().tx_site = nullptr; }
 void on_conflict(unsigned victim, unsigned aggressor, std::uintptr_t line,
                  std::uint64_t doomed_cycles) {
   ProfState& ps = state();
-  // Grow for both ids before taking either reference: a resize between the
-  // two would invalidate the first.
-  thread_prof(ps, victim);
-  thread_prof(ps, aggressor);
   ThreadProf& vp = thread_prof(ps, victim);
-  ThreadProf& ap = thread_prof(ps, aggressor);
   const Site* vs = vp.tx_site;
   // The aggressor attributes from its innermost open span, attempt or
   // fallback — "fallback of X doomed the fast path of Y" is a real and
   // interesting cell.
-  const Site* as = ap.depth > 0 ? ap.stack[ap.depth - 1].site : nullptr;
+  const Span* a = top_span(aggressor);
+  const Site* as = a != nullptr ? a->site : nullptr;
   vp.tx_site = nullptr;  // the victim's transaction is dead
 
   MatrixEntry* cell = nullptr;
@@ -449,7 +383,9 @@ void on_conflict(unsigned victim, unsigned aggressor, std::uintptr_t line,
   ++cell->count;
   cell->doomed_cycles += doomed_cycles;
 
-  LineData& ld = ps.cur->lines[static_cast<std::uint64_t>(line)];
+  auto [it, fresh] = ps.cur->lines.try_emplace(line);
+  LineData& ld = it->second;
+  if (fresh) ld.ordinal = ps.cur->lines.size() - 1;
   ++ld.aborts;
   ld.doomed_cycles += doomed_cycles;
   bool found = false;
@@ -476,20 +412,8 @@ void on_abort_unwind() {
   tp.tx_site = nullptr;
 }
 
-// ---------------------------------------------------------------------------
-// Prefix-side hooks. Spans only exist inside a simulation: the host-side
-// prefix calls (fixture setup) immediately fall back and carry no cycles.
-// ---------------------------------------------------------------------------
-
-void on_event(Site* site, unsigned event, unsigned cause) {
-  if (!sim::active()) return;
-  ThreadProf& tp = me();
-  if (event == kEventAttempt || event == kEventFallback) {
-    if (tp.depth >= kMaxSpans) return;  // beyond-plausible nesting: drop
-    tp.stack[tp.depth++].open(site, event == kEventFallback, sim::now());
-    return;
-  }
-  Span* s = pop_match(tp, site, event == kEventFallbackEnd);
+void on_span_end(const Site* site, unsigned event, unsigned cause,
+                 const Span* s) {
   if (s == nullptr) return;
   LedgerData& l = state().cur->ledger(site);
   if (event == kEventFallbackEnd) {
@@ -530,7 +454,7 @@ void reset() {
   ps.scopes.clear();
   ps.scopes.push_back(std::make_unique<ScopeData>(""));
   ps.cur = ps.scopes.front().get();
-  for (auto& t : ps.threads) t.clear();
+  ps.threads.clear();
   ps.conflicts_total = 0;
   ps.doomed_total = 0;
 }
@@ -592,7 +516,7 @@ std::vector<ScopeSnapshot> snapshot() {
     snap.label = sc->label;
     for (const auto& [site, l] : sc->sites) {
       SiteLedger sl;
-      sl.site = site_name(site);
+      sl.site = span_name(site);
       sl.fast = l.fast;
       sl.fallback = l.fallback;
       sl.fence_elided_count = l.fence_elided_count;
@@ -604,8 +528,8 @@ std::vector<ScopeSnapshot> snapshot() {
     }
     for (const auto& e : sc->matrix) {
       ConflictCell c;
-      c.victim = site_name(e.victim);
-      c.aggressor = site_name(e.aggressor);
+      c.victim = span_name(e.victim);
+      c.aggressor = span_name(e.aggressor);
       c.count = e.count;
       c.doomed_cycles = e.doomed_cycles;
       snap.matrix.push_back(std::move(c));
@@ -615,10 +539,9 @@ std::vector<ScopeSnapshot> snapshot() {
                 if (a.victim != b.victim) return a.victim < b.victim;
                 return a.aggressor < b.aggressor;
               });
-    for (const auto& [line, ld] : sc->lines) {
+    for (const auto& [addr_line, ld] : sc->lines) {
       HotLine h;
-      h.line = line;
-      h.region = line >> (18 - 6);  // line index -> 256 KB region ordinal
+      h.line = ld.ordinal;
       h.aborts = ld.aborts;
       h.doomed_cycles = ld.doomed_cycles;
       const Site* owner = nullptr;
@@ -629,7 +552,7 @@ std::vector<ScopeSnapshot> snapshot() {
           owner = vs;
         }
       }
-      h.owner = site_name(owner);
+      h.owner = span_name(owner);
       snap.hot_lines.push_back(std::move(h));
     }
     std::sort(snap.hot_lines.begin(), snap.hot_lines.end(),

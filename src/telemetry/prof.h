@@ -24,11 +24,11 @@
 //    transaction overhead and retry waste it paid for them — see
 //    derive_savings().
 //
-// Site identity flows in through the profiler's tap of the telemetry event
-// gate (telemetry/taps.h): pto::prefix()'s attempt / commit / abort /
-// fallback / fallback-end events bracket the spans, so every
-// PTO_TELEMETRY_SITE-wired call site is profiled with no per-data-structure
-// changes.
+// Site identity flows in through the telemetry event gate: pto::prefix()'s
+// attempt / commit / abort / fallback / fallback-end events open and close
+// the spans of the one stack per thread it keeps for the profiler and the
+// checker (telemetry/span.h), so every PTO_TELEMETRY_SITE-wired call site is
+// profiled with no per-data-structure changes.
 //
 //   PTO_PROF=text|json   enable profiling; dump a report at process exit
 //   PTO_PROF_OUT=path    write the report to a file (default: stderr)
@@ -51,6 +51,8 @@
 #include "telemetry/taps.h"
 
 namespace pto::telemetry {
+
+struct Span;
 
 namespace prof {
 
@@ -110,9 +112,11 @@ void on_conflict(unsigned victim, unsigned aggressor, std::uintptr_t line,
 /// self-abort): clear unwind-sensitive state (the allocator bracket).
 void on_abort_unwind();
 
-/// One prefix event (telemetry/taps.h), dispatched by telemetry::on_event.
-/// A no-op outside a simulation.
-void on_event(Site* site, unsigned event, unsigned cause);
+/// A commit, abort or fallback-end event at `site` closed span `s` (null
+/// when no open span matched). Called by telemetry::on_event, which popped
+/// it; folds it into the ledger.
+void on_span_end(const Site* site, unsigned event, unsigned cause,
+                 const Span* s);
 
 // ---------------------------------------------------------------------------
 // Control and reporting.
@@ -194,8 +198,9 @@ struct ConflictCell {
 };
 
 struct HotLine {
-  std::uint64_t line = 0;    ///< address / kCacheLine
-  std::uint64_t region = 0;  ///< 256 KB region ordinal (line / 4096)
+  /// The line's order of first conflict in its scope (0, 1, ...): fixed by
+  /// the simulation, where a host address would follow ASLR.
+  std::uint64_t line = 0;
   std::uint64_t aborts = 0;
   std::uint64_t doomed_cycles = 0;
   std::string owner;  ///< dominant victim site ("(none)" if un-sited)
@@ -205,7 +210,7 @@ struct ScopeSnapshot {
   std::string label;
   std::vector<SiteLedger> sites;       ///< registration order
   std::vector<ConflictCell> matrix;    ///< victim-major order
-  std::vector<HotLine> hot_lines;      ///< sorted by aborts desc (all lines)
+  std::vector<HotLine> hot_lines;      ///< aborts desc, then line (all)
   std::uint64_t unattributed[kClassCount] = {};  ///< charges outside any span
 };
 

@@ -14,6 +14,7 @@
 #include "obs/obs.h"
 #include "sim/sim.h"
 #include "telemetry/prof.h"
+#include "telemetry/span.h"
 
 namespace pto::telemetry {
 
@@ -31,12 +32,10 @@ void set_tap(unsigned tap, bool on) {
 
 namespace {
 
-// PTO_METRICS arms the counters tap through metrics::configure().
+// PTO_STATS reads the counters (telemetry/emit.h); PTO_METRICS arms them
+// through metrics::configure(), PTO_TELEMETRY_REPORT in Registry::instance().
 const bool g_counters_env = [] {
-  if (env::str("PTO_TELEMETRY") != nullptr ||
-      env::str("PTO_STATS") != nullptr || env::str("PTO_TRACE") != nullptr) {
-    set_enabled(true);
-  }
+  if (env::str("PTO_STATS") != nullptr) set_enabled(true);
   return true;
 }();
 
@@ -315,6 +314,64 @@ PrefixStats registry_delta(const PrefixStats& before) {
   return registry_totals().zip(before, std::minus<>());
 }
 
+namespace {
+
+/// One virtual thread's spans (telemetry/span.h): [0, depth) are open, and
+/// storage above depth is kept for the next push.
+struct SpanStack {
+  std::vector<Span> spans;
+  unsigned depth = 0;
+};
+/// Indexed by virtual thread id, grown by a thread's first push. Every
+/// virtual thread runs on the host thread driving the simulation.
+std::vector<SpanStack> g_span_stacks;
+
+/// Push a span for an attempt or fallback event, or pop the innermost one a
+/// closing event matches with every span above it. Returns the popped span
+/// (valid until the next push); null for a push or when nothing matched.
+const Span* step_spans(unsigned tid, const Site* site, unsigned event) {
+  const bool push = event == kEventAttempt || event == kEventFallback;
+  const bool fallback = event == kEventFallback || event == kEventFallbackEnd;
+  if (tid >= g_span_stacks.size() && !push) return nullptr;
+  if (tid >= g_span_stacks.size()) g_span_stacks.resize(tid + 1);
+  SpanStack& st = g_span_stacks[tid];
+  if (push) {
+    if (st.depth >= kMaxSpans) return nullptr;  // beyond-plausible nesting
+    if (st.depth == st.spans.size()) st.spans.emplace_back();
+    st.spans[st.depth++] = Span{site, fallback, sim::now()};
+    return nullptr;
+  }
+  for (unsigned i = st.depth; i-- > 0;) {
+    if (st.spans[i].site == site && st.spans[i].fallback == fallback) {
+      st.depth = i;
+      return &st.spans[i];
+    }
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+Span* top_span(unsigned tid) {
+  const unsigned depth = span_depth(tid);
+  return depth > 0 ? &g_span_stacks[tid].spans[depth - 1] : nullptr;
+}
+
+unsigned span_depth(unsigned tid) {
+  return tid < g_span_stacks.size() ? g_span_stacks[tid].depth : 0;
+}
+
+void clear_spans() {
+  for (SpanStack& st : g_span_stacks) st.depth = 0;
+}
+
+std::size_t span_stacks() { return g_span_stacks.size(); }
+
+std::string span_name(const Site* site, bool fallback) {
+  if (site == nullptr) return "(none)";
+  return fallback ? site->name() + "/fallback" : site->name();
+}
+
 // The one dispatcher behind telemetry::emit (telemetry/taps.h).
 void on_event(Site* site, unsigned event, unsigned cause) {
   if (site == nullptr) return;
@@ -333,8 +390,14 @@ void on_event(Site* site, unsigned event, unsigned cause) {
                          static_cast<std::uint8_t>(event), cause);
     }
   }
-  if (t & kTapProf) prof::on_event(site, event, cause);
-  if (t & kTapCheck) check::on_event(site, event, cause);
+  // Spans exist only inside a simulation: host-side prefix calls (fixture
+  // setup) fall back at once and carry no cycles.
+  if ((t & (kTapProf | kTapCheck)) == 0 || !sim::active()) return;
+  const unsigned tid = sim::thread_id();
+  const Span* s = step_spans(tid, site, event);
+  if (event == kEventAttempt || event == kEventFallback) return;
+  if (t & kTapProf) prof::on_span_end(site, event, cause, s);
+  if (t & kTapCheck) check::on_span_end(site, event, span_depth(tid));
 }
 
 }  // namespace pto::telemetry

@@ -22,8 +22,8 @@
 // rings hang off the same lease, one per native slot.
 //
 // Zero overhead when off: every event passes the tap word (telemetry/taps.h).
-// The counters tap is armed by PTO_STATS / PTO_TRACE / PTO_TELEMETRY /
-// PTO_TELEMETRY_REPORT / PTO_METRICS or telemetry::set_enabled(). Inside the
+// The counters tap is armed by what reads the counters: PTO_STATS /
+// PTO_TELEMETRY_REPORT / PTO_METRICS, or telemetry::set_enabled(). Inside the
 // simulator no counter update ever charges virtual cycles, so enabling
 // telemetry cannot change a simulated result — simx determinism doubles as
 // the zero-overhead proof.

@@ -11,7 +11,8 @@
 // pto::prefix() and the native HTM facade test the whole word with one
 // relaxed load: with every tap off an event costs one branch; with any tap
 // on, one out-of-line on_event() (telemetry/registry.cpp) dispatches it to
-// the armed taps.
+// the armed taps. While the profiler or the checker tap is armed, on_event
+// also keeps the one span stack both read (telemetry/span.h).
 #pragma once
 
 #include <atomic>
@@ -23,7 +24,7 @@ namespace pto::telemetry {
 class Site;
 
 enum Tap : unsigned {
-  kTapCounters = 1u << 0,  ///< site counters (PTO_STATS/TRACE/TELEMETRY/...)
+  kTapCounters = 1u << 0,  ///< site counters (PTO_STATS/METRICS/...)
   kTapHist = 1u << 1,      ///< latency histograms (PTO_OBS)
   kTapFlight = 1u << 2,    ///< flight recorder (PTO_FLIGHT)
   kTapProf = 1u << 3,      ///< profiler (PTO_PROF)
@@ -37,8 +38,8 @@ enum Event : unsigned {
   kEventCommit = 2,       ///< fast-path commit
   kEventAbort = 3,        ///< tx abort; cause = TxAbort code
   kEventFallback = 4,     ///< fallback path entered
-  kEventFallbackEnd = 5,  ///< fallback returned: closes the profiler/checker
-                          ///< span, counts nothing
+  kEventFallbackEnd = 5,  ///< fallback returned: closes the fallback span
+                          ///< (telemetry/span.h), counts nothing
 };
 
 namespace detail {

@@ -211,13 +211,14 @@ void trace_flush() {
      << ",\"cycles_per_us\":" << kCyclesPerUs << "}}\n";
   if (dropped > 0) {
     // A truncated trace silently read as complete misleads every analysis
-    // downstream; say so once per flush.
-    std::fprintf(stderr,
-                 "[pto] warning: trace ring full, dropped %llu of %llu events "
-                 "(raise PTO_TRACE_CAP, currently %llu)\n",
-                 static_cast<unsigned long long>(dropped),
-                 static_cast<unsigned long long>(s.count),
-                 static_cast<unsigned long long>(s.cap));
+    // downstream; say so, once per process (a full ring stays full, and
+    // every later flush would repeat the line).
+    warn_once("trace.ring_full",
+              "trace ring full, dropped %llu of %llu events (raise "
+              "PTO_TRACE_CAP, currently %llu)",
+              static_cast<unsigned long long>(dropped),
+              static_cast<unsigned long long>(s.count),
+              static_cast<unsigned long long>(s.cap));
   }
 }
 

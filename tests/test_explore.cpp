@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "common/warn.h"
 #include "core/prefix.h"
 #include "ds/skiplist/skiplist.h"
 #include "explore/explore.h"
@@ -284,6 +285,27 @@ TEST(ExploreReplay, MissingDecisionsFallBackToIncumbent) {
     }
   }
   std::remove(path.c_str());
+}
+
+// An unreadable replay file is one warning class (common/warn.h): two runs
+// print one line, and the count keeps how often it recurred.
+TEST(ExploreReplay, UnreadableFileWarnsOnce) {
+  xp::Options rep;
+  rep.policy = xp::Policy::kReplay;
+  rep.replay_path = "/nonexistent/pto_sched_replay.txt";
+  ::testing::internal::CaptureStderr();
+  RunRecord a = run_counter(2, 10, rep);
+  RunRecord b = run_counter(2, 10, rep);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(a.total, 20u);
+  EXPECT_EQ(b.total, 20u);
+  std::size_t lines = 0;
+  for (auto at = err.find("unreadable"); at != std::string::npos;
+       at = err.find("unreadable", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 1u) << err;
+  EXPECT_EQ(pto::warn_count("explore.replay_open"), 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@
 For the profiler's end-of-run JSON record (PTO_PROF=json, optionally
 redirected with PTO_PROF_OUT) it renders, per scope:
 
-  * the top-N hot lines: cache line -> region/owner site, conflict-abort
-    count, doomed cycles;
+  * the top-N hot lines: each cache line by its order of first conflict in
+    the scope (#0, #1, ...), its owner site, conflict-abort count, doomed
+    cycles;
   * the site x site conflict matrix (victim rows, aggressor columns) as an
     aligned text table;
   * the per-site savings ledger: where the PTO speedup came from, by latency
@@ -92,12 +93,11 @@ def print_hot_lines(scope, topn):
         print("    (no conflict aborts recorded)")
         return
     rows = [
-        (f"0x{int(h['line']):x}", h["region"], h["owner"], h["aborts"],
-         h["doomed_cycles"])
+        (f"#{h['line']}", h["owner"], h["aborts"], h["doomed_cycles"])
         for h in lines
     ]
-    txt = table(rows, ["line", "region", "owner", "aborts", "doomed_cycles"],
-                [True, False, True, False, False])
+    txt = table(rows, ["line", "owner", "aborts", "doomed_cycles"],
+                [True, True, False, False])
     print("    " + txt.replace("\n", "\n    "))
 
 
