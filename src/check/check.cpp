@@ -51,7 +51,6 @@ struct TxRead {
 
 struct PoisonEntry {
   std::uint64_t value;      ///< the pointer-looking doomed-read value
-  std::uintptr_t origin;    ///< address the doomed transaction read it from
   unsigned victim_tid;
   unsigned depth;           ///< span depth at doom time (scoping, see below)
   std::string site;         ///< attribution of the doomed transaction
@@ -158,11 +157,6 @@ struct CheckState {
 CheckState& state() {
   static CheckState s;
   return s;
-}
-
-bool debug_on() {
-  static const bool on = env::flag("PTO_CHECK_DEBUG");
-  return on;
 }
 
 const bool g_env_scanned = [] {
@@ -281,14 +275,6 @@ void check_poison(CheckState& S, ThreadState& t, unsigned tid,
   for (std::size_t i = 0; i < t.poison.size();) {
     PoisonEntry& p = t.poison[i];
     if (addr / kCacheLine == p.value / kCacheLine) {
-      if (debug_on()) {
-        std::fprintf(stderr,
-                     "[dbg] deref t%u addr=%p poison value=%p origin=%p "
-                     "is_store=%d\n",
-                     tid, reinterpret_cast<void*>(addr),
-                     reinterpret_cast<void*>(p.value),
-                     reinterpret_cast<void*>(p.origin), is_store ? 1 : 0);
-      }
       add_finding(S, FindingKind::kDoomedAddressUse, addr, p.victim_tid, tid,
                   p.site, cur_site_name(tid));
     }
@@ -572,12 +558,7 @@ void on_tx_doomed(unsigned victim, std::uintptr_t line) {
       }
     }
     if (dup || t.poison.size() >= kPoisonCap) continue;
-    if (debug_on()) {
-      std::fprintf(stderr, "[dbg] poison t%u depth=%u site=%s value=%p\n",
-                   victim, depth, site.c_str(),
-                   reinterpret_cast<void*>(r.value));
-    }
-    t.poison.push_back(PoisonEntry{r.value, r.addr, victim, depth, site});
+    t.poison.push_back(PoisonEntry{r.value, victim, depth, site});
     ++S.st.poisoned_values;
   }
   t.tx_log.clear();

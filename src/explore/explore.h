@@ -30,8 +30,8 @@
 //
 // Preemption points are exactly the simulator's instrumented events: every
 // shared-memory access, fence, RMW, allocation, tx begin/commit, pause and
-// op boundary charges cycles through Runtime::charge(), and under an
-// exploration policy every charge() is a scheduling decision. A run is a
+// op boundary charges cycles through Runtime::advance(), and under an
+// exploration policy every advance() is a scheduling decision. A run is a
 // pure function of (workload, Options), so any failure is replayed exactly
 // by its one-line token (`explore::token()`).
 //
@@ -61,10 +61,9 @@ struct Options {
                                     ///< points are sampled from
   std::string replay_path;       ///< kReplay: decision-list file
 
-  /// HTM fault injection; rate 0 disables. Independent of the scheduling
-  /// policy (and of HtmConfig::spurious_abort_prob, which draws from the
-  /// workload RNG — the fault injector has its own stream so enabling it
-  /// never perturbs workload key sequences).
+  /// HTM fault injection, the simulator's only source of spurious aborts;
+  /// rate 0 disables. Independent of the scheduling policy, and drawn from
+  /// its own stream, so enabling it never perturbs workload key sequences.
   std::uint64_t fault_seed = 0;
   double fault_rate = 0.0;
 

@@ -4,7 +4,7 @@
 // rr policy no Explorer exists and the dispatcher is untouched.
 //
 // Decision model: a global `step` counter increments at every decision point
-// — each charge() on the running thread, the initial dispatch, and each
+// — each advance() on the running thread, the initial dispatch, and each
 // thread-finish handoff. A decision that picks a thread other than the
 // incumbent is recorded as pack_decision(step, tid); the recorded list is
 // what PTO_SCHED_DUMP writes, what PTO_SCHED=replay:<file> consumes, and

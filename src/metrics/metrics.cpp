@@ -62,7 +62,8 @@ struct State {
   std::mutex mu;  ///< guards everything below plus emission
   Config cfg;
   std::atomic<bool> armed{false};
-  bool file_failed = false;
+  bool out_failed = false;   ///< the NDJSON stream could not be opened
+  bool prom_failed = false;  ///< a Prometheus file write failed (warned)
   std::FILE* out = nullptr;  ///< owned unless == stderr
   std::ostream* test_os = nullptr;
   std::uint64_t seq = 0;
@@ -131,7 +132,7 @@ void out_write(State& s, const std::string& rec) {
     s.test_os->flush();
     return;
   }
-  if (s.out == nullptr && !s.file_failed) {
+  if (s.out == nullptr && !s.out_failed) {
     const std::string& p = s.cfg.out_path;
     const char* path = p.empty() ? "pto_metrics.ndjson" : p.c_str();
     if (std::strcmp(path, "-") == 0) {
@@ -140,7 +141,7 @@ void out_write(State& s, const std::string& rec) {
       s.out = std::fopen(path, "wb");
       if (s.out == nullptr) {
         // Plain fprintf, not warn_once: the warn sink would re-enter mu.
-        s.file_failed = true;
+        s.out_failed = true;
         std::fprintf(stderr,
                      "[pto] warning: cannot open PTO_METRICS_OUT=%s; metrics "
                      "stream disabled\n",
@@ -230,8 +231,8 @@ void write_prom(State& s) {
     std::fwrite(o.data(), 1, o.size(), f);
     std::fclose(f);
     std::rename(tmp.c_str(), s.cfg.prom_path.c_str());
-  } else if (!s.file_failed) {
-    s.file_failed = true;
+  } else if (!s.prom_failed) {
+    s.prom_failed = true;
     std::fprintf(stderr, "[pto] warning: cannot write PTO_METRICS_PROM=%s\n",
                  s.cfg.prom_path.c_str());
   }
@@ -637,7 +638,8 @@ void configure(const Config& cfg) {
   std::unique_lock<std::mutex> lk(s.mu);
   if (s.out != nullptr && s.out != stderr) std::fclose(s.out);
   s.out = nullptr;
-  s.file_failed = false;
+  s.out_failed = false;
+  s.prom_failed = false;
   s.cfg = cfg;
   s.seq = 0;
   s.intervals.store(0, std::memory_order_relaxed);

@@ -102,8 +102,8 @@ void flush();
 
 // ---------------------------------------------------------------------------
 // simx virtual-time ticker. sim::run() brackets each simulation;
-// Runtime::charge() — the dispatcher's only clock-advancing edge — calls
-// sim_maybe_tick with the running thread's clock. The running thread is a
+// Runtime::advance() — the dispatcher's only clock-advancing edge — makes
+// sim_maybe_tick's check with the running thread's clock. The running thread is a
 // clock minimum over runnable threads (scheduler invariant), so its clock
 // *is* virtual now. Everything a tick does happens in host memory: no
 // virtual cycles are charged, no simulated allocation occurs, and the
@@ -114,7 +114,7 @@ void sim_run_end(std::uint64_t final_vt);
 
 namespace detail {
 /// Next virtual-cycle tick boundary; ~0 whenever metrics is off or no
-/// simulation is running, so the charge()-side gate is one compare that
+/// simulation is running, so the advance()-side gate is one compare that
 /// never fires.
 extern std::uint64_t g_sim_next_tick;
 void sim_tick(std::uint64_t vnow);

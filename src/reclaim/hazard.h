@@ -19,6 +19,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <mutex>
 #include <vector>
 
 #include "common/defs.h"
@@ -56,8 +59,13 @@ class HazardDomain {
         return Handle(this, i);
       }
     }
-    assert(false && "HazardDomain: out of thread rows");
-    return Handle(this, 0);
+    // Out of rows. Sharing a row would let this handle's destructor
+    // un-claim a row another thread still uses, so stop in every build.
+    std::fprintf(stderr,
+                 "HazardDomain: more than %u concurrent handles "
+                 "(kMaxThreads)\n",
+                 kMaxThreads);
+    std::abort();
   }
 
   class Handle {
@@ -74,7 +82,11 @@ class HazardDomain {
       for (unsigned i = 0; i < SlotsPerThread; ++i) clear(i);
       // Try to drain; park the irreducible rest with the domain.
       scan_and_reclaim();
-      for (auto& r : limbo_) dom_->orphans_.push_back(r);
+      if (!limbo_.empty()) {
+        std::lock_guard<std::mutex> lk(dom_->orphan_mu_);
+        dom_->orphans_.insert(dom_->orphans_.end(), limbo_.begin(),
+                              limbo_.end());
+      }
       dom_->rows_[row_].claimed.store(0, std::memory_order_release);
     }
 
@@ -188,6 +200,7 @@ class HazardDomain {
   Row rows_[kMaxThreads];
   /// Highest claimed row index + 1, monotonic; host atomic (uncharged).
   std::atomic<unsigned> row_hwm_{0};
+  std::mutex orphan_mu_;
   std::vector<typename Handle::Retired> orphans_;
 };
 

@@ -34,73 +34,52 @@ void Arena::next_chunk(std::size_t bytes) {
   left_ = c.bytes;
 }
 
+void Runtime::tcache_tick() {
+  // Thread-cached allocator model: the fast path costs cost.alloc (or
+  // cost.dealloc); every kTcacheRefill-th call refills from the shared
+  // arena, modeled as an RMW on a global word — concurrent refills pay
+  // coherence misses, and a refill inside a transaction adds the word to
+  // the write set (the reason malloc-heavy transactions conflict — paper
+  // §4.5).
+  if (++me().alloc_tick % kTcacheRefill != 0) return;
+  // The prof bracket reclasses the RMW as allocator traffic; an abort
+  // longjmp through do_fetch_add clears it via on_abort_unwind.
+  if (PTO_UNLIKELY(prof::on())) prof::on_alloc_enter();
+  (void)do_fetch_add(&g_mem.alloc_word, 8, 1);
+  if (PTO_UNLIKELY(prof::on())) prof::on_alloc_exit();
+}
+
 void* Runtime::do_alloc(std::size_t bytes) {
   check_doom();
-  VThread& t = me();
-  ++t.stats.allocs;
-  // The prof bracket reclasses the refill RMW below as allocator traffic;
-  // an abort longjmp through do_fetch_add clears it via on_abort_unwind.
-  if (PTO_UNLIKELY(prof::on())) prof::on_alloc_enter();
-  // Thread-cached allocator model: the fast path costs cost.alloc; every
-  // kTcacheRefill-th allocation refills from the shared arena, modeled as an
-  // RMW on a global word — concurrent refills pay coherence misses, and a
-  // refill inside a transaction adds the word to the write set (the reason
-  // malloc-heavy transactions conflict — paper §4.5).
-  if (++t.alloc_tick % kTcacheRefill == 0) {
-    std::uint64_t unused = do_fetch_add(&g_mem.alloc_word, 8, 1);
-    (void)unused;
-  }
+  ++me().stats.allocs;
+  tcache_tick();
   void* p = g_mem.arena.allocate(bytes);
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_charge(prof::kClassAlloc, cfg.cost.alloc);
-    prof::on_alloc_exit();
-  }
-  charge(cfg.cost.alloc);
-  check_doom();
+  advance(cfg.cost.alloc, prof::kClassAlloc);
   return p;
 }
 
 void Runtime::do_dealloc(void* p, std::size_t bytes) {
   check_doom();
-  VThread& t = me();
   // Library convention: transactions never free (PTO fast paths retire after
   // commit; fallbacks retire through epochs, outside transactions).
-  assert(!t.tx.active && "dealloc inside a transaction is not supported");
-  ++t.stats.frees;
-  if (PTO_UNLIKELY(prof::on())) prof::on_alloc_enter();
-  if (++t.alloc_tick % kTcacheRefill == 0) {
-    std::uint64_t unused = do_fetch_add(&g_mem.alloc_word, 8, 1);
-    (void)unused;
-  }
-  auto first = reinterpret_cast<std::uintptr_t>(p) / kCacheLine;
-  auto last = (reinterpret_cast<std::uintptr_t>(p) + (bytes ? bytes - 1 : 0)) /
-              kCacheLine;
+  assert(!me().tx.active && "dealloc inside a transaction is not supported");
+  ++me().stats.frees;
+  tcache_tick();
   // One doom batch for the whole free: a multi-line free that dooms k
   // transactions repairs the dispatch heap once, not k times. A victim
   // doomed on an early line has its reader/writer registrations on later
   // lines already released, so no victim is visited twice.
   begin_doom_batch();
-  for (auto la = first; la <= last; ++la) {
-    LineState& L = g_mem.lines.line_by_index(la);
+  for_each_line(p, bytes, [&](std::uintptr_t la, LineState& L) {
     // Freeing is a write: any transaction still holding the line is the
     // victim (this is what makes epoch elision inside transactions safe).
-    if (L.tx_writer != kNobody && L.tx_writer != cur) {
-      doom(L.tx_writer, TX_ABORT_CONFLICT, la);
-    }
-    L.tx_readers().for_each_other(cur, nwords, [&](unsigned v) {
-      doom(v, TX_ABORT_CONFLICT, la);
-    });
+    requester_wins(L, la, true);
     L.freed = true;
     L.sharers().assign_single(cur, nwords);
-  }
+  });
   end_doom_batch();
   if (cfg.trap_use_after_free) std::memset(p, 0xDD, bytes);
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_charge(prof::kClassAlloc, cfg.cost.dealloc);
-    prof::on_alloc_exit();
-  }
-  charge(cfg.cost.dealloc);
-  check_doom();
+  advance(cfg.cost.dealloc, prof::kClassAlloc);
 }
 
 }  // namespace pto::sim::internal

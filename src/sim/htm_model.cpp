@@ -1,5 +1,6 @@
 // Best-effort HTM model: flat nesting, in-place writes with an undo log,
-// requester-wins conflict resolution, capacity/duration/spurious aborts.
+// requester-wins conflict resolution, capacity/duration aborts and the
+// fault model's injected spurious aborts.
 #include "sim/runtime_internal.h"
 
 #include "check/check.h"
@@ -23,16 +24,28 @@ void Runtime::release_tx_footprint(TxDesc& tx, unsigned tid) {
   tx.undo.clear();
 }
 
-void Runtime::doom(unsigned victim, unsigned cause, std::uintptr_t line) {
-  VThread& vt = threads[victim];
-  TxDesc& tx = vt.tx;
-  assert(tx.active && !tx.doomed && victim != cur);
+void Runtime::abort_tx(unsigned tid, unsigned cause) {
+  VThread& t = threads[tid];
+  TxDesc& tx = t.tx;
   // Roll back in-place writes so the requester (and everyone else) observes
   // pre-transaction state immediately.
   for (auto it = tx.undo.rbegin(); it != tx.undo.rend(); ++it) {
     raw_write(it->addr, it->size, it->old_val);
   }
-  release_tx_footprint(tx, victim);
+  release_tx_footprint(tx, tid);
+  t.clock += cfg.cost.tx_abort_penalty;
+  t.stats.tx_aborts[cause]++;
+  t.stats.tx_cycles += t.clock - tx.start;
+  if (PTO_UNLIKELY(telemetry::trace_on())) {
+    telemetry::trace_tx_abort(tid, tx.start, t.clock, cause);
+  }
+}
+
+void Runtime::doom(unsigned victim, unsigned cause, std::uintptr_t line) {
+  VThread& vt = threads[victim];
+  TxDesc& tx = vt.tx;
+  assert(tx.active && !tx.doomed && victim != cur);
+  abort_tx(victim, cause);
   if (PTO_UNLIKELY(check::on())) {
     // After the rollback, before the aggressor's own write lands: the
     // checker compares the victim's logged reads against restored memory.
@@ -40,16 +53,10 @@ void Runtime::doom(unsigned victim, unsigned cause, std::uintptr_t line) {
   }
   tx.doomed = true;
   tx.doom_cause = cause;
-  vt.clock += cfg.cost.tx_abort_penalty;
   // The victim sits in the ready heap (it is suspended); its key and the
   // cached yield threshold must track the penalty. Under an adversarial
   // policy there is no heap to fix — the Explorer ignores clocks.
   if (PTO_LIKELY(explorer == nullptr)) on_clock_raised(victim);
-  vt.stats.tx_aborts[cause]++;
-  vt.stats.tx_cycles += vt.clock - tx.start;
-  if (PTO_UNLIKELY(telemetry::trace_on())) {
-    telemetry::trace_tx_abort(victim, tx.start, vt.clock, cause);
-  }
   if (PTO_UNLIKELY(prof::on())) {
     // The current thread is the aggressor whose access doomed the victim;
     // everything since the victim's outermost begin (penalty included) is
@@ -58,11 +65,21 @@ void Runtime::doom(unsigned victim, unsigned cause, std::uintptr_t line) {
   }
 }
 
-void Runtime::check_doom() {
+void Runtime::self_abort(unsigned cause, unsigned char user_code) {
   VThread& t = me();
-  if (PTO_LIKELY(!t.tx.doomed)) return;
+  assert(t.tx.active && !t.tx.doomed);
+  if (PTO_UNLIKELY(check::on())) {
+    check::on_tx_self_abort(cur, cause, t.tx.rlines.size(),
+                            t.tx.wlines.size());
+  }
+  abort_tx(cur, cause);
+  t.last_user_code = user_code;
+  unwind(cause);
+}
+
+void Runtime::unwind(unsigned cause) {
+  VThread& t = me();
   TxDesc& tx = t.tx;
-  unsigned cause = tx.doom_cause;
   tx.doomed = false;
   tx.active = false;
   tx.depth = 0;
@@ -74,30 +91,11 @@ void Runtime::check_doom() {
   std::longjmp(tx.env, static_cast<int>(cause));
 }
 
-void Runtime::self_abort(unsigned cause, unsigned char user_code) {
-  VThread& t = me();
-  TxDesc& tx = t.tx;
-  assert(tx.active && !tx.doomed);
-  for (auto it = tx.undo.rbegin(); it != tx.undo.rend(); ++it) {
-    raw_write(it->addr, it->size, it->old_val);
-  }
-  if (PTO_UNLIKELY(check::on())) {
-    check::on_tx_self_abort(cur, cause, tx.rlines.size(), tx.wlines.size());
-  }
-  release_tx_footprint(tx, cur);
-  t.last_user_code = user_code;
-  t.stats.tx_aborts[cause]++;
-  t.clock += cfg.cost.tx_abort_penalty;
-  t.stats.tx_cycles += t.clock - tx.start;
-  if (PTO_UNLIKELY(telemetry::trace_on())) {
-    telemetry::trace_tx_abort(cur, tx.start, t.clock, cause);
-  }
-  tx.active = false;
-  tx.depth = 0;
-  if (PTO_UNLIKELY(prof::on())) prof::on_abort_unwind();
-  // See check_doom(): unpoison the fiber stack before longjmp under ASan.
-  t.fiber->unpoison_stack();
-  std::longjmp(tx.env, static_cast<int>(cause));
+bool Runtime::fault_coin() {
+  if (PTO_LIKELY(xopts.fault_rate <= 0.0)) return false;
+  const double u =
+      static_cast<double>(me().fault_rng.next() >> 11) * 0x1.0p-53;
+  return u < xopts.fault_rate;
 }
 
 void Runtime::tx_access_checks() {
@@ -105,21 +103,9 @@ void Runtime::tx_access_checks() {
   if (t.clock - t.tx.start > cfg.htm.max_duration) {
     self_abort(TX_ABORT_DURATION, TX_CODE_NONE);
   }
-  if (PTO_UNLIKELY(cfg.htm.spurious_abort_prob > 0.0)) {
-    // Deterministic per-thread coin flip.
-    double u = static_cast<double>(t.rng.next() >> 11) * 0x1.0p-53;
-    if (u < cfg.htm.spurious_abort_prob) {
-      self_abort(TX_ABORT_SPURIOUS, TX_CODE_NONE);
-    }
-  }
-  if (PTO_UNLIKELY(xopts.fault_rate > 0.0)) {
-    // Injected spurious/interrupt abort (explore fault model). Drawn from
-    // the dedicated fault stream so the workload RNG is untouched.
-    double u = static_cast<double>(t.fault_rng.next() >> 11) * 0x1.0p-53;
-    if (u < xopts.fault_rate) {
-      self_abort(TX_ABORT_SPURIOUS, TX_CODE_NONE);
-    }
-  }
+  // Injected spurious/interrupt abort (explore fault model), the model's
+  // only source of the paper's abort cause (c).
+  if (fault_coin()) self_abort(TX_ABORT_SPURIOUS, TX_CODE_NONE);
 }
 
 }  // namespace pto::sim::internal
@@ -138,11 +124,8 @@ unsigned tx_begin() {
     ++t.tx.depth;
     return TX_STARTED;
   }
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_charge(prof::kClassTxOverhead, rt.cfg.cost.tx_begin);
-  }
-  rt.charge(rt.cfg.cost.tx_begin);
   // Cannot be doomed here: tx was not active while we were switched out.
+  rt.advance(rt.cfg.cost.tx_begin, prof::kClassTxOverhead);
   TxDesc& tx = t.tx;
   tx.active = true;
   tx.doomed = false;
@@ -150,16 +133,13 @@ unsigned tx_begin() {
   tx.user_code = TX_CODE_NONE;
   tx.rcap = rt.cfg.htm.max_read_lines;
   tx.wcap = rt.cfg.htm.max_write_lines;
-  if (PTO_UNLIKELY(rt.xopts.fault_rate > 0.0)) {
+  if (rt.fault_coin()) {
     // Capacity jitter: with the fault probability, this transaction runs
     // with a uniformly reduced footprint budget — the best-effort "your
     // capacity varies with cache pressure" failure mode, driving workloads
     // through their capacity-abort fallback paths.
-    double u = static_cast<double>(t.fault_rng.next() >> 11) * 0x1.0p-53;
-    if (u < rt.xopts.fault_rate) {
-      tx.rcap = 1 + static_cast<unsigned>(t.fault_rng.next_below(tx.rcap));
-      tx.wcap = 1 + static_cast<unsigned>(t.fault_rng.next_below(tx.wcap));
-    }
+    tx.rcap = 1 + static_cast<unsigned>(t.fault_rng.next_below(tx.rcap));
+    tx.wcap = 1 + static_cast<unsigned>(t.fault_rng.next_below(tx.wcap));
   }
   t.stats.tx_started++;
   if (PTO_UNLIKELY(check::on())) check::on_tx_begin(rt.cur);
@@ -187,11 +167,8 @@ void tx_end() {
   if (PTO_UNLIKELY(telemetry::trace_on())) {
     telemetry::trace_tx_commit(rt.cur, tx.start, t.clock);
   }
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_tx_commit();
-    prof::on_charge(prof::kClassTxOverhead, rt.cfg.cost.tx_commit);
-  }
-  rt.charge(rt.cfg.cost.tx_commit);
+  if (PTO_UNLIKELY(prof::on())) prof::on_tx_commit();
+  rt.advance(rt.cfg.cost.tx_commit, prof::kClassTxOverhead);
 }
 
 void tx_abort(unsigned char user_code) {

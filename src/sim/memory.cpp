@@ -1,12 +1,12 @@
-// Line-granular memory hooks: cost charging, MESI-ish sharer tracking, HTM
-// conflict detection (requester-wins, strong atomicity), undo logging.
+// Line-granular memory hooks, each built from the per-access rules of
+// runtime_internal.h (prologue, coherence, requester wins, the advance()
+// charge edge), plus transactional read/write tracking and undo logging.
 #include "sim/runtime_internal.h"
 
 #include <cstring>
 
 #include "check/check.h"
 #include "telemetry/prof.h"
-#include "telemetry/trace.h"
 
 namespace pto::sim::internal {
 
@@ -87,28 +87,10 @@ std::uintptr_t line_addr(const void* addr) {
   return reinterpret_cast<std::uintptr_t>(addr) / kCacheLine;
 }
 
-/// Doom every transactional reader of L other than `self`. Each word of the
-/// reader set is snapshotted before its victims are doomed (for_each_other),
-/// matching the old snapshot-then-ctzll loop: dooming a victim clears only
-/// that victim's own bits, so later words are never perturbed mid-scan.
-void doom_other_readers(Runtime& rt, LineState& L, unsigned self,
-                        std::uintptr_t la) {
-  L.tx_readers().for_each_other(self, rt.nwords, [&](unsigned v) {
-    rt.doom(v, TX_ABORT_CONFLICT, la);
-  });
-}
-
-void doom_other_writer(Runtime& rt, LineState& L, unsigned self,
-                       std::uintptr_t la) {
-  if (L.tx_writer != kNobody && L.tx_writer != self) {
-    rt.doom(L.tx_writer, TX_ABORT_CONFLICT, la);
-  }
-}
-
 /// Register a transactional read of the line; capacity-aborts if the read
 /// set is full. The limit is the per-transaction budget set at tx_begin
 /// (the HtmConfig limit, jittered down under HTM fault injection).
-void tx_track_read(Runtime& rt, LineState& L) {
+inline void tx_track_read(Runtime& rt, LineState& L) {
   VThread& t = rt.me();
   if (L.tx_readers().test(rt.cur)) return;
   if (t.tx.rlines.size() >= t.tx.rcap) {
@@ -118,152 +100,98 @@ void tx_track_read(Runtime& rt, LineState& L) {
   t.tx.rlines.push_back(&L);
 }
 
-void tx_track_write(Runtime& rt, LineState& L) {
+/// Register a transactional write of the line (capacity-aborting like
+/// tx_track_read) and log the old value of the bytes about to change.
+inline void tx_track_write(Runtime& rt, LineState& L, void* addr,
+                           unsigned size) {
   VThread& t = rt.me();
-  if (L.tx_writer == rt.cur) return;
-  if (t.tx.wlines.size() >= t.tx.wcap) {
-    rt.self_abort(TX_ABORT_CAPACITY, TX_CODE_NONE);
+  if (L.tx_writer != rt.cur) {
+    if (t.tx.wlines.size() >= t.tx.wcap) {
+      rt.self_abort(TX_ABORT_CAPACITY, TX_CODE_NONE);
+    }
+    L.tx_writer = rt.cur;
+    t.tx.wlines.push_back(&L);
   }
-  L.tx_writer = rt.cur;
-  t.tx.wlines.push_back(&L);
+  t.tx.undo.push_back({addr, size, raw_read(addr, size)});
+}
+
+/// An in-tx CAS or RMW costs `cost` instead of CostModel::cas.
+void note_collapsed(const Runtime& rt, std::uint64_t cost) {
+  if (PTO_UNLIKELY(prof::on())) {
+    prof::on_cas_collapsed(rt.cfg.cost.cas > cost ? rt.cfg.cost.cas - cost
+                                                   : 0);
+  }
 }
 
 }  // namespace
 
 std::uint64_t Runtime::do_load(const void* addr, unsigned size,
                                unsigned order) {
-  check_doom();
+  LineState& L = begin_access(addr);
+  const std::uintptr_t la = line_addr(addr);
   VThread& t = me();
-  LineState& L = line_of(addr);
-  if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
-  std::uintptr_t la = line_addr(addr);
-  std::uint64_t cost = cfg.cost.load_hit;
-  if (!L.sharers().test(cur)) {
-    cost += cfg.cost.coherence_miss;
-    L.sharers().set(cur);
-    if (PTO_UNLIKELY(telemetry::trace_on())) {
-      telemetry::trace_miss(cur, t.clock, la);
-    }
-  }
-  if (t.tx.active) {
-    tx_access_checks();
-    doom_other_writer(*this, L, cur, la);  // requester wins
-    tx_track_read(*this, L);
-  } else {
-    // Strong atomicity: a non-transactional read of a transactionally
-    // written line aborts the transaction (Intel requester-wins, paper §4.3).
-    doom_other_writer(*this, L, cur, la);
-  }
+  const std::uint64_t cost = cfg.cost.load_hit + share_line(L, la);
+  if (t.tx.active) tx_access_checks();
+  requester_wins(L, la, false);
+  if (t.tx.active) tx_track_read(*this, L);
   ++t.stats.loads;
   std::uint64_t v = raw_read(addr, size);
   if (PTO_UNLIKELY(check::on())) {
     check::on_load(cur, addr, size, v, order, t.tx.active);
   }
-  if (PTO_UNLIKELY(prof::on())) prof::on_charge(prof::kClassLoad, cost);
-  charge(cost);
-  check_doom();  // doomed while yielded => value invalid; longjmps
+  advance(cost, prof::kClassLoad);  // doomed while yielded => value invalid
   return v;
 }
 
 void Runtime::do_store(void* addr, unsigned size, std::uint64_t val,
                        unsigned order) {
-  check_doom();
+  LineState& L = begin_access(addr);
+  const std::uintptr_t la = line_addr(addr);
   VThread& t = me();
-  LineState& L = line_of(addr);
-  if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
-  std::uintptr_t la = line_addr(addr);
-  std::uint64_t cost = cfg.cost.store_hit;
-  if (L.sharers().any_other(cur, nwords)) {
-    cost += cfg.cost.coherence_miss;
-    if (PTO_UNLIKELY(telemetry::trace_on())) {
-      telemetry::trace_miss(cur, t.clock, la);
-    }
-  }
-  L.sharers().assign_single(cur, nwords);
-  if (t.tx.active) {
-    tx_access_checks();
-    begin_doom_batch();
-    doom_other_writer(*this, L, cur, la);
-    doom_other_readers(*this, L, cur, la);
-    end_doom_batch();
-    tx_track_write(*this, L);
-    t.tx.undo.push_back({addr, size, raw_read(addr, size)});
-  } else {
-    begin_doom_batch();
-    doom_other_writer(*this, L, cur, la);
-    doom_other_readers(*this, L, cur, la);
-    end_doom_batch();
-  }
+  const std::uint64_t cost = cfg.cost.store_hit + own_line(L, la);
+  if (t.tx.active) tx_access_checks();
+  requester_wins(L, la, true);
+  if (t.tx.active) tx_track_write(*this, L, addr, size);
   ++t.stats.stores;
   raw_write(addr, size, val);
   if (PTO_UNLIKELY(check::on())) {
     check::on_store(cur, addr, size, val, order, t.tx.active);
   }
-  if (PTO_UNLIKELY(prof::on())) prof::on_charge(prof::kClassStore, cost);
-  charge(cost);
-  check_doom();
+  advance(cost, prof::kClassStore);
 }
 
 bool Runtime::do_cas(void* addr, unsigned size, std::uint64_t& expected,
                      std::uint64_t desired) {
-  check_doom();
+  LineState& L = begin_access(addr);
+  const std::uintptr_t la = line_addr(addr);
   VThread& t = me();
-  LineState& L = line_of(addr);
-  if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
-  std::uint64_t la = line_addr(addr);
-  bool ok;
   std::uint64_t cost;
+  bool ok;
   if (t.tx.active) {
     // Inside a transaction a CAS degenerates to load + branch + store
     // (paper §2.3, "Eliminating Synchronization").
     tx_access_checks();
-    doom_other_writer(*this, L, cur, la);
+    requester_wins(L, la, false);
     tx_track_read(*this, L);
-    std::uint64_t curv = raw_read(addr, size);
-    ok = (curv == expected);
+    ok = raw_read(addr, size) == expected;
+    cost = cfg.cost.load_hit;
     if (ok) {
-      begin_doom_batch();
-      doom_other_readers(*this, L, cur, la);
-      end_doom_batch();
-      tx_track_write(*this, L);
-      t.tx.undo.push_back({addr, size, curv});
-      raw_write(addr, size, desired);
-      cost = cfg.cost.load_hit + cfg.cost.store_hit;
-    } else {
-      expected = curv;
-      cost = cfg.cost.load_hit;
+      requester_wins(L, la, true);
+      tx_track_write(*this, L, addr, size);
+      cost += cfg.cost.store_hit;
     }
-    if (PTO_UNLIKELY(prof::on())) {
-      prof::on_cas_collapsed(cfg.cost.cas > cost ? cfg.cost.cas - cost : 0);
-    }
-    if (!L.sharers().test(cur)) {
-      cost += cfg.cost.coherence_miss;
-      if (PTO_UNLIKELY(telemetry::trace_on())) {
-        telemetry::trace_miss(cur, t.clock, la);
-      }
-    }
-    L.sharers().set(cur);
+    note_collapsed(*this, cost);
+    cost += share_line(L, la);
   } else {
     // A CAS takes the line exclusive whether or not it succeeds.
-    begin_doom_batch();
-    doom_other_writer(*this, L, cur, la);
-    doom_other_readers(*this, L, cur, la);
-    end_doom_batch();
-    cost = cfg.cost.cas;
-    if (L.sharers().any_other(cur, nwords)) {
-      cost += cfg.cost.coherence_miss;
-      if (PTO_UNLIKELY(telemetry::trace_on())) {
-        telemetry::trace_miss(cur, t.clock, la);
-      }
-    }
-    L.sharers().assign_single(cur, nwords);
-    std::uint64_t curv = raw_read(addr, size);
-    ok = (curv == expected);
-    if (ok) {
-      raw_write(addr, size, desired);
-    } else {
-      expected = curv;
-    }
+    requester_wins(L, la, true);
+    cost = cfg.cost.cas + own_line(L, la);
+    ok = raw_read(addr, size) == expected;
+  }
+  if (ok) {
+    raw_write(addr, size, desired);
+  } else {
+    expected = raw_read(addr, size);
   }
   ++t.stats.cas_ops;
   if (PTO_UNLIKELY(check::on())) {
@@ -271,47 +199,25 @@ bool Runtime::do_cas(void* addr, unsigned size, std::uint64_t& expected,
     // updated to the current value on failure.
     check::on_rmw(cur, addr, size, expected, ok, t.tx.active);
   }
-  if (PTO_UNLIKELY(prof::on())) prof::on_charge(prof::kClassSync, cost);
-  charge(cost);
-  check_doom();
+  advance(cost, prof::kClassSync);
   return ok;
 }
 
 std::uint64_t Runtime::do_fetch_add(void* addr, unsigned size,
                                     std::uint64_t delta) {
-  check_doom();
+  LineState& L = begin_access(addr);
+  const std::uintptr_t la = line_addr(addr);
   VThread& t = me();
-  LineState& L = line_of(addr);
-  if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
-  std::uint64_t la = line_addr(addr);
-  std::uint64_t cost;
+  if (t.tx.active) tx_access_checks();
+  requester_wins(L, la, true);
+  std::uint64_t cost = cfg.cost.cas;
   if (t.tx.active) {
-    tx_access_checks();
-    begin_doom_batch();
-    doom_other_writer(*this, L, cur, la);
-    doom_other_readers(*this, L, cur, la);
-    end_doom_batch();
     tx_track_read(*this, L);
-    tx_track_write(*this, L);
-    t.tx.undo.push_back({addr, size, raw_read(addr, size)});
+    tx_track_write(*this, L, addr, size);
     cost = cfg.cost.load_hit + cfg.cost.store_hit;
-    if (PTO_UNLIKELY(prof::on())) {
-      prof::on_cas_collapsed(cfg.cost.cas > cost ? cfg.cost.cas - cost : 0);
-    }
-  } else {
-    begin_doom_batch();
-    doom_other_writer(*this, L, cur, la);
-    doom_other_readers(*this, L, cur, la);
-    end_doom_batch();
-    cost = cfg.cost.cas;
+    note_collapsed(*this, cost);
   }
-  if (L.sharers().any_other(cur, nwords)) {
-    cost += cfg.cost.coherence_miss;
-    if (PTO_UNLIKELY(telemetry::trace_on())) {
-      telemetry::trace_miss(cur, t.clock, la);
-    }
-  }
-  L.sharers().assign_single(cur, nwords);
+  cost += own_line(L, la);
   std::uint64_t old = raw_read(addr, size);
   raw_write(addr, size, old + delta);
   ++t.stats.rmws;
@@ -320,9 +226,7 @@ std::uint64_t Runtime::do_fetch_add(void* addr, unsigned size,
   }
   // Classed kClassSync unless we are inside the allocator bracket, where
   // prof::on_charge reclasses it as allocation traffic.
-  if (PTO_UNLIKELY(prof::on())) prof::on_charge(prof::kClassSync, cost);
-  charge(cost);
-  check_doom();
+  advance(cost, prof::kClassSync);
   return old;
 }
 
@@ -336,11 +240,7 @@ void Runtime::do_fence() {
   }
   ++t.stats.fences;
   if (PTO_UNLIKELY(check::on())) check::on_fence(cur);
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_charge(prof::kClassFence, cfg.cost.fence);
-  }
-  charge(cfg.cost.fence);
-  check_doom();
+  advance(cfg.cost.fence, prof::kClassFence);
 }
 
 }  // namespace pto::sim::internal

@@ -181,25 +181,17 @@ void op_done(std::uint64_t n) {
   if (g_rt == nullptr) return;
   g_rt->me().stats.ops_completed += n;
   if (PTO_UNLIKELY(check::on())) check::on_op_done(g_rt->cur);
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_charge(prof::kClassBench, n * g_rt->cfg.cost.bench_op_overhead);
-  }
-  g_rt->charge(n * g_rt->cfg.cost.bench_op_overhead);
-  g_rt->check_doom();
+  g_rt->advance(n * g_rt->cfg.cost.bench_op_overhead, prof::kClassBench);
 }
 
 void cpu_pause() {
   if (!g_rt) return;
-  if (PTO_UNLIKELY(prof::on())) {
-    prof::on_charge(prof::kClassPause, g_rt->cfg.cost.pause);
-  }
   if (PTO_UNLIKELY(g_rt->explorer != nullptr)) {
     // Under strict-priority PCT a spinning thread would monopolize the
     // schedule; a pause deprioritizes it so the threads it waits on can run.
     g_rt->explorer->on_pause(g_rt->cur);
   }
-  g_rt->charge(g_rt->cfg.cost.pause);
-  g_rt->check_doom();
+  g_rt->advance(g_rt->cfg.cost.pause, prof::kClassPause);
 }
 
 // Outside a simulation (fixture setup/teardown on the host), memory hooks
@@ -248,15 +240,10 @@ void dealloc(void* p, std::size_t bytes) {
     g_rt->do_dealloc(p, bytes);
     return;
   }
-  auto first = reinterpret_cast<std::uintptr_t>(p) / kCacheLine;
-  auto last =
-      (reinterpret_cast<std::uintptr_t>(p) + (bytes ? bytes - 1 : 0)) /
-      kCacheLine;
-  for (auto la = first; la <= last; ++la) {
-    LineState& L = g_mem.lines.line_by_index(la);
+  for_each_line(p, bytes, [](std::uintptr_t, LineState& L) {
     L.freed = true;
     L.sharers().reset(g_mem.line_words);
-  }
+  });
   std::memset(p, 0xDD, bytes);
 }
 

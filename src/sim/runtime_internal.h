@@ -16,6 +16,8 @@
 #include "metrics/metrics.h"
 #include "sim/fiber.h"
 #include "sim/sim.h"
+#include "telemetry/prof.h"
+#include "telemetry/trace.h"
 
 namespace pto::sim::internal {
 
@@ -336,6 +338,16 @@ struct GlobalMemory {
 
 extern GlobalMemory g_mem;
 
+/// Call f(index, line) for every line of [p, p + bytes), at least one.
+template <class F>
+void for_each_line(void* p, std::size_t bytes, F&& f) {
+  const auto a = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t last = (a + (bytes ? bytes - 1 : 0)) / kCacheLine;
+  for (std::uintptr_t la = a / kCacheLine; la <= last; ++la) {
+    f(la, g_mem.lines.line_by_index(la));
+  }
+}
+
 class Runtime {
  public:
   /// Throws std::invalid_argument for nthreads outside [1, kMaxThreads]:
@@ -368,12 +380,17 @@ class Runtime {
   // sits in a binary min-heap of (clock << 10 | tid) keys, so the lowest-
   // index-on-tie dispatch order of the original scan is preserved by plain
   // integer comparison. `next_min_clock_` caches the heap root's clock, so
-  // the per-access yield decision in charge() is a single compare.
+  // the per-access yield decision in advance() is a single compare.
   /// Run all fibers to completion; returns when every virtual thread is done.
   void run_all();
-  /// Charge `cost` cycles to the current thread and yield if another
-  /// runnable thread is now strictly behind.
-  void charge(std::uint64_t cost) {
+  /// The one charge edge of every hook: class `cost` cycles as `cls` for the
+  /// profiler, charge them to the current thread, yield if another runnable
+  /// thread is now strictly behind, and finish any doom that landed
+  /// meanwhile (longjmps).
+  void advance(std::uint64_t cost, unsigned cls) {
+    if (PTO_UNLIKELY(telemetry::prof::on())) {
+      telemetry::prof::on_charge(cls, cost);
+    }
     VThread& t = me();
     t.clock += cost;
     // Virtual-time metrics ticker (PTO_METRICS on simx). The running thread
@@ -386,13 +403,13 @@ class Runtime {
     }
     if (PTO_UNLIKELY(explorer != nullptr)) {
       explore_step();
-      return;
+    } else if (PTO_UNLIKELY(t.clock > next_min_clock_)) {
+      yield_to_next();
     }
-    if (PTO_LIKELY(t.clock <= next_min_clock_)) return;
-    yield_to_next();
+    check_doom();
   }
   /// Switch directly to the minimum-clock runnable thread (callee of
-  /// charge() when the current thread fell strictly behind).
+  /// advance() when the current thread fell strictly behind).
   void yield_to_next();
   /// Current fiber finished its body: leave the runnable set and switch to
   /// the next runnable fiber, or back to the host when none remain.
@@ -406,15 +423,31 @@ class Runtime {
   /// so a store that dooms k readers costs one heap repair, not k. The pop
   /// order of a binary min-heap over distinct keys is layout-independent,
   /// so batching cannot change the schedule. Batches must not span a
-  /// charge() or a longjmp (callers keep them tight around the doom loops).
+  /// charge or a longjmp (requester_wins keeps them tight around its dooms).
   void begin_doom_batch() {
     assert(!doom_batch_);
     doom_batch_ = true;
   }
   void end_doom_batch();
   /// Preemption point under an adversarial policy: consult the Explorer and
-  /// switch fibers when it picks a different thread (callee of charge()).
+  /// switch fibers when it picks a different thread (callee of advance()).
   void explore_step();
+
+  // The rules every memory hook states once (defined below the class).
+  /// The access prologue: finish a pending doom, find the line of `addr`,
+  /// and count a use after free.
+  LineState& begin_access(const void* addr);
+  /// Read coherence: a thread that does not share line `la` misses and
+  /// becomes a sharer. Returns the miss surcharge (0 on a hit).
+  std::uint64_t share_line(LineState& L, std::uintptr_t la);
+  /// Write coherence: a line any other thread shares costs a miss, and the
+  /// writer becomes its only sharer. Returns the miss surcharge.
+  std::uint64_t own_line(LineState& L, std::uintptr_t la);
+  /// Requester wins (strong atomicity, paper §4.3): an access of line `la`,
+  /// transactional or not, dooms the line's other tx writer; a write also
+  /// dooms every other tx reader, inside one doom batch (the caller's, when
+  /// it holds one).
+  void requester_wins(LineState& L, std::uintptr_t la, bool write);
 
   // htm_model.cpp
   /// Roll back and doom the transaction of `victim` (requester wins).
@@ -424,11 +457,17 @@ class Runtime {
   /// Abort the *current* thread's transaction and longjmp out. Never returns.
   [[noreturn]] void self_abort(unsigned cause, unsigned char user_code);
   /// If the current thread's tx was doomed while it was switched out,
-  /// finish the abort (longjmp). Call at hook entry and after any charge().
-  void check_doom();
+  /// finish the abort (longjmp). Every hook runs it on entry and, through
+  /// advance(), after its charge.
+  void check_doom() {
+    if (PTO_UNLIKELY(me().tx.doomed)) unwind(me().tx.doom_cause);
+  }
   /// Clear per-line registrations and the undo log of thread `t`'s tx.
   void release_tx_footprint(TxDesc& tx, unsigned tid);
-  void tx_access_checks();  ///< duration + spurious aborts for current tx
+  void tx_access_checks();  ///< duration + injected aborts for current tx
+  /// One draw of the current thread's fault stream (explore fault model):
+  /// true with probability xopts.fault_rate; no draw while that is 0.
+  bool fault_coin();
 
   // memory.cpp — hook bodies (public wrappers in sim.h forward here)
   std::uint64_t do_load(const void* addr, unsigned size, unsigned order);
@@ -457,6 +496,18 @@ class Runtime {
     return static_cast<unsigned>(key & kTidMask);
   }
 
+  /// Make `next` the running thread: count its dispatch, trace it, and
+  /// switch to its fiber from `from` (a fiber's context or the host's).
+  void switch_to(ExecContext& from, unsigned next);
+  /// The abort doom() and self_abort() share: undo `tid`'s in-place writes,
+  /// release its footprint, pay the penalty, count the abort, trace it.
+  void abort_tx(unsigned tid, unsigned cause);
+  /// Leave the current thread's aborted transaction: longjmp to its
+  /// checkpoint with `cause`.
+  [[noreturn]] void unwind(unsigned cause);
+  /// The thread-cache tick of every alloc and free (kTcacheRefill).
+  void tcache_tick();
+
   void refresh_threshold() {
     next_min_clock_ =
         ready_size_ != 0 ? (ready_[0] >> kTidBits) : ~std::uint64_t{0};
@@ -474,7 +525,7 @@ class Runtime {
   std::uint64_t ready_[kMaxThreads];
   unsigned ready_size_ = 0;
   std::uint16_t heap_pos_[kMaxThreads];
-  /// Clock of the heap root: the single threshold charge() compares against.
+  /// Clock of the heap root: the single threshold advance() compares against.
   std::uint64_t next_min_clock_ = ~std::uint64_t{0};
   /// Runnable-thread set, maintained only under an adversarial policy
   /// (the Explorer picks among these; the heap above is untouched).
@@ -486,6 +537,54 @@ class Runtime {
 };
 
 extern Runtime* g_rt;
+
+// The per-access rules, inline: every memory hook runs them.
+
+inline LineState& Runtime::begin_access(const void* addr) {
+  check_doom();
+  LineState& L = line_of(addr);
+  if (PTO_UNLIKELY(L.freed)) ++g_mem.uaf_count;
+  return L;
+}
+
+inline std::uint64_t Runtime::share_line(LineState& L, std::uintptr_t la) {
+  if (L.sharers().test(cur)) return 0;
+  L.sharers().set(cur);
+  if (PTO_UNLIKELY(telemetry::trace_on())) {
+    telemetry::trace_miss(cur, me().clock, la);
+  }
+  return cfg.cost.coherence_miss;
+}
+
+inline std::uint64_t Runtime::own_line(LineState& L, std::uintptr_t la) {
+  std::uint64_t miss = 0;
+  if (L.sharers().any_other(cur, nwords)) {
+    miss = cfg.cost.coherence_miss;
+    if (PTO_UNLIKELY(telemetry::trace_on())) {
+      telemetry::trace_miss(cur, me().clock, la);
+    }
+  }
+  L.sharers().assign_single(cur, nwords);
+  return miss;
+}
+
+inline void Runtime::requester_wins(LineState& L, std::uintptr_t la,
+                                    bool write) {
+  const bool batch = write && !doom_batch_;
+  if (batch) begin_doom_batch();
+  if (L.tx_writer != kNobody && L.tx_writer != cur) {
+    doom(L.tx_writer, TX_ABORT_CONFLICT, la);
+  }
+  if (write) {
+    // Each word of the reader set is read just before its victims are
+    // doomed (for_each_other); dooming a victim clears only that victim's
+    // own bits, so the scan never skips or repeats a reader.
+    L.tx_readers().for_each_other(cur, nwords, [&](unsigned v) {
+      doom(v, TX_ABORT_CONFLICT, la);
+    });
+  }
+  if (batch) end_doom_batch();
+}
 
 std::uint64_t raw_read(const void* addr, unsigned size);
 void raw_write(void* addr, unsigned size, std::uint64_t val);

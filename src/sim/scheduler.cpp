@@ -6,7 +6,7 @@
 // incrementally: runnable threads other than the running one live in a
 // binary min-heap of packed (clock << 10 | tid) keys (lexicographic
 // clock-then-index order == integer order), the heap root's clock is cached
-// as the yield threshold charge() compares against, and a yielding fiber
+// as the yield threshold advance() compares against, and a yielding fiber
 // swaps itself with the heap root and switches straight to it — the host
 // context is touched only at run start and teardown.
 #include "sim/runtime_internal.h"
@@ -71,18 +71,22 @@ unsigned Runtime::heap_replace_min(std::uint64_t key) {
   return tid;
 }
 
+void Runtime::switch_to(ExecContext& from, unsigned next) {
+  cur = next;
+  refresh_threshold();
+  ++threads[next].stats.dispatches;
+  if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
+    telemetry::trace_sched(next, threads[next].clock);
+  }
+  ctx_switch(from, threads[next].fiber->context());
+}
+
 void Runtime::run_all() {
   if (PTO_UNLIKELY(explorer != nullptr)) {
     // Adversarial dispatch: the Explorer owns every scheduling decision and
-    // the min-clock heap stays unused.
+    // the min-clock heap stays empty.
     runnable_.set_first_n(static_cast<unsigned>(threads.size()), nwords);
-    unsigned first = explorer->pick_first(runnable_);
-    cur = first;
-    ++threads[first].stats.dispatches;
-    if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
-      telemetry::trace_sched(first, threads[first].clock);
-    }
-    ctx_switch(main_ctx, threads[first].fiber->context());
+    switch_to(main_ctx, explorer->pick_first(runnable_));
     return;  // resumed by on_fiber_done() of the last finishing fiber
   }
   ready_size_ = 0;
@@ -93,75 +97,41 @@ void Runtime::run_all() {
     heap_pos_[i] = static_cast<std::uint16_t>(ready_size_);
     ++ready_size_;
   }
-  cur = 0;
-  refresh_threshold();
-  ++threads[0].stats.dispatches;
-  if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
-    telemetry::trace_sched(0, threads[0].clock);
-  }
-  ctx_switch(main_ctx, threads[0].fiber->context());
+  switch_to(main_ctx, 0);
   // Resumed by on_fiber_done() of the last finishing fiber.
 }
 
 void Runtime::explore_step() {
-  unsigned prev = cur;
-  unsigned next = explorer->pick(prev, runnable_);
+  const unsigned prev = cur;
+  const unsigned next = explorer->pick(prev, runnable_);
   if (PTO_LIKELY(next == prev)) return;
-  cur = next;
-  ++threads[next].stats.dispatches;
-  if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
-    telemetry::trace_sched(next, threads[next].clock);
-  }
-  ctx_switch(threads[prev].fiber->context(), threads[next].fiber->context());
+  switch_to(threads[prev].fiber->context(), next);
 }
 
 void Runtime::yield_to_next() {
-  unsigned prev = cur;
-  VThread& t = threads[prev];
-  // The root is strictly behind us (charge checked), so it is the global
+  const unsigned prev = cur;
+  // The root is strictly behind us (advance checked), so it is the global
   // minimum; swap ourselves in with our advanced clock.
-  unsigned next = heap_replace_min(pack(t.clock, prev));
-  cur = next;
-  refresh_threshold();
-  ++threads[next].stats.dispatches;
-  if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
-    telemetry::trace_sched(next, threads[next].clock);
-  }
-  ctx_switch(t.fiber->context(), threads[next].fiber->context());
+  const unsigned next = heap_replace_min(pack(threads[prev].clock, prev));
+  switch_to(threads[prev].fiber->context(), next);
 }
 
 void Runtime::on_fiber_done() {
   VThread& t = threads[cur];
   t.fiber->check_red_zone(cur);
   t.done = true;
+  ExecContext& self = t.fiber->context();
+  // A finished fiber is never rescheduled, so neither switch returns.
   if (PTO_UNLIKELY(explorer != nullptr)) {
     runnable_.clear(cur);
-    if (runnable_.empty(nwords)) {
-      ctx_switch(t.fiber->context(), main_ctx);  // back to run() teardown
-    } else {
-      unsigned next = explorer->pick_first(runnable_);
-      cur = next;
-      ++threads[next].stats.dispatches;
-      if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
-        telemetry::trace_sched(next, threads[next].clock);
-      }
-      ctx_switch(t.fiber->context(), threads[next].fiber->context());
+    if (!runnable_.empty(nwords)) {
+      switch_to(self, explorer->pick_first(runnable_));
     }
-    std::abort();  // a finished fiber is never rescheduled
+  } else if (ready_size_ != 0) {
+    switch_to(self, heap_pop_min());
   }
-  if (ready_size_ == 0) {
-    ctx_switch(t.fiber->context(), main_ctx);  // back to run() teardown
-  } else {
-    unsigned next = heap_pop_min();
-    cur = next;
-    refresh_threshold();
-    ++threads[next].stats.dispatches;
-    if (PTO_UNLIKELY(telemetry::trace_sched_on())) {
-      telemetry::trace_sched(next, threads[next].clock);
-    }
-    ctx_switch(t.fiber->context(), threads[next].fiber->context());
-  }
-  std::abort();  // a finished fiber is never rescheduled
+  ctx_switch(self, main_ctx);  // the last fiber: back to run() teardown
+  std::abort();
 }
 
 void Runtime::on_clock_raised(unsigned tid) {

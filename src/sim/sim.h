@@ -61,12 +61,12 @@ struct CostModel {
   std::uint64_t bench_op_overhead = 30;
 };
 
-/// Best-effort HTM limits (abort causes (a)–(c) from the paper's §1).
+/// Best-effort HTM limits (abort causes (a) and (b) from the paper's §1;
+/// cause (c), spurious aborts, comes from the fault model, Config::explore).
 struct HtmConfig {
   unsigned max_write_lines = 64;          ///< ~4 KB write set
   unsigned max_read_lines = 512;          ///< tracked read set
   std::uint64_t max_duration = 200'000;   ///< cycles before a duration abort
-  double spurious_abort_prob = 0.0;       ///< per-access injected abort rate
 };
 
 struct Config {

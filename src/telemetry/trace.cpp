@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/env.h"
@@ -42,7 +43,7 @@ const char* counter_name(unsigned id) {
 struct Rec {
   std::uint64_t ts;   ///< cycles (start cycle for tx events)
   std::uint64_t dur;  ///< cycles (tx events only)
-  std::uint64_t arg;  ///< cause / line address / seed
+  std::uint64_t arg;  ///< cause / line id / seed
   std::uint32_t run;  ///< sim::run() ordinal, becomes the trace pid
   std::uint16_t tid;
   std::uint8_t kind;
@@ -55,6 +56,8 @@ struct State {
       env::u64("PTO_TRACE_CAP", kDefaultCap, 1, std::uint64_t{1} << 40);
   std::uint64_t count = 0;  ///< total events ever pushed
   std::uint32_t run = 0;    ///< current run ordinal
+  /// Host line index -> its order of first miss in the current run.
+  std::unordered_map<std::uint64_t, std::uint64_t> line_ids;
 
   State() {
     if (env::flag("PTO_TRACE_SCHED")) {
@@ -143,6 +146,7 @@ void trace_set_path(const char* path) {
   s.buf.clear();
   s.count = 0;
   s.run = 0;
+  s.line_ids.clear();
   trace_detail::g_on.store(!s.path.empty(), std::memory_order_relaxed);
 }
 
@@ -160,6 +164,7 @@ void trace_set_capacity(std::uint64_t events) {
 void trace_run_begin(unsigned nthreads, std::uint64_t seed) {
   State& s = state();
   ++s.run;
+  s.line_ids.clear();
   push(Rec{nthreads, 0, seed, 0, 0, kRunBegin});
 }
 
@@ -176,7 +181,12 @@ void trace_tx_abort(unsigned tid, std::uint64_t start_cycle,
 }
 
 void trace_miss(unsigned tid, std::uint64_t cycle, std::uint64_t line) {
-  push(Rec{cycle, 0, line, 0, static_cast<std::uint16_t>(tid), kMiss});
+  // Name the line by its order of first miss in the run (0, 1, ...), as the
+  // profiler names hot lines: fixed by the simulation, where a host address
+  // would follow ASLR.
+  auto& ids = state().line_ids;
+  const std::uint64_t id = ids.try_emplace(line, ids.size()).first->second;
+  push(Rec{cycle, 0, id, 0, static_cast<std::uint16_t>(tid), kMiss});
 }
 
 void trace_sched(unsigned tid, std::uint64_t cycle) {

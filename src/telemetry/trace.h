@@ -13,7 +13,9 @@
 //
 // Timestamps are virtual cycles converted to microseconds at the paper's
 // 3.4 GHz, so trace timelines share units with the figures. Each sim::run()
-// gets its own trace pid; virtual threads map to tids.
+// gets its own trace pid; virtual threads map to tids. A coherence miss
+// names its line by the line's order of first miss in the run (args.line
+// 0, 1, ...), so two runs of one workload write the same file.
 //
 // The recorder is intentionally simulator-only and therefore single-host-
 // threaded (sim::run is not reentrant); recording charges no virtual cycles,
@@ -50,6 +52,7 @@ void trace_tx_commit(unsigned tid, std::uint64_t start_cycle,
                      std::uint64_t end_cycle);
 void trace_tx_abort(unsigned tid, std::uint64_t start_cycle,
                     std::uint64_t end_cycle, unsigned cause);
+/// `line` is the host line index (address / kCacheLine).
 void trace_miss(unsigned tid, std::uint64_t cycle, std::uint64_t line);
 void trace_sched(unsigned tid, std::uint64_t cycle);
 /// Counter-track sample ("ph":"C"): cumulative `value` on the counter named

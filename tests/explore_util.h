@@ -10,6 +10,9 @@
 //   PTO_REPLAY_TOKENS=f  append the replay token of every failing explored
 //                        case to file f (nightly uploads it as an artifact)
 //
+// All three are read through pto::env, so a malformed value (or a seed
+// count of 0) warns once as env.<NAME> and keeps the default.
+//
 // Every failing seeded case prints its seed and, for explored runs, the
 // one-line `PTO_SCHED=...` replay token that reproduces it byte-identically.
 #pragma once
@@ -18,31 +21,26 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
+#include "common/env.h"
 #include "explore/explore.h"
 #include "sim/sim.h"
 
 namespace pto::testutil {
 
-inline std::uint64_t env_u64_or(const char* name, std::uint64_t dflt) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return dflt;
-  char* end = nullptr;
-  auto parsed = std::strtoull(v, &end, 10);
-  return (end != v && *end == '\0') ? parsed : dflt;
-}
-
 /// Base seed for a seeded test: the hard-coded default unless PTO_TEST_SEED
 /// overrides it.
 inline std::uint64_t test_seed(std::uint64_t dflt) {
-  return env_u64_or("PTO_TEST_SEED", dflt);
+  return env::u64("PTO_TEST_SEED", dflt, 0);
 }
 
-/// Explored schedules per sweep (PTO_EXPLORE_SEEDS).
+/// Explored schedules per sweep (PTO_EXPLORE_SEEDS, at least 1: a sweep of
+/// zero schedules would pass whatever the code does).
 inline unsigned explore_seeds(unsigned dflt = 4) {
-  return static_cast<unsigned>(env_u64_or("PTO_EXPLORE_SEEDS", dflt));
+  return static_cast<unsigned>(env::u64("PTO_EXPLORE_SEEDS", dflt, 1,
+                                        std::numeric_limits<unsigned>::max()));
 }
 
 /// Record a failing explored case: append its replay token to
@@ -51,8 +49,7 @@ inline unsigned explore_seeds(unsigned dflt = 4) {
 inline std::string note_failure(const explore::Options& xopts,
                                 const std::string& what) {
   std::string line = what + "  [replay: " + explore::token(xopts) + "]";
-  if (const char* path = std::getenv("PTO_REPLAY_TOKENS");
-      path != nullptr && *path != '\0') {
+  if (const char* path = env::str("PTO_REPLAY_TOKENS")) {
     if (std::FILE* f = std::fopen(path, "a")) {
       std::fprintf(f, "%s\n", line.c_str());
       std::fclose(f);

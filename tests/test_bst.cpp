@@ -155,7 +155,7 @@ TEST(Bst, Pto1CommitsEliminateDescriptorAllocation) {
 TEST(Bst, Pto1FailureInjectionFallsBackCorrectly) {
   BstAdapter<SimPlatform> a;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 0.3;  // partial failure: mixed paths
+  cfg.explore.fault_rate = 0.3;  // partial failure: mixed paths
   cfg.seed = 9;
   std::vector<std::vector<int>> net(4, std::vector<int>(64, 0));
   auto res = pto::sim::run(4, cfg, [&](unsigned tid) {

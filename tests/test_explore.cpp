@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "check/check.h"
+#include "common/env.h"
 #include "common/warn.h"
 #include "core/prefix.h"
 #include "ds/skiplist/skiplist.h"
@@ -158,7 +159,7 @@ RunRecord run_counter(unsigned threads, int ops, const xp::Options& x,
 // bit-for-bit the plain one — same clocks, same dispatch count, same
 // interleaving as an Options-default (kEnv, no env) run.
 TEST(ExploreRR, ByteIdenticalToPlainDispatcher) {
-  ASSERT_EQ(std::getenv("PTO_SCHED"), nullptr);
+  ASSERT_EQ(pto::env::str("PTO_SCHED"), nullptr);
   xp::Options dflt;  // kEnv, resolves to rr
   xp::Options rr;
   rr.policy = xp::Policy::kRR;

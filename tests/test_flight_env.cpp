@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -14,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "core/prefix.h"
 #include "obs/flight.h"
 #include "platform/native_platform.h"
@@ -44,7 +44,7 @@ struct Reader {
 };
 
 TEST(FlightEnv, NativeThreadChurnKeepsOneRingPerLiveThread) {
-  const char* path = std::getenv("PTO_FLIGHT_OUT");
+  const char* path = pto::env::str("PTO_FLIGHT_OUT");
   ASSERT_NE(path, nullptr) << "run through ctest, which sets PTO_FLIGHT_OUT";
   ASSERT_TRUE(pto::obs::flight_on());
 

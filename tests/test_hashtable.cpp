@@ -161,7 +161,7 @@ TEST(Hash, PtoLookupElidesEpoch) {
 TEST(Hash, InplaceFailureInjectionFallsBackToCow) {
   HashAdapter<SimPlatform> a;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   pto::sim::run(2, cfg, [&](unsigned) {
     auto ctx = a.make_ctx();
     for (int i = 0; i < 200; ++i) {

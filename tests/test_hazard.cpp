@@ -2,6 +2,10 @@
 // transactional elision (§2.3/§5), and a deterministic use-after-free hunt.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "core/prefix.h"
 #include "platform/native_platform.h"
 #include "platform/sim_platform.h"
@@ -181,6 +185,56 @@ TEST(Hazard, RowReuseAfterHandleDeath) {
   }
   auto h2 = dom.register_thread();
   EXPECT_EQ(h2.row(), row);
+}
+
+TEST(HazardDeathTest, ExhaustingRowsAborts) {
+  using Domain = HazardDomain<pto::NativePlatform>;
+  EXPECT_DEATH(
+      {
+        Domain dom;
+        std::vector<Domain::Handle> hs;
+        hs.reserve(pto::kMaxThreads + 1);
+        for (unsigned i = 0; i <= pto::kMaxThreads; ++i) {
+          hs.push_back(dom.register_thread());
+        }
+      },
+      "more than 1024 concurrent handles");
+}
+
+TEST(HazardNative, ConcurrentHandleExitsParkEveryOrphan) {
+  // Handles that die at once on several threads each park the nodes a
+  // hazard still protects with the domain (under its lock), and the domain
+  // frees every parked node when it dies.
+  struct Counted {
+    explicit Counted(std::atomic<int>* f) : freed(f) {}
+    ~Counted() { freed->fetch_add(1); }
+    std::atomic<int>* freed;
+  };
+  using Domain = HazardDomain<pto::NativePlatform>;
+  constexpr unsigned kThreads = 4;  // one hazard slot of `keeper` each
+  std::atomic<int> freed{0};
+  {
+    Domain dom;
+    auto keeper = dom.register_thread();
+    std::vector<Counted*> nodes;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      nodes.push_back(pto::NativePlatform::make<Counted>(&freed));
+      keeper.set(t, nodes.back());
+    }
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        auto h = dom.register_thread();
+        h.retire(nodes[t]);
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+      });  // h dies here, parking nodes[t]
+    }
+    for (auto& th : ts) th.join();
+    EXPECT_EQ(freed.load(), 0);
+  }
+  EXPECT_EQ(freed.load(), static_cast<int>(kThreads));
 }
 
 TEST(Hazard, NativePlatformBasics) {

@@ -278,7 +278,7 @@ TEST(Kcas, ConcurrentMcasFourWordsConsistent) {
 TEST(Kcas, PtoFallsBackUnderFailureInjection) {
   Fixture<SimPlatform> f;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta st("kcas.mcas");
   pto::sim::run(1, cfg, [&](unsigned) {
     kc::Ctx<SimPlatform> ctx(f.dom);

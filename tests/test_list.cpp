@@ -120,7 +120,7 @@ TEST(List, PtoRemoveSkipsIntermediateMark) {
 TEST(List, FailureInjectionFallsBack) {
   ListAdapter<SimPlatform> a;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta ins("list.insert");
   SiteDelta rem("list.remove");
   pto::sim::run(2, cfg, [&](unsigned) {

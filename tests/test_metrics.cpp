@@ -352,6 +352,26 @@ TEST(Metrics, FlushEmitsTrailerWithCounts) {
   }
 }
 
+TEST(Metrics, StreamAndPromFailuresWarnSeparately) {
+  // An unopenable NDJSON stream must not silence the Prometheus file's own
+  // write failure: each output warns once for itself.
+  metrics::Config cfg;
+  cfg.interval_ms = 100000;  // sampler never self-ticks; forced ticks only
+  cfg.out_path = "/nonexistent/dir/pto_metrics.ndjson";
+  cfg.prom_path = "/nonexistent/dir/pto_metrics.prom";
+  ::testing::internal::CaptureStderr();
+  metrics::configure(cfg);
+  metrics::force_tick();
+  metrics::configure({});
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("cannot open PTO_METRICS_OUT=" + cfg.out_path),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("cannot write PTO_METRICS_PROM=" + cfg.prom_path),
+            std::string::npos)
+      << err;
+}
+
 TEST(Metrics, DisarmedIsInert) {
   ASSERT_FALSE(metrics::armed());
   const std::uint64_t before = metrics::intervals_emitted();

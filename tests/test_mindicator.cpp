@@ -168,7 +168,7 @@ TEST(MindicatorPto, FallsBackWhenTransactionsAbort) {
   SiteDelta arrive("mindicator.arrive");
   SiteDelta depart("mindicator.depart");
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;  // failure injection: every tx dies
+  cfg.explore.fault_rate = 1.0;  // failure injection: every tx dies
   pto::sim::run(1, cfg, [&](unsigned) {
     for (int i = 0; i < 50; ++i) {
       m.arrive_pto(0, i);

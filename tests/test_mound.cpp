@@ -201,7 +201,7 @@ TEST(Mound, GrowsWhenLeavesAreSmall) {
 TEST(Mound, FailureInjectionFallsBack) {
   Mound<SimPlatform> m(10);
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta dcss("kcas.dcss");
   SiteDelta dcas("kcas.mcas");
   pto::sim::run(2, cfg, [&](unsigned) {

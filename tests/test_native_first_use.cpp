@@ -7,12 +7,12 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/env.h"
 #include "htm/htm.h"
 #include "platform/native_platform.h"
 #include "service/runtime.h"
@@ -23,7 +23,7 @@ using pto::NativePlatform;
 namespace htm = pto::htm;
 
 TEST(NativeFirstUse, RacingThreadsSettleOnOneBackend) {
-  const char* forced = std::getenv("PTO_HTM");
+  const char* forced = pto::env::str("PTO_HTM");
   ASSERT_TRUE(forced != nullptr && std::strcmp(forced, "soft") == 0)
       << "run through ctest, which sets PTO_HTM=soft";
   ASSERT_EQ(htm::detail::g_backend.value.load(), 0)

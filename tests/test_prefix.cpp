@@ -17,7 +17,7 @@ namespace sim = pto::sim;
 
 TEST(Prefix, AttemptBudgetHonored) {
   sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;  // first instrumented access aborts
+  cfg.explore.fault_rate = 1.0;  // first instrumented access aborts
   for (int budget : {1, 2, 5, 9}) {
     SiteDelta st("test.prefix.st");
     pto::Atom<SimPlatform, int> x;
@@ -78,7 +78,7 @@ TEST(Prefix, NonVoidResultPropagates) {
 
 TEST(Prefix, FallbackResultPropagates) {
   sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   pto::Atom<SimPlatform, int> x;
   x.init(0);
   sim::run(1, cfg, [&](unsigned) {
@@ -110,7 +110,7 @@ TEST(Prefix, HierarchicalCompositionFallsThroughInOrder) {
   // Outer prefix (doomed) -> inner prefix (doomed) -> final fallback; the
   // attempt ordering is the paper's T_B(T_A(G)) recursive optimization.
   sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta outer_st("test.prefix.outer_st");
   SiteDelta inner_st("test.prefix.inner_st");
   pto::Atom<SimPlatform, int> x;

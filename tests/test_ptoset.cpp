@@ -76,7 +76,7 @@ TEST(PtoArraySet, SlowPathCarriesTheLoadUnderFailureInjection) {
   // correctness (the paper's progress-preservation requirement).
   PTOArraySet<SimPlatform, 32> s;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   std::set<std::int64_t> model;
   SiteDelta lookup("ptoset.lookup");
   SiteDelta update("ptoset.update");
@@ -108,7 +108,7 @@ TEST_P(PtoSetConcurrent, PerKeyConsistency) {
   std::vector<std::vector<int>> net(n, std::vector<int>(kRange, 0));
   pto::sim::Config cfg;
   cfg.seed = static_cast<std::uint64_t>(seed);
-  cfg.htm.spurious_abort_prob = abort_prob;  // mix fast and slow paths
+  cfg.explore.fault_rate = abort_prob;  // mix fast and slow paths
   auto res = pto::sim::run(n, cfg, [&](unsigned tid) {
     auto ctx = s.make_ctx();
     for (int i = 0; i < 300; ++i) {

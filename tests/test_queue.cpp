@@ -179,7 +179,7 @@ TEST(Queue, PtoFastPathEliminatesCas) {
 TEST(Queue, FailureInjectionFallsBack) {
   MSQueue<SimPlatform> q;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta enq("queue.enqueue");
   pto::sim::run(2, cfg, [&](unsigned tid) {
     auto ctx = q.make_ctx();

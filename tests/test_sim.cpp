@@ -308,7 +308,7 @@ TEST(Sim, DeterminismAcrossRichWorkload) {
 
 TEST(Sim, SpuriousAbortInjectionRate) {
   sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 0.05;
+  cfg.explore.fault_rate = 0.05;
   Atom<SimPlatform, int> x;
   x.init(0);
   SiteDelta st("test.sim.st");

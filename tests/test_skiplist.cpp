@@ -113,7 +113,7 @@ TEST(SkipList, MixedLfAndPtoThreadsInteroperate) {
 TEST(SkipList, PtoFallsBackUnderFailureInjection) {
   SkipAdapter<SimPlatform> a;
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta ins("skiplist.insert");
   SiteDelta rem("skiplist.remove");
   pto::sim::run(4, cfg, [&](unsigned) {

@@ -4,15 +4,14 @@
 // runs first. CMake runs this binary with PTO_METRICS set.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "common/env.h"
 #include "metrics/metrics.h"
 #include "telemetry/registry.h"
 
 namespace {
 
 TEST(TapsEnv, MetricsEnvArmsCounters) {
-  ASSERT_NE(std::getenv("PTO_METRICS"), nullptr)
+  ASSERT_NE(pto::env::str("PTO_METRICS"), nullptr)
       << "run through ctest, which sets PTO_METRICS";
   EXPECT_TRUE(pto::metrics::armed());
   EXPECT_TRUE(pto::telemetry::enabled());

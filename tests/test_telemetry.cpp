@@ -316,6 +316,47 @@ TEST(TelemetryTrace, ChromeTraceGoldenFile) {
   std::remove(path);
 }
 
+TEST(TelemetryTrace, MissLinesNumberedByFirstMiss) {
+  // A coherence_miss names its line by the order of the line's first miss
+  // in the run, not by its host address, so traces are reproducible.
+  const char* path = "pto_trace_lines.json";
+  std::remove(path);
+  tel::trace_set_capacity(1 << 14);
+  tel::trace_set_path(path);
+  sim::reset_memory();
+  auto* words = static_cast<std::uint64_t*>(sim::alloc(4 * 64));  // 4 lines
+  sim::run(2, sim::Config{}, [&](unsigned tid) {
+    for (unsigned i = 0; i < 4; ++i) {
+      const unsigned line = tid == 0 ? i : 3 - i;
+      (void)sim::mem_load(&words[8 * line], 8);
+    }
+  });
+  tel::trace_set_path(nullptr);
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "trace file not written";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  testjson::Value root;
+  ASSERT_TRUE(testjson::parse(buf.str(), &root));
+  std::vector<std::uint64_t> lines;
+  for (const testjson::Value& e : root.find("traceEvents")->array()) {
+    if (e.find("name")->str() != "coherence_miss") continue;
+    lines.push_back(
+        static_cast<std::uint64_t>(e.find("args")->find("line")->num()));
+  }
+  ASSERT_EQ(lines.size(), 8u) << "each thread misses once on each line";
+  EXPECT_EQ(lines.front(), 0u);
+  // Dense, in order of first miss: a new line takes the next unused id.
+  std::uint64_t next = 0;
+  for (std::uint64_t l : lines) {
+    EXPECT_LE(l, next);
+    if (l == next) ++next;
+  }
+  EXPECT_EQ(next, 4u);
+  std::remove(path);
+}
+
 TEST(TelemetryTrace, UnwritablePathWarnsOnce) {
   const char* path = "/nonexistent/dir/pto_trace.json";
   tel::trace_set_path(path);

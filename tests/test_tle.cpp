@@ -94,7 +94,7 @@ TEST(Tle, LockFallbackAbortsElidedSections) {
   // and results must stay correct.
   TleSet t(64);
   pto::sim::Config cfg;
-  cfg.htm.spurious_abort_prob = 1.0;
+  cfg.explore.fault_rate = 1.0;
   SiteDelta st("tle.execute");
   pto::sim::run(4, cfg, [&](unsigned) {
     for (int i = 0; i < 200; ++i) {

@@ -3,15 +3,14 @@
 // CMake runs this binary with PTO_TRACE set.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "common/env.h"
 #include "telemetry/taps.h"
 #include "telemetry/trace.h"
 
 namespace {
 
 TEST(TraceEnv, TraceArmsNoTap) {
-  ASSERT_NE(std::getenv("PTO_TRACE"), nullptr)
+  ASSERT_NE(pto::env::str("PTO_TRACE"), nullptr)
       << "run through ctest, which sets PTO_TRACE";
   EXPECT_TRUE(pto::telemetry::trace_on());
   EXPECT_EQ(pto::telemetry::taps(), 0u);
