@@ -12,8 +12,8 @@
 //   PTO_OBS=1      per-op latency histograms -> p50/p90/p99/p999 in PTO_STATS
 //   PTO_OBS_SAMPLE=k   time 1 in k ops (cheaper; percentiles stay unbiased)
 //   PTO_FLIGHT=n   per-slot flight ring, dumped to PTO_FLIGHT_OUT on exit
-//   PTO_PERF=1     hardware counters (cycles/instructions/LLC, TSX if exposed)
-//   PTO_STATS=json|csv   structured BenchPoint per measured point (schema v2)
+//   PTO_STATS=json structured BenchPoint per measured point (schema v2);
+//                  render with tools/pto_report.py
 //
 // Unlike the fig* binaries this measures wall-clock time on whatever cores
 // the host gives us, so absolute numbers are machine-dependent; the emitted

@@ -12,9 +12,10 @@ double native_measure_point(
   double best = 0.0;
   for (unsigned trial = 0; trial < opts.trials; ++trial) {
     auto body = make_fixture();
+    const PrefixStats start = point.trial_start();
     const std::uint64_t ns =
         rt.run([&](unsigned tid) { body(tid, opts.ops_per_thread); });
-    point.add_trial(ops);
+    point.add_trial(ops, start);
     const double ops_per_ms = ns == 0 ? 0.0
                                       : static_cast<double>(ops) * 1e6 /
                                             static_cast<double>(ns);

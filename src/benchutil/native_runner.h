@@ -11,8 +11,11 @@
 //     per-trial spread is visible in the latency histograms instead).
 //   * With PTO_OBS=1, per-op latency percentiles (recorded by the fixture
 //     through obs::OpTimer) are merged per point and attached to the emitted
-//     BenchPoint; with PTO_PERF=1, hardware counters are sampled around the
-//     point. Histograms are reset at each point boundary.
+//     BenchPoint. Histograms are reset at each point boundary.
+//
+// Like run_variant, a point counts only its trials' measured runs: the
+// fixture built by `make_fixture` (a prefill, say) stays out of its prefix
+// counts.
 #pragma once
 
 #include <functional>

@@ -3,8 +3,10 @@
 #include "common/env.h"
 #include "common/warn.h"
 #include "explore/explore.h"
+#include "htm/htm.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
+#include "service/runtime.h"
 #include "telemetry/prof.h"
 #include "telemetry/registry.h"
 
@@ -55,24 +57,35 @@ PointBracket::PointBracket(const std::string& bench, const std::string& series,
   pt_.threads = threads;
   if (telemetry::prof::on()) telemetry::prof::set_scope(bench + "/" + series);
   if (emit_) {
-    reg_before_ = telemetry::registry_totals();
     pt_.ts_start = telemetry::iso8601_now();
+    pt_.nproc = service::Runtime::allowed_cpus();
+    pt_.htm_backend = !wall_ ? "simx"
+                      : htm::backend() == htm::Backend::kRTM ? "rtm"
+                                                             : "soft";
   }
-  if (wall_) {
-    if (obs::hist_on()) obs::reset_latency();
-    perf_before_ = obs::perf_read();
-  }
+  if (wall_ && obs::hist_on()) obs::reset_latency();
   metrics::point_begin(bench.c_str(), series.c_str(), threads, wall_);
 }
 
-void PointBracket::add_trial(const sim::RunResult& res) {
+PrefixStats PointBracket::trial_start() const {
+  return emit_ ? telemetry::registry_totals() : PrefixStats{};
+}
+
+void PointBracket::add_prefix(const PrefixStats& start) {
+  if (emit_) pt_.prefix.accumulate(telemetry::registry_delta(start));
+}
+
+void PointBracket::add_trial(const sim::RunResult& res,
+                             const PrefixStats& start) {
+  add_prefix(start);
   ++pt_.trials;
   pt_.sim.accumulate(res.totals());
   pt_.makespan += res.makespan();
   for (auto c : res.clocks) pt_.cpu_cycles += c;
 }
 
-void PointBracket::add_trial(std::uint64_t ops) {
+void PointBracket::add_trial(std::uint64_t ops, const PrefixStats& start) {
+  add_prefix(start);
   ++pt_.trials;
   pt_.sim.ops_completed += ops;
 }
@@ -81,15 +94,11 @@ void PointBracket::close(double ops_per_ms) {
   pt_.intervals = metrics::point_end();
   if (!emit_) return;
   pt_.ops_per_ms = ops_per_ms;
-  pt_.prefix = telemetry::registry_delta(reg_before_);
-  if (wall_) {
-    if (obs::hist_on()) {
-      const obs::MergedLatency merged = obs::merged_latency(&pt_.lat_sites);
-      pt_.lat = merged.all;
-      pt_.lat_fast = merged.fast;
-      pt_.lat_fallback = merged.fallback;
-    }
-    pt_.perf = obs::perf_delta(perf_before_, obs::perf_read());
+  if (wall_ && obs::hist_on()) {
+    const obs::MergedLatency merged = obs::merged_latency(&pt_.lat_sites);
+    pt_.lat = merged.all;
+    pt_.lat_fast = merged.fast;
+    pt_.lat_fallback = merged.fallback;
   }
   pt_.ts_end = telemetry::iso8601_now();
   telemetry::emit_bench_point(pt_);

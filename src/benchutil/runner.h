@@ -11,11 +11,12 @@
 //                    practical shape for MAXT in the hundreds, where a dense
 //                    sweep is MAXT simulations per series
 //
-// With PTO_STATS=json|csv each measured point additionally emits a
-// structured record (telemetry/emit.h) carrying the full abort/fallback
-// breakdown alongside the throughput. run_variant is the simulated runner;
+// With PTO_STATS=json each measured point additionally emits a structured
+// record (telemetry/emit.h) carrying the full abort/fallback breakdown
+// alongside the throughput. run_variant is the simulated runner;
 // benchutil/native_runner.h is its wall-clock counterpart. Both open and
-// close every point with PointBracket.
+// close every point with PointBracket, and both count a trial's prefix
+// events around its measured run only.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,6 @@
 
 #include "benchutil/series.h"
 #include "core/prefix.h"
-#include "obs/perf_counters.h"
 #include "sim/sim.h"
 #include "telemetry/emit.h"
 
@@ -50,14 +50,16 @@ std::vector<int> sweep_threads(const RunnerOptions& opts);
 /// The one bench-point bracket: every measured point opens one and closes
 /// it once its trials have run.
 ///
-/// Opening sets the profiler scope "bench/series" and takes the registry
-/// baseline; a wall-clock point also resets latency and reads the perf
-/// counters. Last, metrics::point_begin labels the metrics stream and, on a
-/// wall-clock point, starts the sampler, which re-baselines latency and so
-/// must follow the reset. Closing stops the sampler, which emits the
-/// trailing interval, fills in the registry delta, latency, perf counters,
-/// timestamps and interval count, and emits the BenchPoint (with PTO_STATS
-/// set).
+/// Opening sets the profiler scope "bench/series" and stamps the point's
+/// host: its CPU count and HTM backend ("simx" on a virtual point, which
+/// never probes the native backend); a wall-clock point also resets latency.
+/// Last, metrics::point_begin labels the metrics stream and, on a wall-clock
+/// point, starts the sampler, which re-baselines latency and so must follow
+/// the reset. Each trial's registry delta is taken around its measured run
+/// (trial_start() / add_trial()), so fixture setup and teardown stay out of
+/// the point. Closing stops the sampler, which emits the trailing interval,
+/// fills in latency, timestamps and interval count, and emits the BenchPoint
+/// (with PTO_STATS set).
 class PointBracket {
  public:
   enum class Clock { kVirtual, kWall };
@@ -67,19 +69,25 @@ class PointBracket {
   PointBracket(const PointBracket&) = delete;
   PointBracket& operator=(const PointBracket&) = delete;
 
-  /// Count one trial: a simulated run, or `ops` completed wall-clock ops.
-  void add_trial(const sim::RunResult& res);
-  void add_trial(std::uint64_t ops);
+  /// The registry totals one trial starts from: take them just before its
+  /// measured run (sim::run or Runtime::run) and pass them to add_trial just
+  /// after it.
+  PrefixStats trial_start() const;
+
+  /// Count one trial, a simulated run or `ops` completed wall-clock ops,
+  /// with the prefix events counted since `start`.
+  void add_trial(const sim::RunResult& res, const PrefixStats& start);
+  void add_trial(std::uint64_t ops, const PrefixStats& start);
 
   /// Close the point, reporting `ops_per_ms` as its throughput.
   void close(double ops_per_ms);
 
  private:
+  void add_prefix(const PrefixStats& start);
+
   telemetry::BenchPoint pt_;
   bool wall_;
   bool emit_;
-  PrefixStats reg_before_;
-  obs::PerfSample perf_before_;
 };
 
 /// `base` for one simulated trial: workload seed `seed`, and under
@@ -113,11 +121,12 @@ void run_variant(Figure& fig, const RunnerOptions& opts,
           1000003ull * trial + n);
       Fixture* f = factory();
       f->prefill(cfg.seed ^ 0xABCDEF);
+      const PrefixStats start = point.trial_start();
       auto res = sim::run(n, cfg, [&](unsigned tid) {
         f->thread_body(tid, opts.ops_per_thread);
       });
+      point.add_trial(res, start);
       sum += res.ops_per_msec();
-      point.add_trial(res);
       delete f;
       sim::reset_memory();
     }

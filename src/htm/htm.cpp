@@ -72,8 +72,9 @@ Backend publish_backend() {
 }
 
 telemetry::Site* native_site() {
-  static telemetry::Site* const s = telemetry::Registry::instance().intern(
-      backend() == Backend::kRTM ? "htm.rtm" : "htm.soft");
+  static telemetry::Site* const s =
+      telemetry::Registry::instance().intern_facade(
+          backend() == Backend::kRTM ? "htm.rtm" : "htm.soft");
   return s;
 }
 }  // namespace detail

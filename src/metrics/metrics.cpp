@@ -266,7 +266,7 @@ Delta collect(State& s, bool wall_mode) {
     const PrefixStats sd = cur.counts[i].zip(
         i < s.base.counts.size() ? s.base.counts[i] : PrefixStats{},
         sub_or_rebase);
-    d.prefix.accumulate(sd);
+    if (!cur.sites[i]->facade()) d.prefix.accumulate(sd);
     if (sd.attempts != 0 || sd.commits != 0 || sd.fallbacks != 0 ||
         sd.total_aborts() != 0) {
       d.sites.emplace_back(cur.sites[i]->name(), sd);

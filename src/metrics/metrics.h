@@ -38,7 +38,12 @@
 // Record stream (one JSON object per line; validated by
 // tools/check_metrics.py):
 //   metrics_meta      once at arm: interval, paths, provenance
-//   metrics_interval  one per tick: label + per-source deltas
+//   metrics_interval  one per tick: label + per-source deltas. Its prefix
+//                     block (and fallback_rate and the watchdog rules on
+//                     it) sums every site but the native HTM facade's,
+//                     which counts the same transactions again
+//                     (telemetry::Site::facade()); the sites list keeps the
+//                     facade's row.
 //   watch             one per watchdog firing
 //   warning           pto::warn_once events while armed
 //   metrics_flush     once at exit: totals, violation count

@@ -1,8 +1,7 @@
 // pto::obs — low-overhead observability for NATIVE (non-simx) runs: per-site
-// op-latency histograms, the flight recorder (obs/flight.h), and optional
-// hardware perf counters (obs/perf_counters.h). Simulated runs ignore every
-// knob here: simx latencies are virtual cycles and already exactly observable
-// through PTO_PROF/PTO_TRACE.
+// op-latency histograms and the flight recorder (obs/flight.h). Simulated
+// runs ignore every knob here: simx latencies are virtual cycles and already
+// exactly observable through PTO_PROF/PTO_TRACE.
 //
 //   PTO_OBS=1          arm per-op latency histograms (native bench runners)
 //   PTO_OBS_SAMPLE=<k> time 1 in k ops (rounded to a power of two; default 1
@@ -12,7 +11,6 @@
 //                      sub-microsecond ops.
 //   PTO_FLIGHT=<n>     arm the flight recorder, ring of n events per native
 //                      telemetry slot (obs/flight.h)
-//   PTO_PERF=1         sample hardware perf counters around bench points
 //
 // Recording model: latency is recorded under a telemetry::Site named for the
 // op class ("native_set.insert", "svc.get"). The shard a thread's slot holds

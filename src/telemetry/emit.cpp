@@ -18,18 +18,11 @@ namespace pto::telemetry {
 
 namespace {
 
-StatsFormat format_from_env() {
-  switch (env::choice("PTO_STATS", {"json", "csv"}, -1)) {
-    case 0: return StatsFormat::kJson;
-    case 1: return StatsFormat::kCsv;
-    default: return StatsFormat::kOff;
-  }
-}
-
 struct State {
-  StatsFormat format = format_from_env();
+  StatsFormat format = env::choice("PTO_STATS", {"json"}, -1) == 0
+                           ? StatsFormat::kJson
+                           : StatsFormat::kOff;
   std::ostream* os = nullptr;  ///< nullptr = stdout
-  bool csv_header_done = false;
 };
 
 State& state() {
@@ -53,21 +46,6 @@ double tx_cycle_share(const BenchPoint& p) {
   return p.cpu_cycles == 0 ? 0.0
                            : static_cast<double>(p.sim.tx_cycles) /
                                  static_cast<double>(p.cpu_cycles);
-}
-
-/// RFC 4180 CSV field quoting: fields containing comma, quote, or newline
-/// are wrapped in quotes with embedded quotes doubled.
-void csv_str(std::ostream& os, const std::string& v) {
-  if (v.find_first_of(",\"\n\r") == std::string::npos) {
-    os << v;
-    return;
-  }
-  os << '"';
-  for (char c : v) {
-    if (c == '"') os << "\"\"";
-    else os << c;
-  }
-  os << '"';
 }
 
 const std::string& or_default(const std::string& v, const char* dflt) {
@@ -147,25 +125,14 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
     }
     os << "]";
   }
-  os << "}";
-  if (p.perf.valid) {
-    os << ",\"perf\":{\"cycles\":" << p.perf.cycles
-       << ",\"instructions\":" << p.perf.instructions
-       << ",\"llc_misses\":" << p.perf.llc_misses;
-    if (p.perf.tsx_valid) {
-      os << ",\"tx_start\":" << p.perf.tx_start
-         << ",\"tx_abort\":" << p.perf.tx_abort
-         << ",\"tx_capacity\":" << p.perf.tx_capacity
-         << ",\"tx_conflict\":" << p.perf.tx_conflict;
-    }
-    os << "}";
-  }
-  os << ",\"git_sha\":";
+  os << "},\"git_sha\":";
   json_str(os, or_default(p.git_sha, build_git_sha()));
   os << ",\"build_type\":";
   json_str(os, or_default(p.build_type, build_type()));
   os << ",\"fiber_backend\":";
   json_str(os, or_default(p.fiber_backend, fiber_backend()));
+  os << ",\"nproc\":" << p.nproc << ",\"htm_backend\":";
+  json_str(os, p.htm_backend);
   const std::string now = iso8601_now();
   os << ",\"ts_start\":";
   json_str(os, or_default(p.ts_start, now.c_str()));
@@ -177,95 +144,12 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
   os << "}\n";
 }
 
-void csv_summary_header(std::ostream& os, const char* prefix) {
-  os << ',' << prefix << "_samples," << prefix << "_p50_ns," << prefix
-     << "_p90_ns," << prefix << "_p99_ns," << prefix << "_p999_ns," << prefix
-     << "_max_ns";
-}
-
-void csv_summary(std::ostream& os, const obs::HistSummary& s) {
-  os << ',' << s.samples << ',' << s.p50 << ',' << s.p90 << ',' << s.p99
-     << ',' << s.p999 << ',' << s.max;
-}
-
-void emit_csv(std::ostream& os, const BenchPoint& p, bool header) {
-  if (header) {
-    os << "bench,series,threads,trials,ops,ops_per_ms,makespan_cycles,"
-          "cpu_cycles,tx_started,tx_commits,tx_cycles,tx_cycle_share";
-    for (unsigned c = 0; c < kTxCodeCount; ++c) {
-      os << ",aborts_" << tx_code_name(c);
-    }
-    os << ",abort_total,fences,fences_elided,allocs,frees,prefix_attempts,"
-          "prefix_commits,prefix_fallbacks,fallback_fraction";
-    for (unsigned c = 1; c < kTxCodeCount; ++c) {
-      os << ",prefix_aborts_" << tx_code_name(c);
-    }
-    csv_summary_header(os, "lat");
-    csv_summary_header(os, "lat_fast");
-    csv_summary_header(os, "lat_fallback");
-    // Perf cells stay empty (not zero) when counters were unavailable, so
-    // "sampled as zero" and "not sampled" are distinguishable.
-    os << ",perf_cycles,perf_instructions,perf_llc_misses,perf_tx_start,"
-          "perf_tx_abort,perf_tx_capacity,perf_tx_conflict";
-    os << ",schema_version,git_sha,build_type,fiber_backend,ts_start,ts_end,"
-          "hostname,intervals\n";
-  }
-  csv_str(os, p.bench);
-  os << ',';
-  csv_str(os, p.series);
-  os << ',' << p.threads << ',' << p.trials
-     << ',' << p.sim.ops_completed << ',';
-  json_num(os, p.ops_per_ms);
-  os << ',' << p.makespan << ',' << p.cpu_cycles << ',' << p.sim.tx_started
-     << ',' << p.sim.tx_commits << ',' << p.sim.tx_cycles << ',';
-  json_num(os, tx_cycle_share(p));
-  for (unsigned c = 0; c < kTxCodeCount; ++c) os << ',' << p.sim.tx_aborts[c];
-  os << ',' << p.sim.total_aborts() << ',' << p.sim.fences << ','
-     << p.sim.fences_elided << ',' << p.sim.allocs << ',' << p.sim.frees
-     << ',' << p.prefix.attempts << ',' << p.prefix.commits << ','
-     << p.prefix.fallbacks << ',';
-  json_num(os, fallback_fraction(p.prefix));
-  for (unsigned c = 1; c < kTxCodeCount; ++c) {
-    os << ',' << p.prefix.aborts[c];
-  }
-  csv_summary(os, p.lat);
-  csv_summary(os, p.lat_fast);
-  csv_summary(os, p.lat_fallback);
-  if (p.perf.valid) {
-    os << ',' << p.perf.cycles << ',' << p.perf.instructions << ','
-       << p.perf.llc_misses;
-    if (p.perf.tsx_valid) {
-      os << ',' << p.perf.tx_start << ',' << p.perf.tx_abort << ','
-         << p.perf.tx_capacity << ',' << p.perf.tx_conflict;
-    } else {
-      os << ",,,,";
-    }
-  } else {
-    os << ",,,,,,,";
-  }
-  os << ',' << kStatsSchemaVersion << ',';
-  csv_str(os, or_default(p.git_sha, build_git_sha()));
-  os << ',';
-  csv_str(os, or_default(p.build_type, build_type()));
-  os << ',';
-  csv_str(os, or_default(p.fiber_backend, fiber_backend()));
-  const std::string now = iso8601_now();
-  os << ',';
-  csv_str(os, or_default(p.ts_start, now.c_str()));
-  os << ',';
-  csv_str(os, or_default(p.ts_end, now.c_str()));
-  os << ',';
-  csv_str(os, or_default(p.hostname, host_name().c_str()));
-  os << ',' << p.intervals << '\n';
-}
-
 }  // namespace
 
 StatsFormat stats_format() { return state().format; }
 
 void set_stats_format(StatsFormat f) {
   state().format = f;
-  state().csv_header_done = false;
   if (f != StatsFormat::kOff) set_enabled(true);
 }
 
@@ -346,18 +230,8 @@ void json_num(std::ostream& os, double v) {
 }
 
 void emit_bench_point(const BenchPoint& p) {
-  State& s = state();
-  switch (s.format) {
-    case StatsFormat::kOff:
-      return;
-    case StatsFormat::kJson:
-      emit_json(out(), p);
-      break;
-    case StatsFormat::kCsv:
-      emit_csv(out(), p, !s.csv_header_done);
-      s.csv_header_done = true;
-      break;
-  }
+  if (state().format == StatsFormat::kOff) return;
+  emit_json(out(), p);
   out().flush();
 }
 

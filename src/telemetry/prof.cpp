@@ -1,12 +1,8 @@
 #include "telemetry/prof.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -27,8 +23,6 @@
 namespace pto::telemetry::prof {
 
 namespace {
-
-constexpr unsigned kDefaultTopN = 10;
 
 const char* kClassNames[kClassCount] = {
     "load",  "store",       "sync",  "fence", "alloc",
@@ -100,23 +94,19 @@ struct ProfState {
   std::uint64_t conflicts_total = 0;
   std::uint64_t doomed_total = 0;
 
-  Format fmt = Format::kText;
   std::string out_path;  ///< empty = stderr
-  unsigned topn = kDefaultTopN;
   bool report_at_exit = false;
 
   ProfState() {
     scopes.push_back(std::make_unique<ScopeData>(""));
     cur = scopes.front().get();
     if (env::str("PTO_PROF") != nullptr) {
-      if (env::choice("PTO_PROF", {"text", "json"}, 0) == 1) {
-        fmt = Format::kJson;
-      }
+      // "json" is the one report; any other value warns and writes it too.
+      env::choice("PTO_PROF", {"json"}, 0);
       set_tap(kTapProf, true);
       report_at_exit = true;
     }
     if (const char* v = env::str("PTO_PROF_OUT")) out_path = v;
-    topn = static_cast<unsigned>(env::u64("PTO_PROF_TOPN", topn, 1, ~0u));
   }
 };
 
@@ -229,82 +219,6 @@ void report_json(std::ostream& os, const std::vector<ScopeSnapshot>& scopes) {
     os << "}";
   }
   os << "]}\n";
-}
-
-void report_text(std::ostream& os, const std::vector<ScopeSnapshot>& scopes,
-                 unsigned topn) {
-  os << "== pto prof ==\n";
-  for (const auto& sc : scopes) {
-    bool empty = sc.sites.empty() && sc.matrix.empty() && sc.hot_lines.empty();
-    std::uint64_t unattr = 0;
-    for (auto u : sc.unattributed) unattr += u;
-    if (empty && unattr == 0) continue;
-    os << "-- scope \"" << sc.label << "\" --\n";
-    if (!sc.sites.empty()) {
-      os << "cycle ledger:\n";
-      os << std::left << std::setw(24) << "  site" << std::right
-         << std::setw(10) << "commits" << std::setw(12) << "cyc/commit"
-         << std::setw(10) << "fallbacks" << std::setw(12) << "cyc/fb"
-         << std::setw(12) << "retrywaste" << std::setw(12) << "fence_elide"
-         << std::setw(10) << "cas_save" << "\n";
-      for (const SiteLedger& l : sc.sites) {
-        auto per = [](std::uint64_t tot, std::uint64_t n) {
-          return n == 0 ? 0.0
-                        : static_cast<double>(tot) / static_cast<double>(n);
-        };
-        os << "  " << std::left << std::setw(22) << l.site << std::right
-           << std::setw(10) << l.fast.count << std::setw(12) << std::fixed
-           << std::setprecision(1) << per(l.fast.total(), l.fast.count)
-           << std::setw(10) << l.fallback.count << std::setw(12)
-           << per(l.fallback.total(), l.fallback.count) << std::setw(12)
-           << l.retry_waste_cycles << std::setw(12) << l.fence_elided_cycles
-           << std::setw(10) << l.cas_collapsed_cycles << "\n";
-        os.unsetf(std::ios::fixed);
-        SavingsBreakdown sv = derive_savings(l);
-        if (l.fallback.count > 0 && l.fast.count > 0) {
-          os << "    savings: fence=" << std::llround(sv.fence_removed)
-             << " second_read=" << std::llround(sv.second_read_collapsed)
-             << " store_sync=" << std::llround(sv.store_sync_removed)
-             << " alloc=" << std::llround(sv.alloc_avoided)
-             << " other=" << std::llround(sv.other_removed)
-             << " - txov=" << std::llround(sv.tx_overhead)
-             << " - retry=" << std::llround(sv.retry_waste)
-             << " => explained=" << std::llround(sv.explained()) << "\n";
-        }
-      }
-    }
-    if (!sc.matrix.empty()) {
-      os << "conflict matrix (victim <- aggressor):\n";
-      for (const ConflictCell& c : sc.matrix) {
-        os << "  " << std::left << std::setw(22) << c.victim << " <- "
-           << std::setw(22) << c.aggressor << std::right << std::setw(8)
-           << c.count << " aborts" << std::setw(12) << c.doomed_cycles
-           << " doomed cycles\n";
-      }
-    }
-    if (!sc.hot_lines.empty()) {
-      os << "hot lines (top " << std::min<std::size_t>(topn,
-                                                       sc.hot_lines.size())
-         << " of " << sc.hot_lines.size() << "):\n";
-      unsigned shown = 0;
-      for (const HotLine& h : sc.hot_lines) {
-        if (shown++ >= topn) break;
-        os << "  line #" << h.line << " owner " << std::left << std::setw(22)
-           << h.owner << std::right << std::setw(8) << h.aborts << " aborts"
-           << std::setw(12) << h.doomed_cycles << " doomed cycles\n";
-      }
-    }
-    if (unattr != 0) {
-      os << "unattributed cycles:";
-      for (unsigned c = 0; c < kClassCount; ++c) {
-        if (sc.unattributed[c] != 0) {
-          os << " " << kClassNames[c] << "=" << sc.unattributed[c];
-        }
-      }
-      os << "\n";
-    }
-  }
-  os.flush();
 }
 
 }  // namespace
@@ -568,14 +482,7 @@ std::vector<ScopeSnapshot> snapshot() {
   return out;
 }
 
-void report(std::ostream& os, Format f) {
-  std::vector<ScopeSnapshot> scopes = snapshot();
-  if (f == Format::kJson) {
-    report_json(os, scopes);
-  } else {
-    report_text(os, scopes, state().topn);
-  }
-}
+void report(std::ostream& os) { report_json(os, snapshot()); }
 
 void report_if_enabled() {
   ProfState& ps = state();
@@ -583,13 +490,13 @@ void report_if_enabled() {
   if (!ps.out_path.empty()) {
     std::ofstream os(ps.out_path, std::ios::trunc);
     if (os) {
-      report(os, ps.fmt);
+      report(os);
       return;
     }
     warn_once("env.PTO_PROF_OUT", "cannot open PTO_PROF_OUT=%s",
               ps.out_path.c_str());
   }
-  report(std::cerr, ps.fmt);
+  report(std::cerr);
 }
 
 }  // namespace pto::telemetry::prof

@@ -30,9 +30,13 @@
 // checker (telemetry/span.h), so every PTO_TELEMETRY_SITE-wired call site is
 // profiled with no per-data-structure changes.
 //
-//   PTO_PROF=text|json   enable profiling; dump a report at process exit
+//   PTO_PROF=json        enable profiling; write the JSON report (one
+//                        "pto_prof" record) at process exit. Any other set
+//                        value warns once and writes the same report.
 //   PTO_PROF_OUT=path    write the report to a file (default: stderr)
-//   PTO_PROF_TOPN=N      hot lines kept in the report (default 10)
+//
+// tools/pto_report.py is the report's renderer: the cycle ledger, hot lines,
+// conflict matrix and unattributed cycles as aligned tables.
 //
 // Zero overhead when off: every hook is gated on one tap bit, and no
 // hook ever charges virtual cycles — simulated results are byte-identical
@@ -62,8 +66,6 @@ inline bool on() { return tap_on(kTapProf); }
 /// Programmatic control (tests). Enabling does not clear accumulated data;
 /// call reset() for a clean slate.
 void set_enabled(bool on);
-
-enum class Format { kText, kJson };
 
 /// Classes a charged virtual cycle can belong to. Coherence-miss surcharges
 /// stay with the access that paid them.
@@ -130,8 +132,8 @@ void set_scope(std::string_view label);
 /// Drop all accumulated data and per-thread state.
 void reset();
 
-/// Write a report of everything accumulated so far.
-void report(std::ostream& os, Format f);
+/// Write the JSON report of everything accumulated so far.
+void report(std::ostream& os);
 
 /// Honor PTO_PROF / PTO_PROF_OUT (the atexit path; callable manually).
 void report_if_enabled();

@@ -239,6 +239,14 @@ Registry& Registry::instance() {
 }
 
 Site* Registry::intern(std::string_view name) {
+  return find_or_create(name, false);
+}
+
+Site* Registry::intern_facade(std::string_view name) {
+  return find_or_create(name, true);
+}
+
+Site* Registry::find_or_create(std::string_view name, bool facade) {
   std::lock_guard<std::mutex> lk(mu_);
   const unsigned n = count_.load(std::memory_order_relaxed);
   for (unsigned i = 0; i < n; ++i) {
@@ -249,7 +257,7 @@ Site* Registry::intern(std::string_view name) {
                             std::string(name) + "' beyond " +
                             std::to_string(kSiteCapacity) + " sites");
   }
-  sites_[n] = new Site(std::string(name), n);
+  sites_[n] = new Site(std::string(name), n, facade);
   count_.store(n + 1, std::memory_order_release);
   return sites_[n];
 }
@@ -260,7 +268,9 @@ std::vector<Site*> Registry::sites() {
 
 PrefixStats Registry::totals() {
   PrefixStats t;
-  for (Site* s : sites()) t.accumulate(s->snapshot());
+  for (Site* s : sites()) {
+    if (!s->facade()) t.accumulate(s->snapshot());
+  }
   return t;
 }
 

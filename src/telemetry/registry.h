@@ -72,8 +72,8 @@ struct alignas(kCacheLine) SiteShard {
 
 class Site {
  public:
-  explicit Site(std::string name, unsigned id = 0)
-      : name_(std::move(name)), id_(id) {}
+  explicit Site(std::string name, unsigned id = 0, bool facade = false)
+      : name_(std::move(name)), id_(id), facade_(facade) {}
   ~Site();
   Site(const Site&) = delete;
   Site& operator=(const Site&) = delete;
@@ -83,6 +83,11 @@ class Site {
   /// index in the registry table and its key in flight-recorder records
   /// (obs/flight.h).
   unsigned id() const { return id_; }
+  /// True for the native HTM facade's site ("htm.rtm" / "htm.soft"). It
+  /// counts the commits and aborts of the transactions the prefix sites
+  /// already count, so the registry-wide totals (Registry::totals(), the
+  /// metrics interval's prefix block) leave it out; per-site views keep it.
+  bool facade() const { return facade_; }
 
   /// Count one prefix event (telemetry/taps.h) in this thread's shard.
   void count(unsigned event, unsigned cause);
@@ -121,6 +126,7 @@ class Site {
 
   std::string name_;
   unsigned id_;
+  bool facade_;
   SiteShard shards_[kShardSeg];
   std::atomic<SiteShard*> ext_[kShardSegs - 1]{};
 };
@@ -143,6 +149,9 @@ class Registry {
   /// Find-or-create the site named `name`. Pointers are stable for the
   /// process lifetime (sites are never removed).
   Site* intern(std::string_view name);
+  /// intern() for the native HTM facade's site: marks the site it creates
+  /// (Site::facade()).
+  Site* intern_facade(std::string_view name);
 
   /// Stable pointers to every registered site, in registration order.
   std::vector<Site*> sites();
@@ -154,7 +163,8 @@ class Registry {
   }
   const Site& site(unsigned id) const { return *sites_[id]; }
 
-  /// Sum over every site.
+  /// Sum over every site but the facade's (Site::facade()): each
+  /// transaction counted once.
   PrefixStats totals();
 
   /// Counters of every site, plus the merged latency when `latency` is set.
@@ -168,6 +178,7 @@ class Registry {
 
  private:
   Registry() = default;
+  Site* find_or_create(std::string_view name, bool facade);
   std::mutex mu_;  ///< serializes intern(); readers never take it
   /// Entries [0, count_) are written before count_'s release store.
   Site* sites_[kSiteCapacity] = {};

@@ -1,10 +1,9 @@
 // telemetry_smoke — run one small bench point through the simulated runner
 // (run_variant) with JSON stats emission and validate that the record parses
 // and carries the full schema (throughput, aborts by every cause, fallback
-// fraction, cycle share).
+// fraction, cycle share, host fields), counting only the measured run.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 
@@ -33,20 +32,27 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
   opts.trials = 1;
   sim::Config cfg;
 
-  // One counter bumped through the instrumented prefix per op.
+  // One counter bumped through the instrumented prefix per op. The prefill
+  // bumps it too, on the host; the point must not count those.
   struct Fixture {
     pto::Atom<SimPlatform, std::uint64_t> counter;
-    void prefill(std::uint64_t) { counter.init(0); }
+    void bump() {
+      pto::prefix<SimPlatform>(
+          2,
+          [&] {
+            auto v = counter.load(std::memory_order_relaxed);
+            counter.store(v + 1, std::memory_order_relaxed);
+          },
+          [&] { counter.fetch_add(1, std::memory_order_seq_cst); },
+          PTO_TELEMETRY_SITE("smoke.op"));
+    }
+    void prefill(std::uint64_t) {
+      counter.init(0);
+      for (int i = 0; i < 50; ++i) bump();
+    }
     void thread_body(unsigned, std::uint64_t ops) {
       for (std::uint64_t i = 0; i < ops; ++i) {
-        pto::prefix<SimPlatform>(
-            2,
-            [&] {
-              auto v = counter.load(std::memory_order_relaxed);
-              counter.store(v + 1, std::memory_order_relaxed);
-            },
-            [&] { counter.fetch_add(1, std::memory_order_seq_cst); },
-            PTO_TELEMETRY_SITE("smoke.op"));
+        bump();
         sim::op_done();
       }
     }
@@ -78,7 +84,8 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
         "makespan_cycles", "cpu_cycles", "tx_started", "tx_commits",
         "tx_cycles", "tx_cycle_share", "aborts", "abort_total", "fences",
         "fences_elided", "allocs", "frees", "prefix_attempts",
-        "prefix_commits", "prefix_fallbacks", "fallback_fraction"}) {
+        "prefix_commits", "prefix_fallbacks", "fallback_fraction", "nproc",
+        "htm_backend"}) {
     EXPECT_NE(rec.find(key), nullptr) << "missing key " << key;
   }
 
@@ -89,6 +96,9 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
   EXPECT_EQ(rec.find("trials")->num(), 1.0);
   EXPECT_EQ(rec.find("ops")->num(), 400.0);  // 2 threads x 200 ops
   EXPECT_GT(rec.find("ops_per_ms")->num(), 0.0);
+  // A virtual point names simx as its backend, never a probed native one.
+  EXPECT_GE(rec.find("nproc")->num(), 1.0);
+  EXPECT_EQ(rec.find("htm_backend")->str(), "simx");
 
   // Aborts must be broken out by every cause the codebase knows about.
   const testjson::Value* aborts = rec.find("aborts");
@@ -98,7 +108,8 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
         << "missing abort cause " << pto::tx_code_name(c);
   }
 
-  // Every op went through the instrumented prefix exactly once.
+  // Every measured op went through the instrumented prefix exactly once;
+  // the prefill's host-side ops are not counted.
   const double commits = rec.find("prefix_commits")->num();
   const double fallbacks = rec.find("prefix_fallbacks")->num();
   EXPECT_EQ(commits + fallbacks, 400.0);
@@ -108,40 +119,6 @@ TEST(TelemetrySmoke, BenchPointEmitsParsableJsonWithRequiredKeys) {
   const double share = rec.find("tx_cycle_share")->num();
   EXPECT_GE(share, 0.0);
   EXPECT_LE(share, 1.0);
-}
-
-TEST(TelemetrySmoke, CsvEmitsHeaderOnceAndMatchingColumns) {
-  tel::set_stats_format(tel::StatsFormat::kCsv);
-  std::ostringstream out;
-  tel::set_stats_stream(&out);
-
-  tel::BenchPoint p;
-  p.bench = "smoke";
-  p.series = "s";
-  p.threads = 1;
-  p.trials = 1;
-  tel::emit_bench_point(p);
-  tel::emit_bench_point(p);
-  tel::set_stats_stream(nullptr);
-  tel::set_stats_format(tel::StatsFormat::kOff);
-
-  std::istringstream lines(out.str());
-  std::string header, row1, row2, extra;
-  ASSERT_TRUE(std::getline(lines, header));
-  ASSERT_TRUE(std::getline(lines, row1));
-  ASSERT_TRUE(std::getline(lines, row2));
-  EXPECT_FALSE(std::getline(lines, extra)) << "header re-emitted";
-
-  auto cols = [](const std::string& s) {
-    return std::count(s.begin(), s.end(), ',');
-  };
-  EXPECT_NE(header.find("fallback_fraction"), std::string::npos);
-  for (unsigned c = 0; c < pto::kTxCodeCount; ++c) {
-    EXPECT_NE(header.find(std::string("aborts_") + pto::tx_code_name(c)),
-              std::string::npos);
-  }
-  EXPECT_EQ(cols(header), cols(row1));
-  EXPECT_EQ(cols(header), cols(row2));
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #include "json_util.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
+#include "htm/htm.h"
+#include "platform/native_platform.h"
 #include "platform/platform.h"
 #include "platform/sim_platform.h"
 #include "sim/sim.h"
@@ -243,6 +245,53 @@ TEST(Metrics, WallObsSampleTotalsTelescopeUnderThreadChurn) {
 
   obs::set_hist_on(false);
   obs::reset_latency();
+}
+
+TEST(Metrics, NativeIntervalCountsEachTransactionOnce) {
+  // A native prefix op counts at its prefix site, and its commit or abort
+  // counts again at the HTM facade's site. The interval's prefix block takes
+  // each transaction once; its sites list keeps the facade's own row.
+  telemetry::Site* site =
+      telemetry::Registry::instance().intern("metrics.native");
+  const telemetry::Site* facade = pto::htm::detail::native_site();
+  metrics::Config cfg;
+  cfg.interval_ms = 100000;  // sampler never self-ticks; point_end ticks
+  Capture cap(cfg);
+  metrics::point_begin("native_bench", "s1", 1, /*wall_clock=*/true);
+  constexpr std::uint64_t kOps = 2000;
+  pto::Atom<pto::NativePlatform, std::uint64_t> acc;
+  acc.init(0);
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    pto::prefix<pto::NativePlatform>(
+        2,
+        [&] {
+          acc.store(acc.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_relaxed);
+        },
+        [&] { acc.fetch_add(1); }, site);
+  }
+  metrics::point_end();
+
+  std::uint64_t attempts = 0, commits = 0, fallbacks = 0, aborts = 0;
+  std::uint64_t facade_commits = 0;
+  for (const auto& r : cap.records()) {
+    if (!is_type(r, "metrics_interval")) continue;
+    const testjson::Value* p = r.find("prefix");
+    ASSERT_NE(p, nullptr);
+    attempts += u64(*p, "attempts");
+    commits += u64(*p, "commits");
+    fallbacks += u64(*p, "fallbacks");
+    aborts += u64(*p, "aborts_total");
+    for (const auto& s : r.find("sites")->array()) {
+      if (s.find("site")->str() == facade->name()) {
+        facade_commits += u64(s, "commits");
+      }
+    }
+  }
+  EXPECT_GE(attempts, kOps);
+  EXPECT_EQ(commits + aborts, attempts);
+  EXPECT_EQ(commits + fallbacks, kOps);
+  EXPECT_EQ(facade_commits, commits);
 }
 
 TEST(Metrics, SimProfLedgerCyclesTelescope) {

@@ -17,6 +17,7 @@
 #include "common/env.h"
 #include "common/warn.h"
 #include "core/prefix.h"
+#include "htm/htm.h"
 #include "json_util.h"
 #include "metrics/metrics.h"
 #include "obs/obs.h"
@@ -217,8 +218,6 @@ TEST(EnvReader, MalformedFormsKeepDefaultAndWarnOnce) {
     const char* value;
     std::function<bool()> keeps_default;  ///< reads `name` once
   } rows[] = {
-      {"PTO_PROF_TOPN", "12x",
-       [] { return env::u64("PTO_PROF_TOPN", 10, 1, ~0u) == 10; }},
       {"PTO_CHECK_MAX", "abc",
        [] { return env::u64("PTO_CHECK_MAX", 100, 1, ~0u) == 100; }},
       {"PTO_BENCH_RANGE", "abc",
@@ -239,7 +238,7 @@ TEST(EnvReader, MalformedFormsKeepDefaultAndWarnOnce) {
       {"PTO_HTM", "sfot",
        [] { return env::choice("PTO_HTM", {"soft", "rtm"}, -1) == -1; }},
       {"PTO_STATS", "xml",
-       [] { return env::choice("PTO_STATS", {"json", "csv"}, -1) == -1; }},
+       [] { return env::choice("PTO_STATS", {"json"}, -1) == -1; }},
       {"PTO_CHECK", "yes",
        [] { return env::choice("PTO_CHECK", {"1", "on", "report"}, 0) == 0; }},
   };
@@ -308,47 +307,62 @@ double num(const testjson::Value& v, const char* key) {
 constexpr std::uint64_t kPointOps = 3000;  // per thread per trial
 constexpr double kPointTotal = kPointOps * 2 * 2;  // x threads x trials
 
+using Counter = pto::Atom<pto::NativePlatform, std::uint64_t>;
+using Body = std::function<void(unsigned, std::uint64_t)>;
+
+/// One op: an increment of `counter` through one instrumented prefix.
+void bump(Counter& counter) {
+  pto::prefix<pto::NativePlatform>(
+      2,
+      [&] {
+        auto v = counter.load(std::memory_order_relaxed);
+        counter.store(v + 1, std::memory_order_relaxed);
+      },
+      [&] { counter.fetch_add(1, std::memory_order_seq_cst); },
+      PTO_TELEMETRY_SITE("native_point.prefix"));
+}
+
+/// RAII: route bench_point records into a stringstream.
+struct StatsCapture {
+  std::ostringstream os;
+  StatsCapture() {
+    pto::telemetry::set_stats_format(pto::telemetry::StatsFormat::kJson);
+    pto::telemetry::set_stats_stream(&os);
+  }
+  ~StatsCapture() {
+    pto::telemetry::set_stats_stream(nullptr);
+    pto::telemetry::set_stats_format(pto::telemetry::StatsFormat::kOff);
+  }
+};
+
 /// Two native points, "first" then "second", of 2 threads x 2 trials, each
 /// op timed under one site and run through one prefix; returns the emitted
 /// bench_point records.
 std::vector<testjson::Value> run_two_native_points() {
   namespace tel = pto::telemetry;
-  using pto::NativePlatform;
-  std::ostringstream stats;
-  tel::set_stats_format(tel::StatsFormat::kJson);
-  tel::set_stats_stream(&stats);
   RunnerOptions opts;
   opts.ops_per_thread = kPointOps;
   opts.trials = 2;
   tel::Site* op = tel::Registry::instance().intern("native_point.op");
   auto make_fixture = [op] {
-    auto counter = std::make_shared<pto::Atom<NativePlatform, std::uint64_t>>();
+    auto counter = std::make_shared<Counter>();
     counter->init(0);
-    return std::function<void(unsigned, std::uint64_t)>(
-        [counter, op](unsigned, std::uint64_t ops) {
-          for (std::uint64_t i = 0; i < ops; ++i) {
-            pto::obs::OpTimer t(op);
-            pto::prefix<NativePlatform>(
-                2,
-                [&] {
-                  auto v = counter->load(std::memory_order_relaxed);
-                  counter->store(v + 1, std::memory_order_relaxed);
-                },
-                [&] { counter->fetch_add(1, std::memory_order_seq_cst); },
-                PTO_TELEMETRY_SITE("native_point.prefix"));
-          }
-        });
+    return Body([counter, op](unsigned, std::uint64_t ops) {
+      for (std::uint64_t i = 0; i < ops; ++i) {
+        pto::obs::OpTimer t(op);
+        bump(*counter);
+      }
+    });
   };
   pto::service::Runtime rt({2, /*pin=*/true});
+  StatsCapture stats;
   for (const char* series : {"first", "second"}) {
     EXPECT_GT(pto::bench::native_measure_point(opts, rt, make_fixture,
                                                "native_point", series),
               0.0);
   }
-  tel::set_stats_stream(nullptr);
-  tel::set_stats_format(tel::StatsFormat::kOff);
-  std::vector<testjson::Value> points = json_lines(stats.str());
-  EXPECT_EQ(points.size(), 2u) << stats.str();  // one record per point
+  std::vector<testjson::Value> points = json_lines(stats.os.str());
+  EXPECT_EQ(points.size(), 2u) << stats.os.str();  // one record per point
   for (const testjson::Value& p : points) {
     EXPECT_EQ(p.find("bench")->str(), "native_point");
     EXPECT_EQ(num(p, "threads"), 2.0);
@@ -403,9 +417,83 @@ TEST(NativePoint, IntervalsSumToTheirPoint) {
     EXPECT_EQ(num(p, "prefix_attempts"), attempts);
     EXPECT_EQ(num(p, "prefix_commits"), commits);
     EXPECT_EQ(num(p, "prefix_fallbacks"), fallbacks);
-    // Every op ran the prefix once (the HTM facade's commits add more).
-    EXPECT_GE(commits + fallbacks, kPointTotal);
+    // Every op ran the prefix once.
+    EXPECT_EQ(commits + fallbacks, kPointTotal);
   }
+}
+
+TEST(NativePoint, CountsOnlyItsMeasuredRuns) {
+  // Each trial's fixture runs kSetupOps prefix ops while it is built; the
+  // point counts only the kPointOps each worker runs in the measured run.
+  constexpr std::uint64_t kSetupOps = 5000;
+  RunnerOptions opts;
+  opts.ops_per_thread = kPointOps;
+  opts.trials = 2;
+  auto make_fixture = [] {
+    auto counter = std::make_shared<Counter>();
+    counter->init(0);
+    for (std::uint64_t i = 0; i < kSetupOps; ++i) bump(*counter);
+    return Body([counter](unsigned, std::uint64_t ops) {
+      for (std::uint64_t i = 0; i < ops; ++i) bump(*counter);
+    });
+  };
+  pto::service::Runtime rt({2, /*pin=*/true});
+  StatsCapture stats;
+  pto::bench::native_measure_point(opts, rt, make_fixture, "native_point",
+                                   "setup");
+  const std::vector<testjson::Value> points = json_lines(stats.os.str());
+  ASSERT_EQ(points.size(), 1u) << stats.os.str();
+  const testjson::Value& p = points[0];
+  const double attempts = num(p, "prefix_attempts");
+  const double commits = num(p, "prefix_commits");
+  double aborts = 0;
+  for (const auto& [cause, n] : p.find("prefix_aborts")->object()) {
+    aborts += n.num();
+  }
+  EXPECT_EQ(commits + num(p, "prefix_fallbacks"), kPointTotal);
+  EXPECT_EQ(commits + aborts, attempts);
+  EXPECT_LE(attempts, 2 * kPointTotal);  // at most 2 attempts per op
+}
+
+TEST(BenchPointHost, EachClockNamesItsHost) {
+  // Both clocks stamp the CPU count; a virtual point names simx without
+  // probing the native backend, and a wall-clock point names the backend its
+  // run used.
+  namespace htm = pto::htm;
+  const bool probed_before = htm::detail::g_backend.value.load() != 0;
+  RunnerOptions opts;
+  opts.ops_per_thread = 100;
+  opts.trials = 1;
+  StatsCapture stats;
+
+  struct Fixture {
+    void prefill(std::uint64_t) {}
+    void thread_body(unsigned, std::uint64_t ops) {
+      for (std::uint64_t i = 0; i < ops; ++i) pto::sim::op_done();
+    }
+  };
+  pto::bench::Figure fig;
+  fig.id = "host";
+  fig.xs = {1};
+  pto::bench::run_variant<Fixture>(fig, opts, pto::sim::Config{}, "virtual",
+                                   [] { return new Fixture(); });
+  if (!probed_before) {
+    EXPECT_EQ(htm::detail::g_backend.value.load(), 0)
+        << "a virtual point probed the native backend";
+  }
+  pto::service::Runtime rt({1, /*pin=*/true});
+  pto::bench::native_measure_point(
+      opts, rt, [] { return Body([](unsigned, std::uint64_t) {}); }, "host",
+      "wall");
+
+  const std::vector<testjson::Value> points = json_lines(stats.os.str());
+  ASSERT_EQ(points.size(), 2u) << stats.os.str();
+  for (const testjson::Value& p : points) {
+    EXPECT_EQ(num(p, "nproc"), pto::service::Runtime::allowed_cpus());
+  }
+  EXPECT_EQ(points[0].find("htm_backend")->str(), "simx");
+  EXPECT_EQ(points[1].find("htm_backend")->str(),
+            htm::backend() == htm::Backend::kRTM ? "rtm" : "soft");
 }
 
 }  // namespace

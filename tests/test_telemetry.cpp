@@ -12,11 +12,16 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/warn.h"
 #include "core/prefix.h"
+#include "ds/skiplist/skiplist.h"
+#include "htm/htm.h"
 #include "json_util.h"
 #include "obs/obs.h"
+#include "platform/native_platform.h"
 #include "platform/sim_platform.h"
+#include "service/runtime.h"
 #include "sim/sim.h"
 #include "telemetry/prof.h"
 #include "telemetry/registry.h"
@@ -182,6 +187,38 @@ TEST(TelemetryRegistry, TotalsAndDeltaSumSites) {
   EXPECT_EQ(delta.attempts, local.attempts);
   EXPECT_EQ(delta.commits, local.commits);
   EXPECT_EQ(delta.fallbacks, local.fallbacks);
+}
+
+TEST(TelemetryRegistry, NativeTotalsCountEachTransactionOnce) {
+  // PTO skiplist ops on two pinned threads: each attempt counts at its
+  // prefix site, and its commit or abort counts again at the HTM facade's
+  // site. The totals take each transaction once; the facade keeps its row.
+  using pto::NativePlatform;
+  tel::set_enabled(true);
+  tel::Site* facade = pto::htm::detail::native_site();
+  EXPECT_TRUE(facade->facade());
+  pto::SkipList<NativePlatform> set;
+  const PrefixStats before = tel::registry_totals();
+  const PrefixStats facade_before = facade->snapshot();
+  pto::service::Runtime rt({2, /*pin=*/true});
+  rt.run([&](unsigned tid) {
+    auto ctx = set.make_ctx();
+    pto::SplitMix64 rng(0x5EED + tid);
+    for (int i = 0; i < 4000; ++i) {
+      const auto k = static_cast<std::int64_t>(rng.next_below(64));
+      if ((rng.next() & 1) != 0) {
+        set.insert_pto(ctx, k);
+      } else {
+        set.remove_pto(ctx, k);
+      }
+    }
+  });
+  const PrefixStats d = tel::registry_delta(before);
+  EXPECT_GT(d.attempts, 0u);
+  EXPECT_EQ(d.commits + d.total_aborts(), d.attempts);
+  const PrefixStats f = facade->snapshot().zip(facade_before, std::minus<>());
+  EXPECT_GT(f.commits, 0u);
+  EXPECT_EQ(f.commits, d.commits);
 }
 
 /// Uncontended prefix ops on one virtual thread: every attempt commits.

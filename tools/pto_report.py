@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
 """Pretty-print PTO telemetry dumps: PTO_PROF records and PTO_STATS points.
 
+This is the one renderer of both records; the C++ side writes JSON only.
 For the profiler's end-of-run JSON record (PTO_PROF=json, optionally
 redirected with PTO_PROF_OUT) it renders, per scope:
 
+  * the per-site cycle ledger: commits and cycles per commit, fallbacks and
+    cycles per fallback, and the raw retry-waste, fence-elided and
+    CAS-saved cycles;
+  * the per-site savings: where the PTO speedup came from, by latency
+    class, plus the costs paid (tx overhead, retry waste);
   * the top-N hot lines: each cache line by its order of first conflict in
     the scope (#0, #1, ...), its owner site, conflict-abort count, doomed
     cycles;
-  * the site x site conflict matrix (victim rows, aggressor columns) as an
-    aligned text table;
-  * the per-site savings ledger: where the PTO speedup came from, by latency
-    class, plus the costs paid (tx overhead, retry waste).
+  * the site x site conflict matrix (victim rows, aggressor columns) as two
+    aligned text tables, abort counts and doomed cycles;
+  * the cycles charged outside any prefix span (unattributed), by class.
 
 For PTO_STATS=json bench_point records (schema v2) it renders:
 
@@ -103,53 +108,82 @@ def print_hot_lines(scope, topn):
 
 def print_matrix(scope):
     cells = scope.get("matrix", [])
-    print("  conflict matrix (victim rows x aggressor columns, abort counts):")
     if not cells:
+        print("  conflict matrix (victim rows x aggressor columns):")
         print("    (no conflicts)")
         return
     victims = sorted({c["victim"] for c in cells})
     aggressors = sorted({c["aggressor"] for c in cells})
-    counts = {(c["victim"], c["aggressor"]): c["count"] for c in cells}
-    rows = []
-    for v in victims:
-        row = [v] + [counts.get((v, a), 0) or "." for a in aggressors]
-        row.append(sum(counts.get((v, a), 0) for a in aggressors))
-        rows.append(row)
     headers = ["victim \\ aggressor"] + aggressors + ["total"]
-    txt = table(rows, headers, [True] + [False] * (len(aggressors) + 1))
-    print("    " + txt.replace("\n", "\n    "))
+    for key, what in (("count", "abort counts"),
+                      ("doomed_cycles", "doomed cycles")):
+        print(f"  conflict matrix (victim rows x aggressor columns, {what}):")
+        vals = {(c["victim"], c["aggressor"]): c[key] for c in cells}
+        rows = []
+        for v in victims:
+            row = [v] + [vals.get((v, a), 0) or "." for a in aggressors]
+            row.append(sum(vals.get((v, a), 0) for a in aggressors))
+            rows.append(row)
+        txt = table(rows, headers, [True] + [False] * (len(aggressors) + 1))
+        print("    " + txt.replace("\n", "\n    "))
+
+
+def per(total, n):
+    """Cycles per span, one decimal; 0.0 for an empty population."""
+    return f"{total / n if n else 0.0:.1f}"
 
 
 def print_ledger(scope):
     sites = scope.get("sites", [])
-    explained = [s for s in sites if s.get("fallback_count", 0) > 0
-                 and s.get("fast_count", 0) > 0]
     if not sites:
         return
-    print("  cycle ledger (per committed op, savings vs own fallback profile):")
+    print("  cycle ledger (cycles per committed attempt and per fallback; "
+          "raw cycle counters):")
     rows = []
     for s in sites:
-        sv = s.get("savings", {})
         rows.append((
-            s["site"], s["fast_count"], s["fallback_count"],
-            f"{sv.get('fence_removed', 0):.0f}",
-            f"{sv.get('second_read_collapsed', 0):.0f}",
-            f"{sv.get('store_sync_removed', 0):.0f}",
-            f"{sv.get('alloc_avoided', 0):.0f}",
-            f"{sv.get('tx_overhead', 0):.0f}",
-            f"{sv.get('retry_waste', 0):.0f}",
-            f"{sv.get('explained', 0):.0f}",
+            s["site"], s["fast_count"],
+            per(sum(s["fast_classes"].values()), s["fast_count"]),
+            s["fallback_count"],
+            per(sum(s["fallback_classes"].values()), s["fallback_count"]),
+            s["retry_waste_cycles"], s["fence_elided_cycles"],
+            s["cas_collapsed_cycles"],
         ))
     txt = table(
         rows,
-        ["site", "commits", "fallbacks", "fence", "2nd_read", "store/sync",
-         "alloc", "-txov", "-retry", "explained"],
-        [True] + [False] * 9,
+        ["site", "commits", "cyc/commit", "fallbacks", "cyc/fb",
+         "retry_waste", "fence_elided", "cas_saved"],
+        [True] + [False] * 7,
     )
     print("    " + txt.replace("\n", "\n    "))
-    if not explained:
+
+    print("  savings (cycles, each site vs its own fallback profile):")
+    rows = []
+    for s in sites:
+        sv = s.get("savings", {})
+        rows.append((s["site"],) + tuple(
+            f"{sv.get(k, 0):.0f}"
+            for k in ("fence_removed", "second_read_collapsed",
+                      "store_sync_removed", "alloc_avoided", "other_removed",
+                      "tx_overhead", "retry_waste", "explained")))
+    txt = table(
+        rows,
+        ["site", "fence", "2nd_read", "store/sync", "alloc", "other",
+         "-txov", "-retry", "explained"],
+        [True] + [False] * 8,
+    )
+    print("    " + txt.replace("\n", "\n    "))
+    if not any(s.get("fallback_count", 0) > 0 and s.get("fast_count", 0) > 0
+               for s in sites):
         print("    (no site has both fast and fallback populations; "
               "class savings undefined)")
+
+
+def print_unattributed(scope):
+    classes = {k: v for k, v in scope.get("unattributed", {}).items() if v}
+    if classes:
+        print("  unattributed cycles (outside any prefix span): " +
+              " ".join(f"{k}={v}" for k, v in classes.items()))
 
 
 ABORT_BUCKETS = ["conflict", "capacity", "explicit", "duration", "spurious",
@@ -231,6 +265,7 @@ def main():
         print_ledger(scope)
         print_hot_lines(scope, args.topn)
         print_matrix(scope)
+        print_unattributed(scope)
         print()
     return 0
 
