@@ -77,17 +77,29 @@ testjson::Value emit_and_parse(const BenchPoint& p) {
   return v;
 }
 
-TEST(Emit, HostileNamesParseBackUnchanged) {
-  // A comma, quotes and a newline in both names: the record stays one line,
-  // the names parse back byte for byte, and the fields after them hold.
+TEST(Emit, CsvEscapesHostileSeriesNames) {
+  // A comma and quotes in both names parse back byte for byte and leave the
+  // fields after them alone (the name predates the JSON-only format).
+  BenchPoint p = sample_point();
+  p.bench = "fig5,b";
+  p.series = "Skip(PTO, \"fast\")";
+  const testjson::Value v = emit_and_parse(p);
+  EXPECT_EQ(v.find("bench")->str(), "fig5,b");
+  EXPECT_EQ(v.find("series")->str(), "Skip(PTO, \"fast\")");
+  EXPECT_EQ(v.find("threads")->num(), 4.0);
+}
+
+TEST(Emit, HostileNamesDoNotShiftV2Columns) {
+  // A newline as well: the record stays one line, and the v2 payload after
+  // the names still parses.
   BenchPoint p = obs_point();
   p.bench = "native,set\n\"2\"";
   p.series = "Skip(\"PTO\", v2)\n";
   const testjson::Value v = emit_and_parse(p);
   EXPECT_EQ(v.find("bench")->str(), p.bench);
   EXPECT_EQ(v.find("series")->str(), p.series);
-  EXPECT_EQ(v.find("threads")->num(), 4.0);
   EXPECT_EQ(v.find("latency")->find("p50_ns")->num(), 400.0);
+  EXPECT_EQ(v.find("prefix_attempts")->num(), 500.0);
 }
 
 TEST(Emit, JsonCsvAbortBucketsRoundTrip) {
