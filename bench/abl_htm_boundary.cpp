@@ -7,6 +7,7 @@
 // reports the Mound(PTO)/Mound(Lockfree) single-thread ratio — DCAS
 // replacement being the paper's pointed example.
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -19,8 +20,12 @@ using pto::Mound;
 using pto::SimPlatform;
 namespace pb = pto::bench;
 
+/// One point: the mean ops/ms of opts.trials single-thread runs, emitted as
+/// series `label`.
 double measure(bool use_pto, const pto::sim::Config& cfg,
-               const pb::RunnerOptions& opts) {
+               const pb::RunnerOptions& opts, const std::string& label) {
+  pb::PointBracket point("abl_htm_boundary", label, 1,
+                         pb::PointBracket::Clock::kVirtual);
   double sum = 0;
   for (unsigned t = 0; t < opts.trials; ++t) {
     pto::sim::Config c = cfg;
@@ -33,6 +38,7 @@ double measure(bool use_pto, const pto::sim::Config& cfg,
         q.insert_lf(ctx, static_cast<std::int32_t>(rng.next_below(1 << 20)));
       }
     }
+    const pto::PrefixStats start = point.trial_start();
     auto res = pto::sim::run(1, c, [&](unsigned) {
       auto ctx = q.make_ctx();
       for (std::uint64_t i = 0; i < opts.ops_per_thread; ++i) {
@@ -53,9 +59,11 @@ double measure(bool use_pto, const pto::sim::Config& cfg,
         pto::sim::op_done();
       }
     });
+    point.add_trial(res, start);
     sum += res.ops_per_msec();
   }
   pto::sim::reset_memory();
+  point.close(sum / opts.trials);
   return sum / opts.trials;
 }
 
@@ -71,13 +79,15 @@ int main() {
   fig.xs = {0, 11, 22, 45, 90, 180};
 
   pto::sim::Config base;
-  const double lf = measure(false, base, opts);
+  const double lf = measure(false, base, opts, "Mound(Lockfree)");
   auto& s = fig.add_series("Mound PTO/LF");
   for (int boundary : fig.xs) {
     pto::sim::Config cfg = base;
     cfg.cost.tx_begin = static_cast<std::uint64_t>(boundary) * 5 / 9;
     cfg.cost.tx_commit = static_cast<std::uint64_t>(boundary) * 4 / 9;
-    s.y.push_back(measure(true, cfg, opts) / lf);
+    s.y.push_back(measure(true, cfg, opts,
+                          "Mound(PTO) boundary=" + std::to_string(boundary)) /
+                  lf);
   }
   std::cout << "(x axis = tx_begin+tx_commit cycles; calibrated default 45)\n";
   pb::finish(fig, "abl_htm_boundary.csv");

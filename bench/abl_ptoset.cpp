@@ -13,96 +13,37 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "common/rng.h"
-#include "ds/hashtable/fset_hash.h"
-#include "ds/ptoset/pto_array_set.h"
 #include "platform/sim_platform.h"
+#include "service/adapters.h"
 
 namespace {
 
-using pto::FSetHash;
-using pto::PTOArraySet;
 using pto::SimPlatform;
 namespace pb = pto::bench;
+namespace svc = pto::service;
 
 constexpr int kRange = 32;  // a small hot set (routing/watch lists)
-
-struct ArrayFixture {
-  PTOArraySet<SimPlatform, 48> set;
-  void prefill(std::uint64_t seed) {
-    auto ctx = set.make_ctx();
-    pto::SplitMix64 rng(seed);
-    for (int i = 0; i < kRange / 2; ++i) {
-      set.insert(ctx, static_cast<std::int64_t>(rng.next_below(kRange)));
-    }
-  }
-  void thread_body(unsigned, std::uint64_t ops) {
-    auto ctx = set.make_ctx();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % kRange);
-      auto c = pto::sim::rnd() % 100;
-      if (c < 60) {
-        set.contains(ctx, k);
-      } else if (c < 80) {
-        set.insert(ctx, k);
-      } else {
-        set.remove(ctx, k);
-      }
-      pto::sim::op_done();
-    }
-  }
-};
-
-struct HashFixture {
-  using Mode = FSetHash<SimPlatform>::Mode;
-  explicit HashFixture(Mode m) : mode(m) {}
-  Mode mode;
-  FSetHash<SimPlatform> set;
-  void prefill(std::uint64_t seed) {
-    auto ctx = set.make_ctx();
-    pto::SplitMix64 rng(seed);
-    for (int i = 0; i < kRange / 2; ++i) {
-      set.insert(ctx, static_cast<std::int64_t>(rng.next_below(kRange)),
-                 Mode::kLockfree);
-    }
-  }
-  void thread_body(unsigned, std::uint64_t ops) {
-    auto ctx = set.make_ctx();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % kRange);
-      auto c = pto::sim::rnd() % 100;
-      if (c < 60) {
-        set.contains(ctx, k, mode);
-      } else if (c < 80) {
-        set.insert(ctx, k, mode);
-      } else {
-        set.remove(ctx, k, mode);
-      }
-      pto::sim::op_done();
-    }
-  }
-};
+constexpr unsigned kLookup = 60;
 
 }  // namespace
 
 int main() {
   auto opts = pb::RunnerOptions::from_env();
-  using Mode = FSetHash<SimPlatform>::Mode;
+  using Hash = svc::HashAdapter<SimPlatform>;
+  using Array = svc::ArraySetAdapter<SimPlatform>;
+  const Hash hash_lf{Hash::Mode::kLockfree};
   pb::Figure fig;
   fig.id = "abl_ptoset";
   fig.title = "Small hot set (range 32, 60% lookups): purpose-built vs "
               "retrofitted";
   fig.xs = pb::sweep_threads(opts);
 
-  pto::sim::Config cfg;
-  pb::run_variant<HashFixture>(fig, opts, cfg, "Hash(Lockfree)", [] {
-    return new HashFixture(Mode::kLockfree);
-  });
-  pb::run_variant<HashFixture>(fig, opts, cfg, "Hash(PTO+Inplace)", [] {
-    return new HashFixture(Mode::kPtoInplace);
-  });
-  pb::run_variant<ArrayFixture>(fig, opts, cfg, "PTOArraySet",
-                                [] { return new ArrayFixture(); });
+  pb::run_set(fig, opts, "Hash(Lockfree)", hash_lf, hash_lf, kRange,
+              kLookup);
+  pb::run_set(fig, opts, "Hash(PTO+Inplace)", Hash{Hash::Mode::kPtoInplace},
+              hash_lf, kRange, kLookup);
+  // One variant: the prefill runs through the PTO fast path too.
+  pb::run_set(fig, opts, "PTOArraySet", Array{}, Array{}, kRange, kLookup);
   pb::finish(fig, "abl_ptoset.csv");
 
   pb::shape_note(std::cout, "PTOArraySet/Hash(LF) @1T",

@@ -5,6 +5,7 @@
 // bench sweeps the budget at 8 threads and prints where the knee sits, so
 // the tuned constants can be checked against the simulator.
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -64,6 +65,36 @@ struct BstFixture {
   }
 };
 
+/// One series of `fig`: a point per retry budget in fig.xs, each the mean
+/// over opts.trials runs of a fresh Fixture(budget), seeded seed0 + trial.
+template <class Fixture>
+void sweep_budgets(pb::Figure& fig, const pb::RunnerOptions& opts,
+                   unsigned threads, const std::string& name,
+                   std::uint64_t seed0) {
+  auto& series = fig.add_series(name);
+  pto::sim::Config cfg;
+  for (int retries : fig.xs) {
+    pb::PointBracket point(fig.id, name + " retries=" + std::to_string(retries),
+                           threads, pb::PointBracket::Clock::kVirtual);
+    double sum = 0;
+    for (unsigned t = 0; t < opts.trials; ++t) {
+      cfg.seed = seed0 + t;
+      auto* f = new Fixture(retries);
+      f->prefill(cfg.seed);
+      const pto::PrefixStats start = point.trial_start();
+      auto res = pto::sim::run(threads, cfg, [&](unsigned tid) {
+        f->thread_body(tid, opts.ops_per_thread);
+      });
+      point.add_trial(res, start);
+      sum += res.ops_per_msec();
+      delete f;  // the fixture must die before its arena is reset
+      pto::sim::reset_memory();
+    }
+    series.y.push_back(sum / opts.trials);
+    point.close(series.y.back());
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -76,40 +107,8 @@ int main() {
               " threads (ops/ms)";
   fig.xs = {1, 2, 3, 4, 6, 8, 12, 16};
 
-  auto& mind_series = fig.add_series("Mindicator(PTO)");
-  pto::sim::Config cfg;
-  for (int retries : fig.xs) {
-    double sum = 0;
-    for (unsigned t = 0; t < opts.trials; ++t) {
-      cfg.seed = 91 + t;
-      {
-        MindFixture f(retries);
-        auto res = pto::sim::run(threads, cfg, [&](unsigned tid) {
-          f.thread_body(tid, opts.ops_per_thread);
-        });
-        sum += res.ops_per_msec();
-      }  // the fixture must die before its arena is reset
-      pto::sim::reset_memory();
-    }
-    mind_series.y.push_back(sum / opts.trials);
-  }
-
-  auto& bst_series = fig.add_series("BST(PTO1+PTO2)");
-  for (int retries : fig.xs) {
-    double sum = 0;
-    for (unsigned t = 0; t < opts.trials; ++t) {
-      cfg.seed = 77 + t;
-      auto* f = new BstFixture(retries);
-      f->prefill(cfg.seed);
-      auto res = pto::sim::run(threads, cfg, [&](unsigned tid) {
-        f->thread_body(tid, opts.ops_per_thread);
-      });
-      sum += res.ops_per_msec();
-      delete f;
-      pto::sim::reset_memory();
-    }
-    bst_series.y.push_back(sum / opts.trials);
-  }
+  sweep_budgets<MindFixture>(fig, opts, threads, "Mindicator(PTO)", 91);
+  sweep_budgets<BstFixture>(fig, opts, threads, "BST(PTO1+PTO2)", 77);
 
   std::cout << "(x axis = retry budget, not threads)\n";
   pb::finish(fig, "abl_retry.csv");

@@ -6,7 +6,9 @@
 // edge should shrink (and can invert) as skew grows — the same §4.6
 // contention argument that explains the skiplist result, now swept
 // parametrically on the PTO1+PTO2 BST at 8 threads.
+#include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "benchutil/zipf.h"
@@ -25,6 +27,11 @@ constexpr int kRange = 512;
 double measure(bool use_pto, double theta, const pb::RunnerOptions& opts,
                unsigned threads) {
   using Mode = EllenBST<SimPlatform>::Mode;
+  char label[64];
+  std::snprintf(label, sizeof(label), "%s theta=%.2f",
+                use_pto ? "BST(PTO1+PTO2)" : "BST(Lockfree)", theta);
+  pb::PointBracket point("abl_skew", label, threads,
+                         pb::PointBracket::Clock::kVirtual);
   double sum = 0;
   for (unsigned trial = 0; trial < opts.trials; ++trial) {
     pto::sim::Config cfg;
@@ -39,6 +46,7 @@ double measure(bool use_pto, double theta, const pb::RunnerOptions& opts,
           set.insert(ctx, static_cast<std::int64_t>(rng.next_below(kRange)));
         }
       }
+      const pto::PrefixStats start = point.trial_start();
       auto res = pto::sim::run(threads, cfg, [&](unsigned tid) {
         auto ctx = set.make_ctx();
         pto::SplitMix64 rng(cfg.seed * 131 + tid);
@@ -53,10 +61,12 @@ double measure(bool use_pto, double theta, const pb::RunnerOptions& opts,
           pto::sim::op_done();
         }
       });
+      point.add_trial(res, start);
       sum += res.ops_per_msec();
     }
     pto::sim::reset_memory();
   }
+  point.close(sum / opts.trials);
   return sum / opts.trials;
 }
 

@@ -8,91 +8,16 @@
 #include <string>
 
 #include "bench_util.h"
-#include "common/rng.h"
-#include "ds/bst/ellen_bst.h"
-#include "ds/skiplist/skiplist.h"
 #include "platform/sim_platform.h"
+#include "service/adapters.h"
 
 namespace {
 
-using pto::EllenBST;
 using pto::SimPlatform;
-using pto::SkipList;
 namespace pb = pto::bench;
+namespace svc = pto::service;
 
 constexpr int kRange = 512;
-
-struct TreeFixture {
-  using Mode = EllenBST<SimPlatform>::Mode;
-  TreeFixture(Mode m, unsigned lookup_pct) : mode(m), lookup(lookup_pct) {}
-  Mode mode;
-  unsigned lookup;
-  EllenBST<SimPlatform> set;
-
-  void prefill(std::uint64_t seed) {
-    auto ctx = set.make_ctx();
-    pto::SplitMix64 rng(seed);
-    for (int i = 0; i < kRange / 2; ++i) {
-      set.insert(ctx, static_cast<std::int64_t>(rng.next_below(kRange)),
-                 Mode::kLockfree);
-    }
-  }
-
-  void thread_body(unsigned, std::uint64_t ops) {
-    auto ctx = set.make_ctx();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % kRange);
-      auto c = static_cast<unsigned>(pto::sim::rnd() % 100);
-      if (c < lookup) {
-        set.contains(ctx, k, mode);
-      } else if (c < lookup + (100 - lookup) / 2) {
-        set.insert(ctx, k, mode);
-      } else {
-        set.remove(ctx, k, mode);
-      }
-      pto::sim::op_done();
-    }
-  }
-};
-
-struct SkipFixture {
-  SkipFixture(bool pto, unsigned lookup_pct) : use_pto(pto), lookup(lookup_pct) {}
-  bool use_pto;
-  unsigned lookup;
-  SkipList<SimPlatform> set;
-
-  void prefill(std::uint64_t seed) {
-    auto ctx = set.make_ctx();
-    pto::SplitMix64 rng(seed);
-    for (int i = 0; i < kRange / 2; ++i) {
-      set.insert_lf(ctx, static_cast<std::int64_t>(rng.next_below(kRange)));
-    }
-  }
-
-  void thread_body(unsigned, std::uint64_t ops) {
-    auto ctx = set.make_ctx();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % kRange);
-      auto c = static_cast<unsigned>(pto::sim::rnd() % 100);
-      if (c < lookup) {
-        set.contains(ctx, k);
-      } else if (c < lookup + (100 - lookup) / 2) {
-        if (use_pto) {
-          set.insert_pto(ctx, k);
-        } else {
-          set.insert_lf(ctx, k);
-        }
-      } else {
-        if (use_pto) {
-          set.remove_pto(ctx, k);
-        } else {
-          set.remove_lf(ctx, k);
-        }
-      }
-      pto::sim::op_done();
-    }
-  }
-};
 
 void run_subfigure(const char* id, unsigned lookup_pct) {
   auto opts = pb::RunnerOptions::from_env();
@@ -101,21 +26,19 @@ void run_subfigure(const char* id, unsigned lookup_pct) {
   fig.title = "Set Microbenchmark (Lookup=" + std::to_string(lookup_pct) +
               "% Range=512)";
   fig.xs = pb::sweep_threads(opts);
-  using Mode = EllenBST<SimPlatform>::Mode;
+  using Tree = svc::BstAdapter<SimPlatform>;
+  using Skip = svc::SkipAdapter<SimPlatform>;
+  const Tree tree_lf{Tree::Mode::kLockfree};
+  const Skip skip_lf{false};
 
-  pto::sim::Config cfg;
-  pb::run_variant<TreeFixture>(fig, opts, cfg, "Tree(Lockfree)", [=] {
-    return new TreeFixture(Mode::kLockfree, lookup_pct);
-  });
-  pb::run_variant<TreeFixture>(fig, opts, cfg, "Tree(PTO)", [=] {
-    return new TreeFixture(Mode::kPto12, lookup_pct);
-  });
-  pb::run_variant<SkipFixture>(fig, opts, cfg, "Skip(Lockfree)", [=] {
-    return new SkipFixture(false, lookup_pct);
-  });
-  pb::run_variant<SkipFixture>(fig, opts, cfg, "Skip(PTO)", [=] {
-    return new SkipFixture(true, lookup_pct);
-  });
+  pb::run_set(fig, opts, "Tree(Lockfree)", tree_lf, tree_lf, kRange,
+              lookup_pct);
+  pb::run_set(fig, opts, "Tree(PTO)", Tree{Tree::Mode::kPto12}, tree_lf,
+              kRange, lookup_pct);
+  pb::run_set(fig, opts, "Skip(Lockfree)", skip_lf, skip_lf, kRange,
+              lookup_pct);
+  pb::run_set(fig, opts, "Skip(PTO)", Skip{true}, skip_lf, kRange,
+              lookup_pct);
   pb::finish(fig, std::string(id) + ".csv");
 
   pb::shape_note(std::cout, "Tree PTO/LF @1T",

@@ -10,50 +10,16 @@
 #include <string>
 
 #include "bench_util.h"
-#include "common/rng.h"
-#include "ds/hashtable/fset_hash.h"
 #include "platform/sim_platform.h"
+#include "service/adapters.h"
 
 namespace {
 
-using pto::FSetHash;
 using pto::SimPlatform;
 namespace pb = pto::bench;
+namespace svc = pto::service;
 
 constexpr int kRange = 64 * 1024;
-
-struct HashFixture {
-  using Mode = FSetHash<SimPlatform>::Mode;
-  HashFixture(Mode m, unsigned lookup_pct) : mode(m), lookup(lookup_pct) {}
-  Mode mode;
-  unsigned lookup;
-  FSetHash<SimPlatform> set;
-
-  void prefill(std::uint64_t seed) {
-    auto ctx = set.make_ctx();
-    pto::SplitMix64 rng(seed);
-    for (int i = 0; i < kRange / 2; ++i) {
-      set.insert(ctx, static_cast<std::int64_t>(rng.next_below(kRange)),
-                 Mode::kLockfree);
-    }
-  }
-
-  void thread_body(unsigned, std::uint64_t ops) {
-    auto ctx = set.make_ctx();
-    for (std::uint64_t i = 0; i < ops; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % kRange);
-      auto c = static_cast<unsigned>(pto::sim::rnd() % 100);
-      if (c < lookup) {
-        set.contains(ctx, k, mode);
-      } else if (c < lookup + (100 - lookup) / 2) {
-        set.insert(ctx, k, mode);
-      } else {
-        set.remove(ctx, k, mode);
-      }
-      pto::sim::op_done();
-    }
-  }
-};
 
 void run_subfigure(const char* id, unsigned lookup_pct) {
   auto opts = pb::RunnerOptions::from_env();
@@ -62,18 +28,14 @@ void run_subfigure(const char* id, unsigned lookup_pct) {
   fig.title = "Hash Table Microbenchmark (Lookup=" +
               std::to_string(lookup_pct) + "% Range=64K)";
   fig.xs = pb::sweep_threads(opts);
-  using Mode = FSetHash<SimPlatform>::Mode;
+  using Hash = svc::HashAdapter<SimPlatform>;
+  const Hash lf{Hash::Mode::kLockfree};
 
-  pto::sim::Config cfg;
-  pb::run_variant<HashFixture>(fig, opts, cfg, "Hash(Lockfree)", [=] {
-    return new HashFixture(Mode::kLockfree, lookup_pct);
-  });
-  pb::run_variant<HashFixture>(fig, opts, cfg, "Hash(PTO)", [=] {
-    return new HashFixture(Mode::kPto, lookup_pct);
-  });
-  pb::run_variant<HashFixture>(fig, opts, cfg, "Hash(PTO+Inplace)", [=] {
-    return new HashFixture(Mode::kPtoInplace, lookup_pct);
-  });
+  pb::run_set(fig, opts, "Hash(Lockfree)", lf, lf, kRange, lookup_pct);
+  pb::run_set(fig, opts, "Hash(PTO)", Hash{Hash::Mode::kPto}, lf, kRange,
+              lookup_pct);
+  pb::run_set(fig, opts, "Hash(PTO+Inplace)", Hash{Hash::Mode::kPtoInplace},
+              lf, kRange, lookup_pct);
   pb::finish(fig, std::string(id) + ".csv");
 
   int maxt = fig.xs.back();

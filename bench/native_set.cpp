@@ -26,14 +26,14 @@
 #include "benchutil/series.h"
 #include "common/env.h"
 #include "common/rng.h"
-#include "ds/skiplist/skiplist.h"
 #include "obs/obs.h"
 #include "platform/native_platform.h"
+#include "service/adapters.h"
 
 namespace {
 
 using pto::NativePlatform;
-using pto::SkipList;
+using Skip = pto::service::SkipAdapter<NativePlatform>;
 namespace pb = pto::bench;
 
 /// Key range (PTO_BENCH_RANGE, default 512). Larger ranges mean taller
@@ -43,50 +43,44 @@ namespace pb = pto::bench;
 int g_range = 512;
 
 std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
-    bool pto_path) {
+    Skip a) {
   // Latency sites: one per op class, shared by both series (the series label
   // in the emitted record disambiguates).
   auto& reg = pto::telemetry::Registry::instance();
   pto::telemetry::Site* ins = reg.intern("native_set.insert");
   pto::telemetry::Site* rem = reg.intern("native_set.remove");
   pto::telemetry::Site* look = reg.intern("native_set.contains");
-  return [pto_path, ins, rem, look] {
-    auto set = std::make_shared<SkipList<NativePlatform>>();
+  return [a, ins, rem, look] {
+    auto set = std::make_shared<Skip::DS>();
     {
       auto ctx = set->make_ctx();
       pto::SplitMix64 prefill(0xF1F1);
       for (int i = 0; i < g_range / 2; ++i) {
-        set->insert_lf(ctx, static_cast<std::int64_t>(
-                                prefill.next_below(static_cast<std::uint64_t>(g_range))));
+        Skip{false}.put(*set, ctx,
+                        static_cast<std::int64_t>(prefill.next_below(
+                            static_cast<std::uint64_t>(g_range))));
       }
     }
-    return [set, pto_path, ins, rem, look](unsigned tid, std::uint64_t ops) {
+    return [set, a, ins, rem, look](unsigned tid, std::uint64_t ops) {
       auto ctx = set->make_ctx();
       pto::SplitMix64 rng(0x9E37 + tid * 7919ull);
       for (std::uint64_t i = 0; i < ops; ++i) {
-        const auto k = static_cast<std::int64_t>(rng.next_below(static_cast<std::uint64_t>(g_range)));
+        const auto k = static_cast<std::int64_t>(
+            rng.next_below(static_cast<std::uint64_t>(g_range)));
         switch (rng.next() & 3) {
           case 0: {
             pto::obs::OpTimer t(ins);
-            if (pto_path) {
-              set->insert_pto(ctx, k);
-            } else {
-              set->insert_lf(ctx, k);
-            }
+            a.put(*set, ctx, k);
             break;
           }
           case 1: {
             pto::obs::OpTimer t(rem);
-            if (pto_path) {
-              set->remove_pto(ctx, k);
-            } else {
-              set->remove_lf(ctx, k);
-            }
+            a.del(*set, ctx, k);
             break;
           }
           default: {
             pto::obs::OpTimer t(look);
-            set->contains(ctx, k);
+            a.get(*set, ctx, k);
             break;
           }
         }
@@ -108,14 +102,14 @@ int main() {
 
   struct {
     const char* name;
-    bool pto;
-  } series[] = {{"Skip(PTO)", true}, {"Skip(LF)", false}};
+    Skip adapter;
+  } series[] = {{"Skip(PTO)", Skip{true}}, {"Skip(LF)", Skip{false}}};
   for (const auto& s : series) {
     pb::Series& out = fig.add_series(s.name);
     for (int threads : fig.xs) {
       pto::service::Runtime rt({static_cast<unsigned>(threads), /*pin=*/true});
-      out.y.push_back(
-          pb::native_measure_point(opts, rt, fixture(s.pto), fig.id, s.name));
+      out.y.push_back(pb::native_measure_point(opts, rt, fixture(s.adapter),
+                                               fig.id, s.name));
       std::cerr << "  " << s.name << " t=" << threads << " done\r"
                 << std::flush;
     }

@@ -16,9 +16,8 @@
 #include <memory>
 #include <vector>
 
-#include "ds/hashtable/fset_hash.h"
-#include "ds/skiplist/skiplist.h"
 #include "obs/obs.h"
+#include "service/adapters.h"
 #include "service/loadgen.h"
 
 namespace pto::service {
@@ -32,49 +31,6 @@ inline std::uint64_t mix_key(std::uint64_t k) {
   k ^= k >> 33;
   return k;
 }
-
-// ---------------------------------------------------------------------------
-// Structure adapters: normalize each src/ds structure to get/put/del.
-// ---------------------------------------------------------------------------
-
-template <class P>
-struct SkipAdapter {
-  using DS = SkipList<P>;
-  using Ctx = typename DS::ThreadCtx;
-  static constexpr Structure kStructure = Structure::kSkiplist;
-
-  bool pto = true;  ///< PTO-accelerated ops vs the plain lock-free baseline
-
-  bool put(DS& d, Ctx& c, std::int64_t k) const {
-    return pto ? d.insert_pto(c, k) : d.insert_lf(c, k);
-  }
-  bool del(DS& d, Ctx& c, std::int64_t k) const {
-    return pto ? d.remove_pto(c, k) : d.remove_lf(c, k);
-  }
-  bool get(DS& d, Ctx& c, std::int64_t k) const { return d.contains(c, k); }
-};
-
-template <class P>
-struct HashAdapter {
-  using DS = FSetHash<P>;
-  using Ctx = typename DS::ThreadCtx;
-  using Mode = typename DS::Mode;
-  static constexpr Structure kStructure = Structure::kHash;
-
-  /// kPto by default: transactional lookups with elided epoch fences, CoW
-  /// updates — safe to mix with every other mode's updates.
-  Mode mode = Mode::kPto;
-
-  bool put(DS& d, Ctx& c, std::int64_t k) const {
-    return d.insert(c, k, mode);
-  }
-  bool del(DS& d, Ctx& c, std::int64_t k) const {
-    return d.remove(c, k, mode);
-  }
-  bool get(DS& d, Ctx& c, std::int64_t k) const {
-    return d.contains(c, k, mode);
-  }
-};
 
 /// Latency sites shared by every service driver; interned once.
 struct SvcSites {

@@ -42,11 +42,7 @@ void Runtime::tcache_tick() {
   // the write set (the reason malloc-heavy transactions conflict — paper
   // §4.5).
   if (++me().alloc_tick % kTcacheRefill != 0) return;
-  // The prof bracket reclasses the RMW as allocator traffic; an abort
-  // longjmp through do_fetch_add clears it via on_abort_unwind.
-  if (PTO_UNLIKELY(prof::on())) prof::on_alloc_enter();
-  (void)do_fetch_add(&g_mem.alloc_word, 8, 1);
-  if (PTO_UNLIKELY(prof::on())) prof::on_alloc_exit();
+  (void)do_fetch_add(&g_mem.alloc_word, 8, 1, prof::kClassAlloc);
 }
 
 void* Runtime::do_alloc(std::size_t bytes) {

@@ -204,7 +204,7 @@ bool Runtime::do_cas(void* addr, unsigned size, std::uint64_t& expected,
 }
 
 std::uint64_t Runtime::do_fetch_add(void* addr, unsigned size,
-                                    std::uint64_t delta) {
+                                    std::uint64_t delta, unsigned cls) {
   LineState& L = begin_access(addr);
   const std::uintptr_t la = line_addr(addr);
   VThread& t = me();
@@ -224,9 +224,7 @@ std::uint64_t Runtime::do_fetch_add(void* addr, unsigned size,
   if (PTO_UNLIKELY(check::on())) {
     check::on_rmw(cur, addr, size, old, true, t.tx.active);
   }
-  // Classed kClassSync unless we are inside the allocator bracket, where
-  // prof::on_charge reclasses it as allocation traffic.
-  advance(cost, prof::kClassSync);
+  advance(cost, cls);
   return old;
 }
 

@@ -160,9 +160,6 @@ RunResult run(unsigned nthreads, const Config& cfg,
 
 bool active() { return g_rt != nullptr; }
 unsigned thread_id() { return g_rt ? g_rt->cur : 0; }
-unsigned num_threads() {
-  return g_rt ? static_cast<unsigned>(g_rt->threads.size()) : 1;
-}
 std::uint64_t now() { return g_rt ? g_rt->me().clock : 0; }
 
 std::uint64_t rnd() {
@@ -221,7 +218,7 @@ bool mem_cas(void* addr, unsigned size, std::uint64_t& expected,
   return false;
 }
 std::uint64_t mem_fetch_add(void* addr, unsigned size, std::uint64_t delta) {
-  if (g_rt) return g_rt->do_fetch_add(addr, size, delta);
+  if (g_rt) return g_rt->do_fetch_add(addr, size, delta, prof::kClassSync);
   std::uint64_t old = raw_read(addr, size);
   raw_write(addr, size, old + delta);
   return old;

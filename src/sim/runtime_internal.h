@@ -474,7 +474,10 @@ class Runtime {
   void do_store(void* addr, unsigned size, std::uint64_t val, unsigned order);
   bool do_cas(void* addr, unsigned size, std::uint64_t& expected,
               std::uint64_t desired);
-  std::uint64_t do_fetch_add(void* addr, unsigned size, std::uint64_t delta);
+  /// `cls`: the profiler class of the RMW's charge (kClassSync, or
+  /// kClassAlloc for the allocator's refill).
+  std::uint64_t do_fetch_add(void* addr, unsigned size, std::uint64_t delta,
+                             unsigned cls);
   void do_fence();
 
   // allocator.cpp
@@ -513,8 +516,6 @@ class Runtime {
         ready_size_ != 0 ? (ready_[0] >> kTidBits) : ~std::uint64_t{0};
   }
   void heap_sift_down(unsigned i);
-  void heap_sift_up(unsigned i);
-  void heap_push(std::uint64_t key);
   /// Pop the minimum; returns its tid.
   unsigned heap_pop_min();
   /// Pop the minimum and insert `key` in a single sift; returns popped tid.

@@ -19,19 +19,6 @@
 
 namespace pto::sim::internal {
 
-void Runtime::heap_sift_up(unsigned i) {
-  std::uint64_t key = ready_[i];
-  while (i > 0) {
-    unsigned parent = (i - 1) / 2;
-    if (ready_[parent] <= key) break;
-    ready_[i] = ready_[parent];
-    heap_pos_[key_tid(ready_[i])] = static_cast<std::uint16_t>(i);
-    i = parent;
-  }
-  ready_[i] = key;
-  heap_pos_[key_tid(key)] = static_cast<std::uint16_t>(i);
-}
-
 void Runtime::heap_sift_down(unsigned i) {
   std::uint64_t key = ready_[i];
   for (;;) {
@@ -45,11 +32,6 @@ void Runtime::heap_sift_down(unsigned i) {
   }
   ready_[i] = key;
   heap_pos_[key_tid(key)] = static_cast<std::uint16_t>(i);
-}
-
-void Runtime::heap_push(std::uint64_t key) {
-  ready_[ready_size_++] = key;
-  heap_sift_up(ready_size_ - 1);
 }
 
 unsigned Runtime::heap_pop_min() {

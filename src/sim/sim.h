@@ -131,7 +131,6 @@ RunResult run(unsigned nthreads, const Config& cfg,
 
 bool active();          ///< true when called from inside a simulation
 unsigned thread_id();
-unsigned num_threads();
 std::uint64_t now();    ///< current virtual thread's clock
 std::uint64_t rnd();    ///< deterministic per-thread random value
 /// Strictly increasing per call, process-global. Under an adversarial

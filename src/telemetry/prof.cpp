@@ -36,9 +36,6 @@ struct ThreadProf {
   /// the attempt span that was on top at the outermost tx_begin (the span
   /// whose site will record the CONFLICT abort after the longjmp).
   const Site* tx_site = nullptr;
-  /// Non-zero while inside do_alloc/do_dealloc: nested charges (the shared
-  /// refill RMW) class as allocation traffic.
-  unsigned alloc_depth = 0;
 };
 
 struct LedgerData {
@@ -237,7 +234,6 @@ void set_enabled(bool on) {
 
 void on_charge(unsigned cls, std::uint64_t cycles) {
   ProfState& ps = state();
-  if (me().alloc_depth > 0) cls = kClassAlloc;
   if (cls >= kClassCount) cls = kClassOther;
   if (Span* s = top_span(sim::thread_id())) {
     s->classed[cls] += cycles;
@@ -255,13 +251,6 @@ void on_fence_elided(std::uint64_t cycles) {
 
 void on_cas_collapsed(std::uint64_t saved) {
   if (Span* s = top_span(sim::thread_id())) s->cas_collapsed_cycles += saved;
-}
-
-void on_alloc_enter() { ++me().alloc_depth; }
-
-void on_alloc_exit() {
-  ThreadProf& tp = me();
-  if (tp.alloc_depth > 0) --tp.alloc_depth;
 }
 
 void on_tx_begin() {
@@ -320,11 +309,7 @@ void on_conflict(unsigned victim, unsigned aggressor, std::uintptr_t line,
   }
 }
 
-void on_abort_unwind() {
-  ThreadProf& tp = me();
-  tp.alloc_depth = 0;
-  tp.tx_site = nullptr;
-}
+void on_abort_unwind() { me().tx_site = nullptr; }
 
 void on_span_end(const Site* site, unsigned event, unsigned cause,
                  const Span* s) {

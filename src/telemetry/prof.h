@@ -96,10 +96,6 @@ void on_fence_elided(std::uint64_t cycles);
 /// An in-tx CAS degenerated to load(+store), saving `saved` cycles vs the
 /// non-transactional CAS cost.
 void on_cas_collapsed(std::uint64_t saved);
-/// Bracket allocator internals so nested charges (the refill RMW) class as
-/// kClassAlloc rather than kClassSync.
-void on_alloc_enter();
-void on_alloc_exit();
 /// Outermost tx_begin on the current thread: latch its attempt-span site as
 /// the transaction's identity for conflict attribution.
 void on_tx_begin();
@@ -111,7 +107,7 @@ void on_tx_commit();
 void on_conflict(unsigned victim, unsigned aggressor, std::uintptr_t line,
                  std::uint64_t doomed_cycles);
 /// The current thread is about to longjmp out of an abort (doomed tx or
-/// self-abort): clear unwind-sensitive state (the allocator bracket).
+/// self-abort): forget its transaction's identity.
 void on_abort_unwind();
 
 /// A commit, abort or fallback-end event at `site` closed span `s` (null

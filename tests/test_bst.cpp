@@ -19,65 +19,45 @@ namespace {
 using pto::EllenBST;
 using pto::SimPlatform;
 
-template <class P>
-using Mode = typename EllenBST<P>::Mode;
+using Tree = pto::service::BstAdapter<SimPlatform>;
+using Mode = Tree::Mode;
 
-const char* mode_name(Mode<SimPlatform> m) {
+const char* mode_name(Mode m) {
   switch (m) {
-    case Mode<SimPlatform>::kLockfree: return "lf";
-    case Mode<SimPlatform>::kPto1: return "pto1";
-    case Mode<SimPlatform>::kPto2: return "pto2";
+    case Mode::kLockfree: return "lf";
+    case Mode::kPto1: return "pto1";
+    case Mode::kPto2: return "pto2";
     default: return "pto12";
   }
 }
 
-template <class P>
-struct BstAdapter {
-  using Mode = typename EllenBST<P>::Mode;
-  using Ctx = typename EllenBST<P>::ThreadCtx;
-  EllenBST<P> ds;
-
-  Ctx make_ctx() { return ds.make_ctx(); }
-  bool insert(Ctx& c, Mode m, std::int64_t k) { return ds.insert(c, k, m); }
-  bool remove(Ctx& c, Mode m, std::int64_t k) { return ds.remove(c, k, m); }
-  bool contains(Ctx& c, Mode m, std::int64_t k) {
-    return ds.contains(c, k, m);
-  }
-  bool check_invariants() { return ds.check_invariants(); }
-  std::size_t size_slow() { return ds.size_slow(); }
-};
-
-class BstSequential : public ::testing::TestWithParam<Mode<SimPlatform>> {};
+class BstSequential : public ::testing::TestWithParam<Mode> {};
 
 TEST_P(BstSequential, MatchesStdSet) {
-  BstAdapter<SimPlatform> a;
-  pto::testutil::sequential_model_check(a, GetParam(), 256, 4000, 21);
+  EllenBST<SimPlatform> ds;
+  pto::testutil::sequential_model_check(ds, Tree{GetParam()}, 256, 4000, 21);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, BstSequential,
-                         ::testing::Values(Mode<SimPlatform>::kLockfree,
-                                           Mode<SimPlatform>::kPto1,
-                                           Mode<SimPlatform>::kPto2,
-                                           Mode<SimPlatform>::kPto12),
+                         ::testing::Values(Mode::kLockfree, Mode::kPto1,
+                                           Mode::kPto2, Mode::kPto12),
                          [](const auto& i) { return mode_name(i.param); });
 
-class BstConcurrent : public ::testing::TestWithParam<
-                          std::tuple<Mode<SimPlatform>, int, int, int>> {};
+class BstConcurrent
+    : public ::testing::TestWithParam<std::tuple<Mode, int, int, int>> {};
 
 TEST_P(BstConcurrent, PerKeyConsistency) {
   auto [mode, threads, range, seed] = GetParam();
-  BstAdapter<SimPlatform> a;
-  pto::testutil::concurrent_consistency(a, mode,
+  EllenBST<SimPlatform> ds;
+  pto::testutil::concurrent_consistency(ds, Tree{mode},
                                         static_cast<unsigned>(threads), range,
                                         400, static_cast<std::uint64_t>(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BstConcurrent,
-    ::testing::Combine(::testing::Values(Mode<SimPlatform>::kLockfree,
-                                         Mode<SimPlatform>::kPto1,
-                                         Mode<SimPlatform>::kPto2,
-                                         Mode<SimPlatform>::kPto12),
+    ::testing::Combine(::testing::Values(Mode::kLockfree, Mode::kPto1,
+                                         Mode::kPto2, Mode::kPto12),
                        ::testing::Values(2, 4, 8),
                        ::testing::Values(16, 512),
                        ::testing::Values(1, 2)),
@@ -91,57 +71,37 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Bst, AllModesInteroperateOnSharedKeys) {
   // Thread t uses mode t%4; high contention on 32 keys. This exercises PTO
   // transactions racing fallback descriptors, helping, and the dummy mark.
-  BstAdapter<SimPlatform> a;
-  constexpr int kRange = 32;
-  std::vector<std::vector<int>> net(8, std::vector<int>(kRange, 0));
+  EllenBST<SimPlatform> ds;
   pto::sim::Config cfg;
   cfg.seed = 77;
-  auto res = pto::sim::run(8, cfg, [&](unsigned tid) {
-    auto ctx = a.make_ctx();
-    auto m = static_cast<Mode<SimPlatform>>(tid % 4);
-    for (int i = 0; i < 300; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % kRange);
-      if (pto::sim::rnd() % 2 == 0) {
-        if (a.insert(ctx, m, k)) ++net[tid][static_cast<std::size_t>(k)];
-      } else {
-        if (a.remove(ctx, m, k)) --net[tid][static_cast<std::size_t>(k)];
-      }
-    }
-  });
-  EXPECT_EQ(res.uaf_count, 0u);
-  auto ctx = a.make_ctx();
-  for (int k = 0; k < kRange; ++k) {
-    int total = 0;
-    for (auto& t : net) total += t[static_cast<std::size_t>(k)];
-    ASSERT_TRUE(total == 0 || total == 1) << "key " << k;
-    ASSERT_EQ(a.contains(ctx, Mode<SimPlatform>::kLockfree, k), total == 1)
-        << "key " << k;
-  }
-  EXPECT_TRUE(a.check_invariants());
+  pto::testutil::mixed_consistency(
+      ds, Tree{Mode::kLockfree},
+      [](unsigned tid) { return Tree{static_cast<Mode>(tid % 4)}; }, 8, 32,
+      300, cfg);
 }
 
 TEST(Bst, Pto1CommitsEliminateDescriptorAllocation) {
   // Single-threaded PTO1: every operation commits; no Info descriptors and
   // no flag CASes should appear.
-  BstAdapter<SimPlatform> a;
+  EllenBST<SimPlatform> ds;
   pto::sim::RunResult baseline, accelerated;
   {
-    BstAdapter<SimPlatform> b;
+    EllenBST<SimPlatform> b;
     baseline = pto::sim::run(1, {}, [&](unsigned) {
       auto ctx = b.make_ctx();
       for (int i = 0; i < 300; ++i) {
-        b.insert(ctx, Mode<SimPlatform>::kLockfree, i % 64);
-        b.remove(ctx, Mode<SimPlatform>::kLockfree, i % 64);
+        b.insert(ctx, i % 64, Mode::kLockfree);
+        b.remove(ctx, i % 64, Mode::kLockfree);
       }
     });
   }
   SiteDelta ins("bst.insert.pto1");
   SiteDelta rem("bst.remove.pto1");
   accelerated = pto::sim::run(1, {}, [&](unsigned) {
-    auto ctx = a.make_ctx();
+    auto ctx = ds.make_ctx();
     for (int i = 0; i < 300; ++i) {
-      a.insert(ctx, Mode<SimPlatform>::kPto1, i % 64);
-      a.remove(ctx, Mode<SimPlatform>::kPto1, i % 64);
+      ds.insert(ctx, i % 64, Mode::kPto1);
+      ds.remove(ctx, i % 64, Mode::kPto1);
     }
     EXPECT_EQ(ins.get().fallbacks + rem.get().fallbacks, 0u);
   });
@@ -153,48 +113,23 @@ TEST(Bst, Pto1CommitsEliminateDescriptorAllocation) {
 }
 
 TEST(Bst, Pto1FailureInjectionFallsBackCorrectly) {
-  BstAdapter<SimPlatform> a;
+  EllenBST<SimPlatform> ds;
   pto::sim::Config cfg;
   cfg.explore.fault_rate = 0.3;  // partial failure: mixed paths
   cfg.seed = 9;
-  std::vector<std::vector<int>> net(4, std::vector<int>(64, 0));
-  auto res = pto::sim::run(4, cfg, [&](unsigned tid) {
-    auto ctx = a.make_ctx();
-    for (int i = 0; i < 300; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % 64);
-      if (pto::sim::rnd() % 2 == 0) {
-        if (a.insert(ctx, Mode<SimPlatform>::kPto12, k)) {
-          ++net[tid][static_cast<std::size_t>(k)];
-        }
-      } else {
-        if (a.remove(ctx, Mode<SimPlatform>::kPto12, k)) {
-          --net[tid][static_cast<std::size_t>(k)];
-        }
-      }
-    }
-  });
-  EXPECT_EQ(res.uaf_count, 0u);
-  auto ctx = a.make_ctx();
-  for (int k = 0; k < 64; ++k) {
-    int total = 0;
-    for (auto& t : net) total += t[static_cast<std::size_t>(k)];
-    ASSERT_TRUE(total == 0 || total == 1) << "key " << k;
-    ASSERT_EQ(a.contains(ctx, Mode<SimPlatform>::kLockfree, k), total == 1);
-  }
-  EXPECT_TRUE(a.check_invariants());
+  pto::testutil::mixed_consistency(
+      ds, Tree{Mode::kLockfree}, [](unsigned) { return Tree{Mode::kPto12}; },
+      4, 64, 300, cfg);
 }
 
 TEST(Bst, NativePlatformAllModes) {
-  BstAdapter<pto::NativePlatform> a;
-  for (auto m : {Mode<pto::NativePlatform>::kLockfree,
-                 Mode<pto::NativePlatform>::kPto1,
-                 Mode<pto::NativePlatform>::kPto2,
-                 Mode<pto::NativePlatform>::kPto12}) {
-    BstAdapter<pto::NativePlatform> b;
-    pto::testutil::sequential_model_check(b, m, 128, 1500,
+  using NativeTree = pto::service::BstAdapter<pto::NativePlatform>;
+  for (auto m : {NativeTree::Mode::kLockfree, NativeTree::Mode::kPto1,
+                 NativeTree::Mode::kPto2, NativeTree::Mode::kPto12}) {
+    EllenBST<pto::NativePlatform> ds;
+    pto::testutil::sequential_model_check(ds, NativeTree{m}, 128, 1500,
                                           static_cast<int>(m) + 40);
   }
-  (void)a;
 }
 
 }  // namespace

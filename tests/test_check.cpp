@@ -290,9 +290,11 @@ struct World {
 
 /// tid 0 runs one prefix attempt whose transaction reads head and then
 /// lingers on private scratch loads; tid 1 warms up on its own scratch, then
-/// stores a new head — dooming tid 0's transaction mid-flight.
+/// stores a new head — dooming tid 0's transaction mid-flight. With
+/// `cas_read` the transaction reads head through a CAS that fails (expecting
+/// null), which inside a transaction degenerates to a load.
 template <class Fallback>
-void run_scenario(World& w, Fallback&& fallback) {
+void run_scenario(World& w, Fallback&& fallback, bool cas_read = false) {
   sim::Config cfg;
   cfg.seed = 3;
   sim::run(2, cfg, [&](unsigned tid) {
@@ -301,7 +303,13 @@ void run_scenario(World& w, Fallback&& fallback) {
       pto::prefix<SimPlatform>(
           1,
           [&] {
-            captured = w.head.load(std::memory_order_relaxed);
+            if (cas_read) {
+              captured = nullptr;
+              w.head.compare_exchange_strong(captured, nullptr,
+                                             std::memory_order_relaxed);
+            } else {
+              captured = w.head.load(std::memory_order_relaxed);
+            }
             // Keep the transaction open so the writer's store lands inside
             // the speculation window.
             for (int i = 0; i < 64; ++i) {
@@ -323,7 +331,9 @@ void run_scenario(World& w, Fallback&& fallback) {
 
 }  // namespace doomed
 
-TEST(Check, FlagsDoomedReadLeak) {
+/// The seeded leak: the fallback dereferences and publishes the pointer the
+/// doomed transaction read, without re-reading head.
+void expect_doomed_read_leak_flagged(bool cas_read) {
   CheckOn guard;
   sim::reset_memory();
   doomed::World w;
@@ -332,13 +342,16 @@ TEST(Check, FlagsDoomedReadLeak) {
   w.head.init(first);
   w.out.init(0);
   std::uint64_t doomed_payload = 0;
-  doomed::run_scenario(w, [&](doomed::Node* captured) {
-    // BUG: uses the pointer read by the doomed transaction without
-    // re-reading head.
-    doomed_payload = captured->payload.load(std::memory_order_seq_cst);
-    w.out.store(reinterpret_cast<std::uint64_t>(captured),
-                std::memory_order_seq_cst);
-  });
+  doomed::run_scenario(
+      w,
+      [&](doomed::Node* captured) {
+        // BUG: uses the pointer read by the doomed transaction without
+        // re-reading head.
+        doomed_payload = captured->payload.load(std::memory_order_seq_cst);
+        w.out.store(reinterpret_cast<std::uint64_t>(captured),
+                    std::memory_order_seq_cst);
+      },
+      cas_read);
   (void)doomed_payload;
   ASSERT_GT(check::stats().doomed_txs, 0u)
       << "scenario must doom the reader's transaction";
@@ -346,6 +359,42 @@ TEST(Check, FlagsDoomedReadLeak) {
   auto fs = check::findings();
   EXPECT_TRUE(has_kind(fs, check::FindingKind::kDoomedAddressUse));
   EXPECT_TRUE(has_kind(fs, check::FindingKind::kDoomedValueStore));
+}
+
+TEST(Check, FlagsDoomedReadLeak) { expect_doomed_read_leak_flagged(false); }
+
+/// The same leak when the transaction read head through an in-tx CAS.
+TEST(Check, FlagsDoomedReadLeakThroughInTxCas) {
+  expect_doomed_read_leak_flagged(true);
+}
+
+/// An in-tx RMW that writes is a synchronizing write, not a plain one: once
+/// its transaction commits, another vthread's later plain read of the cell
+/// is no race.
+TEST(Check, InTxRmwWriteThenPlainReadIsSilent) {
+  CheckOn guard;
+  sim::reset_memory();
+  doomed::World w;  // its scratch cells delay the reader
+  Atom<SimPlatform, std::uint64_t> cell;
+  cell.init(0);
+  sim::Config cfg;
+  cfg.seed = 3;
+  auto res = sim::run(2, cfg, [&](unsigned tid) {
+    if (tid == 0) {
+      pto::prefix<SimPlatform>(
+          1, [&] { cell.fetch_add(1, std::memory_order_relaxed); },
+          [&] { cell.fetch_add(1, std::memory_order_seq_cst); });
+    } else {
+      for (int i = 0; i < 64; ++i) {
+        (void)w.scratch[i % 32].value.load(std::memory_order_relaxed);
+      }
+      (void)cell.load(std::memory_order_relaxed);
+    }
+    sim::op_done();
+  });
+  ASSERT_EQ(res.totals().tx_commits, 1u) << "the RMW must run in-tx";
+  EXPECT_EQ(cell.load(std::memory_order_relaxed), 1u);
+  EXPECT_EQ(check::finding_count(), 0u);
 }
 
 TEST(Check, FallbackThatReReadsIsSilent) {

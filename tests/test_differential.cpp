@@ -28,19 +28,15 @@
 #include <string>
 #include <vector>
 
-#include "ds/bst/ellen_bst.h"
-#include "ds/hashtable/fset_hash.h"
-#include "ds/list/harris_list.h"
 #include "ds/mindicator/mindicator.h"
 #include "ds/mound/mound.h"
-#include "ds/ptoset/pto_array_set.h"
 #include "ds/queue/ms_queue.h"
-#include "ds/skiplist/skiplist.h"
 #include "ds/skiplist/skipqueue.h"
 #include "ds/tle/tle.h"
 #include "explore/explore.h"
 #include "explore_util.h"
 #include "platform/sim_platform.h"
+#include "service/adapters.h"
 #include "sim/sim.h"
 #include "sim_util.h"
 
@@ -48,6 +44,7 @@ namespace {
 
 using pto::SimPlatform;
 namespace sim = pto::sim;
+namespace svc = pto::service;
 namespace xp = pto::explore;
 namespace tu = pto::testutil;
 
@@ -131,88 +128,56 @@ void sweep_set_differential(const char* what, MakeDoOp&& make) {
   }
 }
 
-// The make() helpers return a unique_ptr to a callable owning its structure
-// so the fixture outlives the sim::run that uses it.
+/// One set variant as a differential callable. It owns its structure and
+/// ctx, so `make()` can hand it out on the heap to outlive the sim::run that
+/// uses it.
+template <class A>
+struct SetOps {
+  explicit SetOps(A adapter) : a(adapter) {}
+  A a;
+  typename A::DS s;
+  typename A::Ctx ctx = s.make_ctx();
+  bool operator()(char kind, std::int64_t k) {
+    return kind == 'c'   ? a.get(s, ctx, k)
+           : kind == 'i' ? a.put(s, ctx, k)
+                         : a.del(s, ctx, k);
+  }
+};
+
+template <class A>
+auto ops_of(A a) {
+  return [a] { return std::make_unique<SetOps<A>>(a); };
+}
 
 TEST(DiffSet, SkiplistLF) {
-  sweep_set_differential("skiplist(lf)", [] {
-    struct F {
-      pto::SkipList<SimPlatform> s;
-      pto::SkipList<SimPlatform>::ThreadCtx ctx = s.make_ctx();
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains(ctx, k)
-               : kind == 'i' ? s.insert_lf(ctx, k)
-                             : s.remove_lf(ctx, k);
-      }
-    };
-    return std::make_unique<F>();
-  });
+  sweep_set_differential("skiplist(lf)",
+                         ops_of(svc::SkipAdapter<SimPlatform>{false}));
 }
 
 TEST(DiffSet, SkiplistPTO) {
-  sweep_set_differential("skiplist(pto)", [] {
-    struct F {
-      pto::SkipList<SimPlatform> s;
-      pto::SkipList<SimPlatform>::ThreadCtx ctx = s.make_ctx();
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains(ctx, k)
-               : kind == 'i' ? s.insert_pto(ctx, k)
-                             : s.remove_pto(ctx, k);
-      }
-    };
-    return std::make_unique<F>();
-  });
+  sweep_set_differential("skiplist(pto)",
+                         ops_of(svc::SkipAdapter<SimPlatform>{true}));
 }
 
 TEST(DiffSet, HarrisListLF) {
-  sweep_set_differential("harris_list(lf)", [] {
-    struct F {
-      pto::HarrisList<SimPlatform> s;
-      pto::HarrisList<SimPlatform>::ThreadCtx ctx = s.make_ctx();
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains_lf(ctx, k)
-               : kind == 'i' ? s.insert_lf(ctx, k)
-                             : s.remove_lf(ctx, k);
-      }
-    };
-    return std::make_unique<F>();
-  });
+  sweep_set_differential("harris_list(lf)",
+                         ops_of(svc::ListAdapter<SimPlatform>{false}));
 }
 
 TEST(DiffSet, HarrisListPTO) {
-  sweep_set_differential("harris_list(pto)", [] {
-    struct F {
-      pto::HarrisList<SimPlatform> s;
-      pto::HarrisList<SimPlatform>::ThreadCtx ctx = s.make_ctx();
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains_pto(ctx, k)
-               : kind == 'i' ? s.insert_pto(ctx, k)
-                             : s.remove_pto(ctx, k);
-      }
-    };
-    return std::make_unique<F>();
-  });
+  sweep_set_differential("harris_list(pto)",
+                         ops_of(svc::ListAdapter<SimPlatform>{true}));
 }
+
+using BstMode = svc::BstAdapter<SimPlatform>::Mode;
+using HashMode = svc::HashAdapter<SimPlatform>::Mode;
 
 class DiffBst : public ::testing::TestWithParam<int> {};
 
 TEST_P(DiffBst, MatchesStdSet) {
-  auto mode = static_cast<pto::EllenBST<SimPlatform>::Mode>(GetParam());
-  sweep_set_differential("ellen_bst", [mode] {
-    struct F {
-      pto::EllenBST<SimPlatform> s;
-      pto::EllenBST<SimPlatform>::ThreadCtx ctx = s.make_ctx();
-      pto::EllenBST<SimPlatform>::Mode mode;
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains(ctx, k, mode)
-               : kind == 'i' ? s.insert(ctx, k, mode)
-                             : s.remove(ctx, k, mode);
-      }
-    };
-    auto f = std::make_unique<F>();
-    f->mode = mode;
-    return f;
-  });
+  sweep_set_differential(
+      "ellen_bst", ops_of(svc::BstAdapter<SimPlatform>{
+                       static_cast<BstMode>(GetParam())}));
 }
 
 std::string bst_mode_name(const ::testing::TestParamInfo<int>& info) {
@@ -226,22 +191,9 @@ INSTANTIATE_TEST_SUITE_P(Modes, DiffBst, ::testing::Values(0, 1, 2, 3),
 class DiffHash : public ::testing::TestWithParam<int> {};
 
 TEST_P(DiffHash, MatchesStdSet) {
-  auto mode = static_cast<pto::FSetHash<SimPlatform>::Mode>(GetParam());
-  sweep_set_differential("fset_hash", [mode] {
-    struct F {
-      pto::FSetHash<SimPlatform> s;
-      pto::FSetHash<SimPlatform>::ThreadCtx ctx = s.make_ctx();
-      pto::FSetHash<SimPlatform>::Mode mode;
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains(ctx, k, mode)
-               : kind == 'i' ? s.insert(ctx, k, mode)
-                             : s.remove(ctx, k, mode);
-      }
-    };
-    auto f = std::make_unique<F>();
-    f->mode = mode;
-    return f;
-  });
+  sweep_set_differential(
+      "fset_hash", ops_of(svc::HashAdapter<SimPlatform>{
+                       static_cast<HashMode>(GetParam())}));
 }
 
 std::string hash_mode_name(const ::testing::TestParamInfo<int>& info) {
@@ -253,18 +205,8 @@ INSTANTIATE_TEST_SUITE_P(Modes, DiffHash, ::testing::Values(0, 1, 2),
                          hash_mode_name);
 
 TEST(DiffSet, PTOArraySet) {
-  sweep_set_differential("pto_array_set", [] {
-    struct F {
-      pto::PTOArraySet<SimPlatform, 64> s;
-      pto::PTOArraySet<SimPlatform, 64>::ThreadCtx ctx = s.make_ctx();
-      bool operator()(char kind, std::int64_t k) {
-        return kind == 'c'   ? s.contains(ctx, k)
-               : kind == 'i' ? s.insert(ctx, k)
-                             : s.remove(ctx, k);
-      }
-    };
-    return std::make_unique<F>();
-  });
+  sweep_set_differential("pto_array_set",
+                         ops_of(svc::ArraySetAdapter<SimPlatform, 64>{}));
 }
 
 TEST(DiffSet, TleHashSet) {
@@ -408,13 +350,15 @@ TEST(DiffPQ, SkipQueueMatchesPriorityQueue) {
 
 /// Sets: each thread owns a disjoint key range; after a concurrent insert
 /// phase every key must be present, after a concurrent remove phase none.
-template <class MakeOps>
-void concurrent_set_conservation(const char* what, MakeOps&& make) {
+template <class A>
+void concurrent_set_conservation(const char* what, A a) {
   constexpr unsigned kThreads = 4;
   constexpr std::int64_t kPerThread = 24;
   for (const xp::Options& x : full_sweep(tu::test_seed(211))) {
     PTO_TRACE_EXPLORE(x);
-    auto ops = make(kThreads);  // owns structure + per-thread ctxs
+    auto s = std::make_unique<typename A::DS>();
+    std::vector<typename A::Ctx> ctxs;
+    for (unsigned t = 0; t < kThreads; ++t) ctxs.push_back(s->make_ctx());
     tu::SimBarrier bar(kThreads);
     std::vector<int> present_failures(kThreads, 0),
         absent_failures(kThreads, 0);
@@ -422,22 +366,19 @@ void concurrent_set_conservation(const char* what, MakeOps&& make) {
     cfg.seed = tu::test_seed(211);
     cfg.explore = x;
     auto res = sim::run(kThreads, cfg, [&](unsigned tid) {
+      auto& ctx = ctxs[tid];
       std::int64_t lo = static_cast<std::int64_t>(tid) * kPerThread;
-      for (std::int64_t k = lo; k < lo + kPerThread; ++k) {
-        ops->insert(tid, k);
-      }
+      for (std::int64_t k = lo; k < lo + kPerThread; ++k) a.put(*s, ctx, k);
       bar.wait();
       // Every key — mine and everyone else's — must now be present.
       for (std::int64_t k = 0; k < kThreads * kPerThread; ++k) {
-        if (!ops->contains(tid, k)) ++present_failures[tid];
+        if (!a.get(*s, ctx, k)) ++present_failures[tid];
       }
       bar.wait();
-      for (std::int64_t k = lo; k < lo + kPerThread; ++k) {
-        ops->remove(tid, k);
-      }
+      for (std::int64_t k = lo; k < lo + kPerThread; ++k) a.del(*s, ctx, k);
       bar.wait();
       for (std::int64_t k = 0; k < kThreads * kPerThread; ++k) {
-        if (ops->contains(tid, k)) ++absent_failures[tid];
+        if (a.get(*s, ctx, k)) ++absent_failures[tid];
       }
     });
     ASSERT_EQ(res.uaf_count, 0u) << tu::note_failure(x, what);
@@ -451,64 +392,18 @@ void concurrent_set_conservation(const char* what, MakeOps&& make) {
 }
 
 TEST(DiffConcurrent, SkiplistConservation) {
-  concurrent_set_conservation("skiplist(pto)", [](unsigned threads) {
-    struct Ops {
-      pto::SkipList<SimPlatform> s;
-      std::vector<pto::SkipList<SimPlatform>::ThreadCtx> ctxs;
-      void insert(unsigned t, std::int64_t k) { s.insert_pto(ctxs[t], k); }
-      void remove(unsigned t, std::int64_t k) { s.remove_pto(ctxs[t], k); }
-      bool contains(unsigned t, std::int64_t k) {
-        return s.contains(ctxs[t], k);
-      }
-    };
-    auto o = std::make_unique<Ops>();
-    for (unsigned t = 0; t < threads; ++t) o->ctxs.push_back(o->s.make_ctx());
-    return o;
-  });
+  concurrent_set_conservation("skiplist(pto)",
+                              svc::SkipAdapter<SimPlatform>{true});
 }
 
 TEST(DiffConcurrent, BstConservation) {
-  concurrent_set_conservation("ellen_bst(pto12)", [](unsigned threads) {
-    struct Ops {
-      pto::EllenBST<SimPlatform> s;
-      std::vector<pto::EllenBST<SimPlatform>::ThreadCtx> ctxs;
-      using Mode = pto::EllenBST<SimPlatform>::Mode;
-      void insert(unsigned t, std::int64_t k) {
-        s.insert(ctxs[t], k, static_cast<Mode>(3));
-      }
-      void remove(unsigned t, std::int64_t k) {
-        s.remove(ctxs[t], k, static_cast<Mode>(3));
-      }
-      bool contains(unsigned t, std::int64_t k) {
-        return s.contains(ctxs[t], k, static_cast<Mode>(3));
-      }
-    };
-    auto o = std::make_unique<Ops>();
-    for (unsigned t = 0; t < threads; ++t) o->ctxs.push_back(o->s.make_ctx());
-    return o;
-  });
+  concurrent_set_conservation("ellen_bst(pto12)",
+                              svc::BstAdapter<SimPlatform>{BstMode::kPto12});
 }
 
 TEST(DiffConcurrent, HashConservation) {
-  concurrent_set_conservation("fset_hash(pto)", [](unsigned threads) {
-    struct Ops {
-      pto::FSetHash<SimPlatform> s;
-      std::vector<pto::FSetHash<SimPlatform>::ThreadCtx> ctxs;
-      using Mode = pto::FSetHash<SimPlatform>::Mode;
-      void insert(unsigned t, std::int64_t k) {
-        s.insert(ctxs[t], k, Mode::kPto);
-      }
-      void remove(unsigned t, std::int64_t k) {
-        s.remove(ctxs[t], k, Mode::kPto);
-      }
-      bool contains(unsigned t, std::int64_t k) {
-        return s.contains(ctxs[t], k, Mode::kPto);
-      }
-    };
-    auto o = std::make_unique<Ops>();
-    for (unsigned t = 0; t < threads; ++t) o->ctxs.push_back(o->s.make_ctx());
-    return o;
-  });
+  concurrent_set_conservation("fset_hash(pto)",
+                              svc::HashAdapter<SimPlatform>{HashMode::kPto});
 }
 
 /// Queue: producers enqueue tagged values; consumers + final drain must see

@@ -9,22 +9,20 @@
 #include <optional>
 #include <tuple>
 
-#include "ds/bst/ellen_bst.h"
-#include "ds/hashtable/fset_hash.h"
-#include "ds/list/harris_list.h"
 #include "ds/mound/mound.h"
 #include "ds/queue/ms_queue.h"
-#include "ds/skiplist/skiplist.h"
 #include "explore/explore.h"
 #include "explore_util.h"
 #include "linearizability.h"
 #include "platform/sim_platform.h"
+#include "set_test_util.h"
 #include "sim/sim.h"
 
 namespace {
 
 using pto::SimPlatform;
 namespace sim = pto::sim;
+namespace svc = pto::service;
 namespace xp = pto::explore;
 namespace tu = pto::testutil;
 using tu::SetOp;
@@ -187,29 +185,16 @@ TEST(SpecChecker, PQAcceptsExtractOverlappingInsert) {
 // Recorded histories from the real structures
 // ---------------------------------------------------------------------------
 
-/// Run `threads` workers over adapter ops, recording a history, and check it.
-template <class DoOp>
-void record_and_check(unsigned threads, int range, int ops_per_thread,
-                      std::uint64_t seed, DoOp&& do_op) {
-  tu::HistoryRecorder rec(threads);
-  pto::sim::Config cfg;
-  cfg.seed = seed;
-  auto res = pto::sim::run(threads, cfg, [&](unsigned tid) {
-    for (int i = 0; i < ops_per_thread; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % range);
-      auto c = static_cast<unsigned>(pto::sim::rnd() % 100);
-      SetOpKind kind = c < 30   ? SetOpKind::kContains
-                       : c < 65 ? SetOpKind::kInsert
-                                : SetOpKind::kRemove;
-      rec.record(tid, kind, k, [&] { return do_op(tid, kind, k); });
-    }
-  });
-  ASSERT_EQ(res.uaf_count, 0u);
-  auto r = tu::check_set_linearizability(rec.merged());
-  EXPECT_TRUE(r.linearizable)
-      << "history not linearizable at key " << r.failing_key;
-  // Keep the per-key sub-histories within the checker's 64-op window.
-  ASSERT_LE(r.largest_subhistory, 64u);
+/// A recorded history of `ops_per_thread` ops per vthread at `seed` under
+/// the default schedule, over one set variant.
+template <class A>
+void record_and_check(A a, int threads, int range, int ops_per_thread,
+                      int seed) {
+  typename A::DS ds;
+  sim::Config cfg;
+  cfg.seed = static_cast<std::uint64_t>(seed);
+  tu::check_set_history(ds, a, static_cast<unsigned>(threads), range,
+                        ops_per_thread, cfg);
 }
 
 class SkiplistLin
@@ -217,22 +202,8 @@ class SkiplistLin
 
 TEST_P(SkiplistLin, RecordedHistoryLinearizable) {
   auto [pto_mode, threads, seed] = GetParam();
-  pto::SkipList<SimPlatform> s;
-  std::vector<typename pto::SkipList<SimPlatform>::ThreadCtx> ctxs;
-  for (int t = 0; t < threads; ++t) ctxs.push_back(s.make_ctx());
-  record_and_check(
-      static_cast<unsigned>(threads), 24, 80,
-      static_cast<std::uint64_t>(seed),
-      [&](unsigned tid, SetOpKind kind, std::int64_t k) {
-        auto& ctx = ctxs[tid];
-        switch (kind) {
-          case SetOpKind::kContains: return s.contains(ctx, k);
-          case SetOpKind::kInsert:
-            return pto_mode ? s.insert_pto(ctx, k) : s.insert_lf(ctx, k);
-          default:
-            return pto_mode ? s.remove_pto(ctx, k) : s.remove_lf(ctx, k);
-        }
-      });
+  record_and_check(svc::SkipAdapter<SimPlatform>{pto_mode}, threads, 24, 80,
+                   seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -252,21 +223,8 @@ class BstLin : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(BstLin, RecordedHistoryLinearizable) {
   auto [mode_i, threads, seed] = GetParam();
-  auto mode = static_cast<pto::EllenBST<SimPlatform>::Mode>(mode_i);
-  pto::EllenBST<SimPlatform> s;
-  std::vector<typename pto::EllenBST<SimPlatform>::ThreadCtx> ctxs;
-  for (int t = 0; t < threads; ++t) ctxs.push_back(s.make_ctx());
-  record_and_check(
-      static_cast<unsigned>(threads), 24, 80,
-      static_cast<std::uint64_t>(seed),
-      [&](unsigned tid, SetOpKind kind, std::int64_t k) {
-        auto& ctx = ctxs[tid];
-        switch (kind) {
-          case SetOpKind::kContains: return s.contains(ctx, k, mode);
-          case SetOpKind::kInsert: return s.insert(ctx, k, mode);
-          default: return s.remove(ctx, k, mode);
-        }
-      });
+  using A = svc::BstAdapter<SimPlatform>;
+  record_and_check(A{static_cast<A::Mode>(mode_i)}, threads, 24, 80, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -283,21 +241,8 @@ class HashLin : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(HashLin, RecordedHistoryLinearizable) {
   auto [mode_i, threads, seed] = GetParam();
-  auto mode = static_cast<pto::FSetHash<SimPlatform>::Mode>(mode_i);
-  pto::FSetHash<SimPlatform> s;
-  std::vector<typename pto::FSetHash<SimPlatform>::ThreadCtx> ctxs;
-  for (int t = 0; t < threads; ++t) ctxs.push_back(s.make_ctx());
-  record_and_check(
-      static_cast<unsigned>(threads), 24, 80,
-      static_cast<std::uint64_t>(seed),
-      [&](unsigned tid, SetOpKind kind, std::int64_t k) {
-        auto& ctx = ctxs[tid];
-        switch (kind) {
-          case SetOpKind::kContains: return s.contains(ctx, k, mode);
-          case SetOpKind::kInsert: return s.insert(ctx, k, mode);
-          default: return s.remove(ctx, k, mode);
-        }
-      });
+  using A = svc::HashAdapter<SimPlatform>;
+  record_and_check(A{static_cast<A::Mode>(mode_i)}, threads, 24, 80, seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -314,23 +259,8 @@ class ListLin : public ::testing::TestWithParam<std::tuple<bool, int, int>> {};
 
 TEST_P(ListLin, RecordedHistoryLinearizable) {
   auto [pto_mode, threads, seed] = GetParam();
-  pto::HarrisList<SimPlatform> s;
-  std::vector<typename pto::HarrisList<SimPlatform>::ThreadCtx> ctxs;
-  for (int t = 0; t < threads; ++t) ctxs.push_back(s.make_ctx());
-  record_and_check(
-      static_cast<unsigned>(threads), 16, 80,
-      static_cast<std::uint64_t>(seed),
-      [&](unsigned tid, SetOpKind kind, std::int64_t k) {
-        auto& ctx = ctxs[tid];
-        switch (kind) {
-          case SetOpKind::kContains:
-            return pto_mode ? s.contains_pto(ctx, k) : s.contains_lf(ctx, k);
-          case SetOpKind::kInsert:
-            return pto_mode ? s.insert_pto(ctx, k) : s.insert_lf(ctx, k);
-          default:
-            return pto_mode ? s.remove_pto(ctx, k) : s.remove_lf(ctx, k);
-        }
-      });
+  record_and_check(svc::ListAdapter<SimPlatform>{pto_mode}, threads, 16, 80,
+                   seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -351,39 +281,16 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(ExploredLin, SkiplistSet) {
-  const unsigned threads = 3;
   for (const xp::Options& x :
        tu::sweep_policies(tu::test_seed(41), tu::explore_seeds(32), 0.02)) {
     PTO_TRACE_EXPLORE(x);
     pto::SkipList<SimPlatform> s;
-    std::vector<typename pto::SkipList<SimPlatform>::ThreadCtx> ctxs;
-    for (unsigned t = 0; t < threads; ++t) ctxs.push_back(s.make_ctx());
-    tu::HistoryRecorder rec(threads);
     sim::Config cfg;
     cfg.seed = tu::test_seed(41);
     cfg.explore = x;
-    auto res = sim::run(threads, cfg, [&](unsigned tid) {
-      for (int i = 0; i < 40; ++i) {
-        auto k = static_cast<std::int64_t>(sim::rnd() % 12);
-        auto c = static_cast<unsigned>(sim::rnd() % 100);
-        SetOpKind kind = c < 30   ? SetOpKind::kContains
-                         : c < 65 ? SetOpKind::kInsert
-                                  : SetOpKind::kRemove;
-        rec.record(tid, kind, k, [&] {
-          switch (kind) {
-            case SetOpKind::kContains: return s.contains(ctxs[tid], k);
-            case SetOpKind::kInsert: return s.insert_pto(ctxs[tid], k);
-            default: return s.remove_pto(ctxs[tid], k);
-          }
-        });
-      }
-    });
-    ASSERT_EQ(res.uaf_count, 0u) << tu::note_failure(x, "skiplist uaf");
-    auto r = tu::check_set_linearizability(rec.merged());
-    ASSERT_TRUE(r.linearizable) << tu::note_failure(
-        x, "skiplist history not linearizable at key " +
-               std::to_string(r.failing_key));
-    ASSERT_LE(r.largest_subhistory, 64u);
+    tu::check_set_history(s, svc::SkipAdapter<SimPlatform>{true}, 3, 12, 40,
+                          cfg);
+    if (HasFatalFailure()) return;
   }
 }
 

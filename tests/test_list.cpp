@@ -19,31 +19,14 @@ using pto::SimPlatform;
 enum class Mode { kLf, kPto };
 const char* mode_name(Mode m) { return m == Mode::kLf ? "lf" : "pto"; }
 
-template <class P>
-struct ListAdapter {
-  using Mode = ::Mode;
-  using Ctx = typename HarrisList<P>::ThreadCtx;
-  HarrisList<P> ds;
-
-  Ctx make_ctx() { return ds.make_ctx(); }
-  bool insert(Ctx& c, Mode m, std::int64_t k) {
-    return m == Mode::kLf ? ds.insert_lf(c, k) : ds.insert_pto(c, k);
-  }
-  bool remove(Ctx& c, Mode m, std::int64_t k) {
-    return m == Mode::kLf ? ds.remove_lf(c, k) : ds.remove_pto(c, k);
-  }
-  bool contains(Ctx& c, Mode m, std::int64_t k) {
-    return m == Mode::kLf ? ds.contains_lf(c, k) : ds.contains_pto(c, k);
-  }
-  bool check_invariants() { return ds.check_invariants(); }
-  std::size_t size_slow() { return ds.size_slow(); }
-};
+using List = pto::service::ListAdapter<SimPlatform>;
 
 class ListSequential : public ::testing::TestWithParam<Mode> {};
 
 TEST_P(ListSequential, MatchesStdSet) {
-  ListAdapter<SimPlatform> a;
-  pto::testutil::sequential_model_check(a, GetParam(), 128, 4000, 61);
+  HarrisList<SimPlatform> ds;
+  pto::testutil::sequential_model_check(ds, List{GetParam() == Mode::kPto},
+                                        128, 4000, 61);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ListSequential,
@@ -55,8 +38,8 @@ class ListConcurrent
 
 TEST_P(ListConcurrent, PerKeyConsistency) {
   auto [mode, threads, range, seed] = GetParam();
-  ListAdapter<SimPlatform> a;
-  pto::testutil::concurrent_consistency(a, mode,
+  HarrisList<SimPlatform> ds;
+  pto::testutil::concurrent_consistency(ds, List{mode == Mode::kPto},
                                         static_cast<unsigned>(threads), range,
                                         300, static_cast<std::uint64_t>(seed));
 }
@@ -75,42 +58,23 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(List, MixedModesInteroperate) {
-  ListAdapter<SimPlatform> a;
-  std::vector<std::vector<int>> net(6, std::vector<int>(32, 0));
+  HarrisList<SimPlatform> ds;
   pto::sim::Config cfg;
   cfg.seed = 17;
-  auto res = pto::sim::run(6, cfg, [&](unsigned tid) {
-    auto ctx = a.make_ctx();
-    Mode m = tid % 2 == 0 ? Mode::kLf : Mode::kPto;
-    for (int i = 0; i < 250; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % 32);
-      if (pto::sim::rnd() % 2 == 0) {
-        if (a.insert(ctx, m, k)) ++net[tid][static_cast<std::size_t>(k)];
-      } else {
-        if (a.remove(ctx, m, k)) --net[tid][static_cast<std::size_t>(k)];
-      }
-    }
-  });
-  EXPECT_EQ(res.uaf_count, 0u);
-  auto ctx = a.make_ctx();
-  for (int k = 0; k < 32; ++k) {
-    int total = 0;
-    for (auto& t : net) total += t[static_cast<std::size_t>(k)];
-    ASSERT_TRUE(total == 0 || total == 1) << "key " << k;
-    ASSERT_EQ(a.contains(ctx, Mode::kLf, k), total == 1) << "key " << k;
-  }
-  EXPECT_TRUE(a.check_invariants());
+  pto::testutil::mixed_consistency(
+      ds, List{false}, [](unsigned tid) { return List{tid % 2 != 0}; }, 6, 32,
+      250, cfg);
 }
 
 TEST(List, PtoRemoveSkipsIntermediateMark) {
   // An uncontended PTO remove commits mark+unlink in one transaction: no
   // CAS at all on the fast path.
-  ListAdapter<SimPlatform> a;
+  HarrisList<SimPlatform> ds;
   SiteDelta rem("list.remove");
   auto res = pto::sim::run(1, {}, [&](unsigned) {
-    auto ctx = a.make_ctx();
-    for (int i = 0; i < 100; ++i) a.ds.insert_pto(ctx, i);
-    for (int i = 0; i < 100; ++i) a.ds.remove_pto(ctx, i);
+    auto ctx = ds.make_ctx();
+    for (int i = 0; i < 100; ++i) ds.insert_pto(ctx, i);
+    for (int i = 0; i < 100; ++i) ds.remove_pto(ctx, i);
     EXPECT_EQ(rem.get().commits, 100u);
     EXPECT_EQ(rem.get().fallbacks, 0u);
   });
@@ -118,29 +82,30 @@ TEST(List, PtoRemoveSkipsIntermediateMark) {
 }
 
 TEST(List, FailureInjectionFallsBack) {
-  ListAdapter<SimPlatform> a;
+  HarrisList<SimPlatform> ds;
   pto::sim::Config cfg;
   cfg.explore.fault_rate = 1.0;
   SiteDelta ins("list.insert");
   SiteDelta rem("list.remove");
   pto::sim::run(2, cfg, [&](unsigned) {
-    auto ctx = a.make_ctx();
+    auto ctx = ds.make_ctx();
     for (int i = 0; i < 150; ++i) {
       auto k = static_cast<std::int64_t>(pto::sim::rnd() % 16);
       if (pto::sim::rnd() % 2 == 0) {
-        a.ds.insert_pto(ctx, k);
+        ds.insert_pto(ctx, k);
       } else {
-        a.ds.remove_pto(ctx, k);
+        ds.remove_pto(ctx, k);
       }
     }
     EXPECT_EQ(ins.get().commits + rem.get().commits, 0u);
   });
-  EXPECT_TRUE(a.check_invariants());
+  EXPECT_TRUE(ds.check_invariants());
 }
 
 TEST(List, NativePlatform) {
-  ListAdapter<pto::NativePlatform> a;
-  pto::testutil::sequential_model_check(a, Mode::kPto, 64, 1500, 9);
+  HarrisList<pto::NativePlatform> ds;
+  pto::testutil::sequential_model_check(
+      ds, pto::service::ListAdapter<pto::NativePlatform>{true}, 64, 1500, 9);
 }
 
 }  // namespace

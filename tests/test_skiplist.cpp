@@ -27,29 +27,14 @@ using pto::SkipQueue;
 enum class Mode { kLf, kPto };
 const char* mode_name(Mode m) { return m == Mode::kLf ? "lf" : "pto"; }
 
-template <class P>
-struct SkipAdapter {
-  using Mode = ::Mode;
-  using Ctx = typename SkipList<P>::ThreadCtx;
-  SkipList<P> ds;
-
-  Ctx make_ctx() { return ds.make_ctx(); }
-  bool insert(Ctx& c, Mode m, std::int64_t k) {
-    return m == Mode::kLf ? ds.insert_lf(c, k) : ds.insert_pto(c, k);
-  }
-  bool remove(Ctx& c, Mode m, std::int64_t k) {
-    return m == Mode::kLf ? ds.remove_lf(c, k) : ds.remove_pto(c, k);
-  }
-  bool contains(Ctx& c, Mode, std::int64_t k) { return ds.contains(c, k); }
-  bool check_invariants() { return ds.check_invariants(); }
-  std::size_t size_slow() { return ds.size_slow(); }
-};
+using Skip = pto::service::SkipAdapter<SimPlatform>;
 
 class SkipListSequential : public ::testing::TestWithParam<Mode> {};
 
 TEST_P(SkipListSequential, MatchesStdSet) {
-  SkipAdapter<SimPlatform> a;
-  pto::testutil::sequential_model_check(a, GetParam(), 256, 4000, 11);
+  SkipList<SimPlatform> ds;
+  pto::testutil::sequential_model_check(ds, Skip{GetParam() == Mode::kPto},
+                                        256, 4000, 11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, SkipListSequential,
@@ -61,8 +46,8 @@ class SkipListConcurrent
 
 TEST_P(SkipListConcurrent, PerKeyConsistency) {
   auto [mode, threads, range, seed] = GetParam();
-  SkipAdapter<SimPlatform> a;
-  pto::testutil::concurrent_consistency(a, mode,
+  SkipList<SimPlatform> ds;
+  pto::testutil::concurrent_consistency(ds, Skip{mode == Mode::kPto},
                                         static_cast<unsigned>(threads), range,
                                         400, static_cast<std::uint64_t>(seed));
 }
@@ -83,57 +68,39 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SkipList, MixedLfAndPtoThreadsInteroperate) {
   // Half the threads run lock-free ops, half run PTO ops, on the same keys:
   // the fallback path and the transactional path must compose safely.
-  SkipAdapter<SimPlatform> a;
-  std::vector<std::vector<int>> net(8, std::vector<int>(64, 0));
+  SkipList<SimPlatform> ds;
   pto::sim::Config cfg;
   cfg.seed = 1234;
-  auto res = pto::sim::run(8, cfg, [&](unsigned tid) {
-    auto ctx = a.make_ctx();
-    Mode m = (tid % 2 == 0) ? Mode::kLf : Mode::kPto;
-    for (int i = 0; i < 300; ++i) {
-      auto k = static_cast<std::int64_t>(pto::sim::rnd() % 64);
-      if (pto::sim::rnd() % 2 == 0) {
-        if (a.insert(ctx, m, k)) ++net[tid][static_cast<std::size_t>(k)];
-      } else {
-        if (a.remove(ctx, m, k)) --net[tid][static_cast<std::size_t>(k)];
-      }
-    }
-  });
-  EXPECT_EQ(res.uaf_count, 0u);
-  auto ctx = a.make_ctx();
-  for (int k = 0; k < 64; ++k) {
-    int total = 0;
-    for (auto& t : net) total += t[static_cast<std::size_t>(k)];
-    ASSERT_TRUE(total == 0 || total == 1) << "key " << k;
-    ASSERT_EQ(a.contains(ctx, Mode::kLf, k), total == 1) << "key " << k;
-  }
-  EXPECT_TRUE(a.check_invariants());
+  pto::testutil::mixed_consistency(
+      ds, Skip{false}, [](unsigned tid) { return Skip{tid % 2 != 0}; }, 8, 64,
+      300, cfg);
 }
 
 TEST(SkipList, PtoFallsBackUnderFailureInjection) {
-  SkipAdapter<SimPlatform> a;
+  SkipList<SimPlatform> ds;
   pto::sim::Config cfg;
   cfg.explore.fault_rate = 1.0;
   SiteDelta ins("skiplist.insert");
   SiteDelta rem("skiplist.remove");
   pto::sim::run(4, cfg, [&](unsigned) {
-    auto ctx = a.make_ctx();
+    auto ctx = ds.make_ctx();
     for (int i = 0; i < 200; ++i) {
       auto k = static_cast<std::int64_t>(pto::sim::rnd() % 32);
       if (pto::sim::rnd() % 2 == 0) {
-        a.ds.insert_pto(ctx, k);
+        ds.insert_pto(ctx, k);
       } else {
-        a.ds.remove_pto(ctx, k);
+        ds.remove_pto(ctx, k);
       }
     }
     EXPECT_EQ(ins.get().commits + rem.get().commits, 0u);
   });
-  EXPECT_TRUE(a.check_invariants());
+  EXPECT_TRUE(ds.check_invariants());
 }
 
 TEST(SkipList, NativePlatformSequential) {
-  SkipAdapter<pto::NativePlatform> a;
-  pto::testutil::sequential_model_check(a, Mode::kPto, 128, 2000, 3);
+  SkipList<pto::NativePlatform> ds;
+  pto::testutil::sequential_model_check(
+      ds, pto::service::SkipAdapter<pto::NativePlatform>{true}, 128, 2000, 3);
 }
 
 // White-box replay of an LF remove racing an LF insert of the same key, one

@@ -221,6 +221,49 @@ TEST(TelemetryRegistry, NativeTotalsCountEachTransactionOnce) {
   EXPECT_EQ(f.commits, d.commits);
 }
 
+/// The whitespace-separated fields of the report row that names `site`;
+/// empty when the report has no such row.
+std::vector<std::string> report_row(const std::string& report,
+                                    const std::string& site) {
+  std::istringstream lines(report);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::vector<std::string> row;
+    for (std::string f; fields >> f;) row.push_back(f);
+    if (!row.empty() && row[0] == site) return row;
+  }
+  return {};
+}
+
+TEST(TelemetryRegistry, ReportRowsEverySiteWithEvents) {
+  // The PTO_TELEMETRY_REPORT table: a row per site that counted anything,
+  // none for an all-zero site, and the facade's row although it counts no
+  // attempts (only the commits and aborts of transactions).
+  auto& reg = tel::Registry::instance();
+  tel::Site* busy = reg.intern("test.report.busy");
+  tel::Site* idle = reg.intern("test.report.idle");
+  tel::Site* facade = reg.intern_facade("test.report.facade");
+  for (tel::Site* s : {busy, idle, facade}) s->reset();
+  busy->count(tel::kEventAttempt, 0);
+  busy->count(tel::kEventCommit, 0);
+  busy->count(tel::kEventAttempt, 0);
+  busy->count(tel::kEventAbort, pto::TX_ABORT_CONFLICT);
+  busy->count(tel::kEventFallback, 0);
+  facade->count(tel::kEventCommit, 0);
+  facade->count(tel::kEventAbort, pto::TX_ABORT_CAPACITY);
+  std::ostringstream os;
+  reg.report(os);
+  const std::string out = os.str();
+  // Columns: site, attempts, commits, fallbacks, then one per abort cause.
+  EXPECT_EQ(report_row(out, "test.report.busy"),
+            (std::vector<std::string>{"test.report.busy", "2", "1", "1", "1",
+                                      "0", "0", "0", "0", "0"}));
+  EXPECT_TRUE(report_row(out, "test.report.idle").empty()) << out;
+  EXPECT_EQ(report_row(out, "test.report.facade"),
+            (std::vector<std::string>{"test.report.facade", "0", "1", "0",
+                                      "0", "1", "0", "0", "0", "0"}));
+}
+
 /// Uncontended prefix ops on one virtual thread: every attempt commits.
 void solo_run(tel::Site* site) {
   sim::reset_memory();
