@@ -108,14 +108,8 @@ std::function<std::function<void(unsigned, std::uint64_t)>()> fixture(
           sched += g[i % g.size()];
           while (pto::obs::now_ticks() < sched) {
           }
-          const std::uint64_t fb0 = pto::obs::fallbacks_now();
+          pto::obs::OpTimer t(sites.of(op.kind), sched);
           client.exec(op);
-          if (pto::obs::hist_on()) {
-            const std::uint64_t t1 = pto::obs::now_ticks();
-            pto::obs::record_latency(sites.of(op.kind),
-                                     pto::obs::fallbacks_now() != fb0,
-                                     t1 > sched ? t1 - sched : 0);
-          }
         }
       } else {
         auto client = kv->make_client();

@@ -598,14 +598,15 @@ void on_span_end(const telemetry::Site* site, unsigned event,
                  unsigned depth) {
   CheckState& S = state();
   if (!S.active || event == telemetry::kEventAbort) return;
-  // A commit or the fallback returning ends the whole prefix() call (an
-  // abort ends one attempt): poison from attempts doomed inside that call
-  // expires there. The hazard window of a doomed read is the prefix call
-  // itself — only its retries and its fallback closure can see the
-  // attempt's captured locals; once the call returns, the operation
-  // re-derives state from the structure, and values that merely *equal* a
-  // stale pointer (a thread-local node cache, a re-inserted key) would be
-  // false positives.
+  // A commit, the fallback returning, or the attempt loop called alone
+  // returning spent ends the whole prefix() call (an abort ends one
+  // attempt): poison from attempts doomed inside that call expires there.
+  // The hazard window of a doomed read is the prefix call itself — only its
+  // retries and its fallback can see the attempt's captured locals; once
+  // the call returns, the operation re-derives state from the structure (a
+  // re-search site searches again), and values that merely *equal* a stale
+  // pointer (a thread-local node cache, a re-inserted key, a node a helped
+  // descriptor names) would be false positives.
   std::erase_if(S.threads[sim::thread_id()].poison,
                 [depth](const PoisonEntry& p) { return p.depth > depth; });
   if (event == telemetry::kEventCommit) ++S.site_caps[site].commits;

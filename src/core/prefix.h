@@ -10,6 +10,11 @@
 // that need unwinding (aborts longjmp / hardware-rollback past it), and its
 // shared accesses go through P::atomic.
 //
+// Its two pieces alone decide what an attempt and a fallback are: the
+// attempt loop, prefix<P>(policy, fast, kCallerFallback), and FallbackScope,
+// one run of the original algorithm. A site that searches again before each
+// attempt calls the loop per search, then falls back under a FallbackScope.
+//
 // Progress (paper Theorems 2 & 3): attempts are finite and the fallback is
 // the original algorithm, so the composition preserves lock-/wait-freedom.
 //
@@ -17,14 +22,15 @@
 // e.g. BST PTO1+PTO2 is prefix(2, wholeOp, [&]{ return insertPTO2(...); }).
 //
 // Telemetry: the optional last argument names the call site
-// (PTO_TELEMETRY_SITE("name"), telemetry/registry.h). Every attempt, commit,
-// abort and fallback passes telemetry::emit (telemetry/taps.h) — one relaxed
-// load and one branch while no subscriber is armed.
+// (PTO_TELEMETRY_SITE("name"), telemetry/registry.h). Every event passes
+// telemetry::emit (telemetry/taps.h) — one relaxed load and one branch while
+// no subscriber is armed.
 #pragma once
 
 #include <csetjmp>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <type_traits>
 
 #include "htm/txcode.h"
@@ -44,6 +50,11 @@ struct PrefixStats {
     std::uint64_t n = 0;
     for (auto a : aborts) n += a;
     return n;
+  }
+  /// The share of finished operations (commits + fallbacks) that fell back.
+  double fallback_rate() const {
+    const std::uint64_t done = commits + fallbacks;
+    return done == 0 ? 0.0 : static_cast<double>(fallbacks) / done;
   }
   /// Field-wise f(mine, theirs), e.g. a delta against an earlier sample.
   template <class F>
@@ -72,13 +83,40 @@ struct PrefixPolicy {
   constexpr explicit PrefixPolicy(int n) : attempts(n) {}
 };
 
-template <class P, class Fast, class Slow>
-auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
-            telemetry::Site* site = nullptr) -> std::invoke_result_t<Slow&> {
+/// Selects the attempt loop alone: its caller runs the fallback.
+struct CallerFallback {};
+inline constexpr CallerFallback kCallerFallback{};
+
+/// The committed attempt's result, or empty once the budget is spent (for a
+/// void fast path, whether an attempt committed).
+template <class R>
+using Attempted =
+    std::conditional_t<std::is_void_v<R>, bool, std::optional<R>>;
+
+/// The only emitter of the fallback events: every layer behind the event
+/// gate sees one fallback per operation that ran the original algorithm.
+class FallbackScope {
+ public:
+  explicit FallbackScope(telemetry::Site* site) : site_(site) {
+    telemetry::emit(site_, telemetry::kEventFallback);
+  }
+  ~FallbackScope() { telemetry::emit(site_, telemetry::kEventFallbackEnd); }
+  FallbackScope(const FallbackScope&) = delete;
+  FallbackScope& operator=(const FallbackScope&) = delete;
+
+ private:
+  telemetry::Site* site_;
+};
+
+namespace detail {
+
+/// The attempt loop: up to pol.attempts transactions of `fast`, fewer when
+/// the policy gives up on an explicit or capacity abort.
+template <class P, class Fast>
+auto attempt_loop(PrefixPolicy pol, Fast& fast, telemetry::Site* site)
+    -> Attempted<std::invoke_result_t<Fast&>> {
   using telemetry::emit;
-  using R = std::invoke_result_t<Slow&>;
-  static_assert(std::is_same_v<R, std::invoke_result_t<Fast&>>,
-                "fast and slow paths must return the same type");
+  using R = std::invoke_result_t<Fast&>;
   // volatile: locals modified between setjmp and longjmp are otherwise
   // indeterminate after an abort returns through the checkpoint.
   volatile int vi = 0;
@@ -101,7 +139,7 @@ auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
         fast();
         P::tx_end();
         emit(site, telemetry::kEventCommit);
-        return;
+        return true;
       } else {
         R r = fast();
         P::tx_end();
@@ -123,22 +161,41 @@ auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
       break;
     }
   }
-  emit(site, telemetry::kEventFallback);
-  if constexpr (std::is_void_v<R>) {
-    slow();
-    emit(site, telemetry::kEventFallbackEnd);
-    return;
-  } else {
-    R r = slow();
-    emit(site, telemetry::kEventFallbackEnd);
-    return r;
-  }
+  return {};
 }
 
-/// Convenience overload: attempts only.
+}  // namespace detail
+
+/// The attempt loop alone. A spent budget ends the call (kEventSpent): the
+/// caller searches again or runs the fallback under a FallbackScope.
+template <class P, class Fast>
+auto prefix(PrefixPolicy pol, Fast&& fast, CallerFallback,
+            telemetry::Site* site = nullptr)
+    -> Attempted<std::invoke_result_t<Fast&>> {
+  auto r = detail::attempt_loop<P>(pol, fast, site);
+  if (!r) telemetry::emit(site, telemetry::kEventSpent);
+  return r;
+}
+
+/// The combinator: the attempt loop, then `slow` under a FallbackScope.
 template <class P, class Fast, class Slow>
-auto prefix(int attempts, Fast&& fast, Slow&& slow,
+auto prefix(PrefixPolicy pol, Fast&& fast, Slow&& slow,
             telemetry::Site* site = nullptr) -> std::invoke_result_t<Slow&> {
+  using R = std::invoke_result_t<Slow&>;
+  static_assert(std::is_same_v<R, std::invoke_result_t<Fast&>>,
+                "fast and slow paths must return the same type");
+  if (auto r = detail::attempt_loop<P>(pol, fast, site)) {
+    if constexpr (!std::is_void_v<R>) return *std::move(r);
+    else return;
+  }
+  FallbackScope fb(site);
+  return slow();
+}
+
+/// Convenience overload: attempts only (either form).
+template <class P, class Fast, class Slow>
+decltype(auto) prefix(int attempts, Fast&& fast, Slow&& slow,
+                      telemetry::Site* site = nullptr) {
   return prefix<P>(PrefixPolicy(attempts), static_cast<Fast&&>(fast),
                    static_cast<Slow&&>(slow), site);
 }

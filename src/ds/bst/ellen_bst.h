@@ -472,7 +472,7 @@ class EllenBST {
     // could decide the result there. Pin the epoch; RTM and simx elide it.
     std::optional<typename EpochDomain<P>::Guard> pin;
     if (!P::strongly_atomic()) pin.emplace(ctx.epoch);
-    // 1 = inserted, 2 = key already present, 0 = fell back.
+    // 1 = inserted, 2 = key present; the fallback: 3 = inserted, 0 = present.
     int r = prefix<P>(
         pto1_policy_,
         [&]() -> int {
@@ -509,15 +509,18 @@ class EllenBST {
           replaced = l;
           return 1;
         },
-        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.insert.pto1"));
+        [&]() -> int {
+          stash_shells(ctx, new_leaf, sibling, internal);
+          return slow() ? 3 : 0;
+        },
+        PTO_TELEMETRY_SITE("bst.insert.pto1"));
     if (r == 1) {
       retire_displaced(ctx, displaced);
       ctx.epoch.retire(replaced);
       return true;
     }
-    stash_shells(ctx, new_leaf, sibling, internal);
-    if (r == 2) return false;  // key present (decided inside the transaction)
-    return slow();
+    if (r == 2) stash_shells(ctx, new_leaf, sibling, internal);
+    return r == 3;
   }
 
   template <class Slow>
@@ -528,7 +531,7 @@ class EllenBST {
     // Plain reads in the attempt: pinned as in insert_pto1.
     std::optional<typename EpochDomain<P>::Guard> pin;
     if (!P::strongly_atomic()) pin.emplace(ctx.epoch);
-    // 1 = removed, 2 = key absent, 0 = fell back.
+    // 1 = removed, 2 = key absent; the fallback: 3 = removed, 0 = absent.
     int r = prefix<P>(
         pto1_policy_,
         [&]() -> int {
@@ -563,7 +566,8 @@ class EllenBST {
           removed_l = l;
           return 1;
         },
-        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.remove.pto1"));
+        [&]() -> int { return slow() ? 3 : 0; },
+        PTO_TELEMETRY_SITE("bst.remove.pto1"));
     if (r == 1) {
       retire_displaced(ctx, displaced_gp);
       retire_displaced(ctx, displaced_p);
@@ -571,8 +575,7 @@ class EllenBST {
       ctx.epoch.retire(removed_l);
       return true;
     }
-    if (r == 2) return false;
-    return slow();
+    return r == 3;
   }
 
   // -- PTO2: transactional update phase after a plain search (paper §4.4) ------
@@ -595,9 +598,9 @@ class EllenBST {
       if (new_leaf == nullptr) {
         take_shells(ctx, key, new_leaf, sibling, internal);
       }
-      int r = prefix<P>(
+      const bool committed = prefix<P>(
           1,
-          [&]() -> int {
+          [&] {
             if (s.p->update.load(std::memory_order_relaxed) != s.pupdate) {
               P::template tx_abort<TX_CODE_VALIDATION>();
             }
@@ -618,16 +621,16 @@ class EllenBST {
             slot.store(internal);
             // p's child slot changed: invalidate stale CASes on p.
             s.p->update.store(fresh_clean_word());
-            return 1;
           },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.insert.pto2"));
-      if (r == 1) {
+          kCallerFallback, PTO_TELEMETRY_SITE("bst.insert.pto2"));
+      if (committed) {
         retire_displaced(ctx, s.pupdate);
         ctx.epoch.retire(s.l);
         return true;
       }
     }
     if (new_leaf != nullptr) stash_shells(ctx, new_leaf, sibling, internal);
+    FallbackScope fb(PTO_TELEMETRY_SITE("bst.insert.pto2"));
     return insert_lf(ctx, key);
   }
 
@@ -644,9 +647,9 @@ class EllenBST {
         help(ctx, s.pupdate);
         continue;
       }
-      int r = prefix<P>(
+      const bool committed = prefix<P>(
           1,
-          [&]() -> int {
+          [&] {
             if (s.gp->update.load(std::memory_order_relaxed) != s.gpupdate ||
                 s.p->update.load(std::memory_order_relaxed) != s.pupdate) {
               P::template tx_abort<TX_CODE_VALIDATION>();
@@ -666,10 +669,9 @@ class EllenBST {
             // gp's child slot changed: invalidate stale CASes on gp.
             s.gp->update.store(fresh_clean_word());
             s.p->update.store(pack(&dummy_, kMark));
-            return 1;
           },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("bst.remove.pto2"));
-      if (r == 1) {
+          kCallerFallback, PTO_TELEMETRY_SITE("bst.remove.pto2"));
+      if (committed) {
         retire_displaced(ctx, s.gpupdate);
         retire_displaced(ctx, s.pupdate);
         ctx.epoch.retire(s.p);
@@ -677,6 +679,7 @@ class EllenBST {
         return true;
       }
     }
+    FallbackScope fb(PTO_TELEMETRY_SITE("bst.remove.pto2"));
     return remove_lf(ctx, key);
   }
 

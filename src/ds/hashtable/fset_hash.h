@@ -435,64 +435,62 @@ class FSetHash {
 
   bool update_inplace(ThreadCtx& ctx, std::int64_t key, bool is_insert) {
     auto i_hash = hash(key);
-    for (int a = 0; a < kDefaultPolicy.attempts; ++a) {
-      bool want_resize = false;
-      Table* seen_table = nullptr;
-      // 1 = done, 2 = no-op (present/absent), 0 = fall back to CoW.
-      int r = prefix<P>(
-          1,
-          [&]() -> int {
-            Table* t = head_.load(std::memory_order_relaxed);
-            auto i = static_cast<std::uint32_t>(i_hash & (t->len - 1));
-            std::uint64_t w =
-                t->buckets()[i].load(std::memory_order_relaxed);
-            if (w == 0 || is_frozen(w)) {
-              P::template tx_abort<TX_CODE_HELPING>();
+    // Retry whatever the abort cause, up to the default budget.
+    PrefixPolicy pol = kDefaultPolicy;
+    pol.retry_on_explicit = pol.retry_on_capacity = true;
+    // Whether the set changed, and the table a committed insert filled to
+    // the resize threshold.
+    struct Updated {
+      bool changed;
+      Table* grow;
+    };
+    Updated u = prefix<P>(
+        pol,
+        [&]() -> Updated {
+          Table* t = head_.load(std::memory_order_relaxed);
+          auto i = static_cast<std::uint32_t>(i_hash & (t->len - 1));
+          std::uint64_t w = t->buckets()[i].load(std::memory_order_relaxed);
+          if (w == 0 || is_frozen(w)) {
+            P::template tx_abort<TX_CODE_HELPING>();
+          }
+          FSetNode* n = node_of(w);
+          std::uint32_t sz = n->size.load(std::memory_order_relaxed);
+          std::uint32_t pos = sz;
+          for (std::uint32_t x = 0; x < sz; ++x) {
+            if (n->keys()[x].load(std::memory_order_relaxed) == key) {
+              pos = x;
+              break;
             }
-            FSetNode* n = node_of(w);
-            std::uint32_t sz = n->size.load(std::memory_order_relaxed);
-            std::uint32_t pos = sz;
-            for (std::uint32_t x = 0; x < sz; ++x) {
-              if (n->keys()[x].load(std::memory_order_relaxed) == key) {
-                pos = x;
-                break;
-              }
+          }
+          if (is_insert) {
+            if (pos != sz) return {false, nullptr};  // already present
+            if (sz == n->cap) {
+              P::template tx_abort<TX_CODE_POLICY>();  // needs CoW growth
             }
-            if (is_insert) {
-              if (pos != sz) return 2;  // already present
-              if (sz == n->cap) {
-                P::template tx_abort<TX_CODE_POLICY>();  // needs CoW growth
-              }
-              n->keys()[sz].store(key, std::memory_order_relaxed);
-              n->size.store(sz + 1, std::memory_order_relaxed);
-              if (sz + 1 >= kBucketThreshold) {
-                want_resize = true;
-                seen_table = t;
-              }
-            } else {
-              if (pos == sz) return 2;  // absent
-              n->keys()[pos].store(
-                  n->keys()[sz - 1].load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-              n->size.store(sz - 1, std::memory_order_relaxed);
-            }
-            // Bump the counter so optimistic readers revalidate (§3.3).
-            t->buckets()[i].store(bump(w), std::memory_order_relaxed);
-            return 1;
-          },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("hash.update.inplace"));
-      if (r == 1) {
-        if (want_resize) {
+            n->keys()[sz].store(key, std::memory_order_relaxed);
+            n->size.store(sz + 1, std::memory_order_relaxed);
+          } else {
+            if (pos == sz) return {false, nullptr};  // absent
+            n->keys()[pos].store(
+                n->keys()[sz - 1].load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+            n->size.store(sz - 1, std::memory_order_relaxed);
+          }
+          // Bump the counter so optimistic readers revalidate (§3.3).
+          t->buckets()[i].store(bump(w), std::memory_order_relaxed);
+          return {true, is_insert && sz + 1 >= kBucketThreshold ? t : nullptr};
+        },
+        [&]() -> Updated {
+          // Original CoW algorithm as the fallback.
           typename EpochDomain<P>::Guard g(ctx.epoch);
-          resize(ctx, seen_table);
-        }
-        return true;
-      }
-      if (r == 2) return false;
+          return {update_cow(ctx, key, is_insert, /*use_tx=*/false), nullptr};
+        },
+        PTO_TELEMETRY_SITE("hash.update.inplace"));
+    if (u.grow != nullptr) {
+      typename EpochDomain<P>::Guard g(ctx.epoch);
+      resize(ctx, u.grow);
     }
-    // Original CoW algorithm as the fallback.
-    typename EpochDomain<P>::Guard g(ctx.epoch);
-    return update_cow(ctx, key, is_insert, /*use_tx=*/false);
+    return u.changed;
   }
 
   EpochDomain<P> dom_;

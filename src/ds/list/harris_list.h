@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "core/prefix.h"
 #include "platform/platform.h"
@@ -113,19 +114,19 @@ class HarrisList {
         n->key = key;
         n->next.init(0);
       }
-      int r = prefix<P>(
+      const bool committed = prefix<P>(
           1,
-          [&]() -> int {
+          [&] {
             if (pred->next.load(std::memory_order_relaxed) != word(curr)) {
               P::template tx_abort<TX_CODE_VALIDATION>();
             }
             n->next.store(word(curr), std::memory_order_relaxed);
             pred->next.store(word(n));
-            return 1;
           },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("list.insert"));
-      if (r == 1) return true;
+          kCallerFallback, PTO_TELEMETRY_SITE("list.insert"));
+      if (committed) return true;
     }
+    FallbackScope fb(PTO_TELEMETRY_SITE("list.insert"));
     bool ok = insert_impl(ctx, key, &n);
     if (!ok && n != nullptr) P::template destroy<Node>(n);
     return ok;
@@ -141,7 +142,8 @@ class HarrisList {
       // One transaction replaces the mark CAS + unlink CAS, and the
       // intermediate marked state never becomes visible (§2.3, "Eliminating
       // Redundant Stores").
-      int r = prefix<P>(
+      // 1 = removed, 2 = already logically deleted.
+      const std::optional<int> r = prefix<P>(
           1,
           [&]() -> int {
             std::uintptr_t cn = curr->next.load(std::memory_order_relaxed);
@@ -153,13 +155,14 @@ class HarrisList {
             pred->next.store(cn);
             return 1;
           },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("list.remove"));
+          kCallerFallback, PTO_TELEMETRY_SITE("list.remove"));
       if (r == 1) {
         ctx.epoch.retire(curr);
         return true;
       }
       if (r == 2) return false;
     }
+    FallbackScope fb(PTO_TELEMETRY_SITE("list.remove"));
     return remove_impl(ctx, key);
   }
 

@@ -179,18 +179,17 @@ class PTOArraySet {
     // it; pin the epoch there. RTM and simx elide the guard.
     std::optional<typename EpochDomain<P>::Guard> pin;
     if (!P::strongly_atomic()) pin.emplace(ctx.epoch);
-    // Fast path: one transaction, in-place shift, version bump.
-    // 1 = done, 2 = no-op, 3 = full, 0 = fall back.
-    int r = prefix<P>(
+    // Fast path: one transaction, in-place shift, version bump. A no-op and
+    // an insert into a full set (the set is bounded) return false.
+    return prefix<P>(
         pol,
-        [&]() -> int {
+        [&]() -> bool {
           std::uint64_t w = word_.load(std::memory_order_relaxed);
           Block* b = block_of(w);
           std::uint32_t n = b->size.load(std::memory_order_relaxed);
           int pos = search(b, key);
           if (is_insert) {
-            if (pos >= 0) return 2;
-            if (n == Capacity) return 3;
+            if (pos >= 0 || n == Capacity) return false;
             int at = -pos - 1;
             for (int i = static_cast<int>(n); i > at; --i) {
               b->keys[i].store(
@@ -200,7 +199,7 @@ class PTOArraySet {
             b->keys[at].store(key, std::memory_order_relaxed);
             b->size.store(n + 1, std::memory_order_relaxed);
           } else {
-            if (pos < 0) return 2;
+            if (pos < 0) return false;
             for (std::uint32_t i = static_cast<std::uint32_t>(pos) + 1;
                  i < n; ++i) {
               b->keys[i - 1].store(
@@ -210,13 +209,14 @@ class PTOArraySet {
             b->size.store(n - 1, std::memory_order_relaxed);
           }
           word_.store(bump(w), std::memory_order_relaxed);
-          return 1;
+          return true;
         },
-        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("ptoset.update"));
-    if (r == 1) return true;
-    if (r == 2) return false;
-    if (r == 3) return false;  // full: insert rejected (bounded set)
-    // Slow path: unoptimized copy-on-write, one CAS. Deliberately naive.
+        [&] { return update_cow(ctx, key, is_insert); },
+        PTO_TELEMETRY_SITE("ptoset.update"));
+  }
+
+  /// Slow path: unoptimized copy-on-write, one CAS. Deliberately naive.
+  bool update_cow(ThreadCtx& ctx, std::int64_t key, bool is_insert) {
     typename EpochDomain<P>::Guard g(ctx.epoch);
     for (;;) {
       std::uint64_t w = word_.load();

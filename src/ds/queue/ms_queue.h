@@ -114,9 +114,9 @@ class MSQueue {
                    PrefixPolicy pol = kDefaultPolicy) {
     typename EpochDomain<P>::Guard g(ctx.epoch);
     Node* n = make_node(v);
-    bool done = prefix<P>(
+    prefix<P>(
         pol,
-        [&]() -> bool {
+        [&] {
           Node* tail = tail_.load(std::memory_order_relaxed);
           Node* next = tail->next.load(std::memory_order_relaxed);
           if (next != nullptr) {
@@ -126,24 +126,25 @@ class MSQueue {
           }
           tail->next.store(n, std::memory_order_relaxed);
           tail_.store(n);  // no lagging-tail intermediate state
-          return true;
         },
-        [&]() -> bool { return false; }, PTO_TELEMETRY_SITE("queue.enqueue"));
-    if (!done) enqueue_with_node(ctx, n);
+        [&] { enqueue_with_node(ctx, n); },
+        PTO_TELEMETRY_SITE("queue.enqueue"));
   }
 
   std::optional<std::int64_t> dequeue_pto(ThreadCtx& ctx,
                                           PrefixPolicy pol = kDefaultPolicy) {
     typename EpochDomain<P>::Guard g(ctx.epoch);
-    Node* victim = nullptr;
-    std::int64_t value = 0;
-    // 1 = dequeued, 2 = empty, 0 = fall back.
-    int r = prefix<P>(
+    // The value, and the old head a committed dequeue retires.
+    struct Dequeued {
+      Node* victim;
+      std::optional<std::int64_t> value;
+    };
+    Dequeued d = prefix<P>(
         pol,
-        [&]() -> int {
+        [&]() -> Dequeued {
           Node* head = head_.load(std::memory_order_relaxed);
           Node* next = head->next.load(std::memory_order_relaxed);
-          if (next == nullptr) return 2;
+          if (next == nullptr) return {nullptr, std::nullopt};
           // Keep the MS invariant tail >= head: if the tail still points at
           // the node we are about to retire, swing it forward in the same
           // transaction (the lock-free path does this with a helper CAS).
@@ -151,17 +152,12 @@ class MSQueue {
             tail_.store(next, std::memory_order_relaxed);
           }
           head_.store(next);
-          victim = head;
-          value = next->value;
-          return 1;
+          return {head, next->value};
         },
-        [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("queue.dequeue"));
-    if (r == 1) {
-      ctx.epoch.retire(victim);
-      return value;
-    }
-    if (r == 2) return std::nullopt;
-    return dequeue_lf_unguarded(ctx);
+        [&]() -> Dequeued { return {nullptr, dequeue_lf_unguarded(ctx)}; },
+        PTO_TELEMETRY_SITE("queue.dequeue"));
+    if (d.victim != nullptr) ctx.epoch.retire(d.victim);
+    return d.value;
   }
 
   bool empty() {

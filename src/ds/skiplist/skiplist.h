@@ -133,9 +133,9 @@ class SkipList {
       const int top = n->toplevel;
       // One transaction validates every predecessor link and performs all
       // the level insertions at once.
-      int r = prefix<P>(
+      const bool committed = prefix<P>(
           1,
-          [&]() -> int {
+          [&] {
             for (int l = 0; l < top; ++l) {
               if (preds[l]->next[l].load(std::memory_order_relaxed) !=
                   word(succs[l])) {
@@ -148,12 +148,12 @@ class SkipList {
             for (int l = 0; l < top; ++l) {
               preds[l]->next[l].store(word(n), std::memory_order_relaxed);
             }
-            return 1;
           },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skiplist.insert"));
-      if (r == 1) return true;
+          kCallerFallback, PTO_TELEMETRY_SITE("skiplist.insert"));
+      if (committed) return true;
     }
     // Lock-free fallback, reusing the already-allocated node.
+    FallbackScope fb(PTO_TELEMETRY_SITE("skiplist.insert"));
     bool ok = insert_impl(ctx, key, &n);
     if (!ok && n != nullptr) free_node(n);
     return ok;
@@ -170,7 +170,8 @@ class SkipList {
       const int top = victim->toplevel;
       // One transaction marks every level and unlinks the node, replacing
       // the top-down CAS marking sequence plus the cleanup search.
-      int r = prefix<P>(
+      // 1 = removed, 2 = already logically gone.
+      const std::optional<int> r = prefix<P>(
           1,
           [&]() -> int {
             std::uintptr_t succ_words[kMaxLevel];
@@ -197,13 +198,14 @@ class SkipList {
             }
             return 1;
           },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skiplist.remove"));
+          kCallerFallback, PTO_TELEMETRY_SITE("skiplist.remove"));
       if (r == 1) {
         retire(ctx, victim);
         return true;
       }
       if (r == 2) return false;
     }
+    FallbackScope fb(PTO_TELEMETRY_SITE("skiplist.remove"));
     return remove_impl(ctx, key);
   }
 

@@ -96,49 +96,44 @@ class SkipQueue : private SkipList<P> {
   std::optional<std::int32_t> pop_min_pto(ThreadCtx& ctx,
                                           PrefixPolicy pol = kDefaultPolicy) {
     typename EpochDomain<P>::Guard g(ctx.base.epoch);
-    for (int a = 0; a < pol.attempts; ++a) {
-      Node* victim = nullptr;
-      std::int64_t key = 0;
-      // 1 = popped, 2 = empty, 0 = fall through to a retry / LF path.
-      int r = prefix<P>(
-          1,
-          [&]() -> int {
-            std::uintptr_t hw = head_->next[0].load(std::memory_order_relaxed);
-            Node* first = ptr(hw);
-            if (first == tail_) return 2;
-            const int top = first->toplevel;
-            std::uintptr_t succ_words[Base::kMaxLevel];
-            for (int l = 0; l < top; ++l) {
-              std::uintptr_t sw =
-                  first->next[l].load(std::memory_order_relaxed);
-              if (is_marked(sw)) {
-                // A concurrent pop owns this node: back off to the fallback
-                // rather than helping inside the transaction (§2.4).
-                P::template tx_abort<TX_CODE_HELPING>();
-              }
-              succ_words[l] = sw;
+    // Retry whatever the abort cause, up to the budget.
+    pol.retry_on_explicit = pol.retry_on_capacity = true;
+    // The priority, and the node a committed pop retires.
+    struct Popped {
+      Node* victim;
+      std::optional<std::int32_t> prio;
+    };
+    Popped p = prefix<P>(
+        pol,
+        [&]() -> Popped {
+          std::uintptr_t hw = head_->next[0].load(std::memory_order_relaxed);
+          Node* first = ptr(hw);
+          if (first == tail_) return {nullptr, std::nullopt};
+          const int top = first->toplevel;
+          std::uintptr_t succ_words[Base::kMaxLevel];
+          for (int l = 0; l < top; ++l) {
+            std::uintptr_t sw = first->next[l].load(std::memory_order_relaxed);
+            if (is_marked(sw)) {
+              // A concurrent pop owns this node: back off to the fallback
+              // rather than helping inside the transaction (§2.4).
+              P::template tx_abort<TX_CODE_HELPING>();
             }
-            for (int l = 0; l < top; ++l) {
-              first->next[l].store(mark(succ_words[l]),
-                                   std::memory_order_relaxed);
-              if (head_->next[l].load(std::memory_order_relaxed) ==
-                  word(first)) {
-                head_->next[l].store(succ_words[l],
-                                     std::memory_order_relaxed);
-              }
+            succ_words[l] = sw;
+          }
+          for (int l = 0; l < top; ++l) {
+            first->next[l].store(mark(succ_words[l]),
+                                 std::memory_order_relaxed);
+            if (head_->next[l].load(std::memory_order_relaxed) ==
+                word(first)) {
+              head_->next[l].store(succ_words[l], std::memory_order_relaxed);
             }
-            victim = first;
-            key = first->key;
-            return 1;
-          },
-          [&]() -> int { return 0; }, PTO_TELEMETRY_SITE("skipqueue.pop"));
-      if (r == 1) {
-        retire(ctx.base, victim);
-        return static_cast<std::int32_t>(key >> kPrioShift);
-      }
-      if (r == 2) return std::nullopt;
-    }
-    return pop_min_lf(ctx);
+          }
+          return {first, static_cast<std::int32_t>(first->key >> kPrioShift)};
+        },
+        [&]() -> Popped { return {nullptr, pop_min_lf(ctx)}; },
+        PTO_TELEMETRY_SITE("skipqueue.pop"));
+    if (p.victim != nullptr) retire(ctx.base, p.victim);
+    return p.prio;
   }
 
  private:

@@ -336,10 +336,8 @@ void eval_watch(State& s, const Delta& d, bool wall_mode) {
     bool fired = false;
     switch (r.kind) {
       case RuleKind::kFallbackRate: {
-        const std::uint64_t done = d.prefix.commits + d.prefix.fallbacks;
-        if (done >= kWatchMinEvents) {
-          value = static_cast<double>(d.prefix.fallbacks) /
-                  static_cast<double>(done);
+        if (d.prefix.commits + d.prefix.fallbacks >= kWatchMinEvents) {
+          value = d.prefix.fallback_rate();
           fired = value > r.threshold;
         }
         break;
@@ -416,10 +414,7 @@ void emit_interval(State& s, bool wall_mode, double t0_ms, double t1_ms,
   o += "},\"aborts_total\":";
   j_u64(o, d.prefix.total_aborts());
   o += "},\"fallback_rate\":";
-  const std::uint64_t done = d.prefix.commits + d.prefix.fallbacks;
-  json_num(o, done == 0 ? 0.0
-                        : static_cast<double>(d.prefix.fallbacks) /
-                              static_cast<double>(done));
+  json_num(o, d.prefix.fallback_rate());
   o += ",\"sites\":[";
   for (std::size_t i = 0; i < d.sites.size(); ++i) {
     if (i != 0) o += ',';

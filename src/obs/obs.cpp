@@ -11,8 +11,8 @@ namespace detail {
 std::uint64_t g_sample_mask =
     std::bit_ceil(env::u64("PTO_OBS_SAMPLE", 1, 1, std::uint64_t{1} << 62)) -
     1;
-thread_local std::uint64_t tls_op_seq = 0;
-thread_local std::uint64_t tls_fallbacks = 0;
+constinit thread_local std::uint64_t tls_op_seq = 0;
+constinit thread_local std::uint64_t tls_fallbacks = 0;
 
 }  // namespace detail
 

@@ -47,10 +47,13 @@ namespace detail {
 /// PTO_OBS_SAMPLE - 1 (power of two): an op is timed when
 /// (++tls_op_seq & g_sample_mask) == 0. 0 = time every op.
 extern std::uint64_t g_sample_mask;
-extern thread_local std::uint64_t tls_op_seq;
+// constinit: every access reads the variable directly, with no call through
+// a TLS init function (GCC 12's UBSan build misread that check as a null
+// address in inlined OpTimer code).
+extern constinit thread_local std::uint64_t tls_op_seq;
 /// Ops classified fallback when this thread-local moved during the op
 /// (bumped by the histograms' tap on every prefix fallback event).
-extern thread_local std::uint64_t tls_fallbacks;
+extern constinit thread_local std::uint64_t tls_fallbacks;
 }  // namespace detail
 
 /// True when PTO_OBS armed latency histograms (the histograms' tap).
@@ -63,9 +66,8 @@ inline void set_hist_on(bool on) {
 
 inline void note_fallback() { ++detail::tls_fallbacks; }
 
-/// This thread's fallback count so far. Callers that can't scope an OpTimer
-/// around an op (e.g. open-loop requests timed from their scheduled arrival)
-/// sample this before/after to classify the op fast vs fallback.
+/// How many prefix fallbacks this thread has run; OpTimer classifies an op
+/// by whether it moved.
 inline std::uint64_t fallbacks_now() { return detail::tls_fallbacks; }
 
 /// Latency summaries in nanoseconds, split by path taken.
@@ -98,15 +100,20 @@ struct MergedLatency {
 MergedLatency merged_latency(std::vector<LatencySiteSummary>* out_sites);
 
 /// Scoped per-op timer: reads the tsc on entry, records on done()/destruction
-/// and classifies fast vs fallback by whether tls_fallbacks moved. All no-ops
-/// unless hist_on().
+/// and classifies fast vs fallback by whether tls_fallbacks moved. Times 1 in
+/// PTO_OBS_SAMPLE ops; all no-ops unless hist_on().
 class OpTimer {
  public:
-  explicit OpTimer(Site* site) : site_(site) {
+  explicit OpTimer(Site* site) : OpTimer(site, 0) {
+    if (armed_) t0_ = now_ticks();
+  }
+  /// Times from `t0` (a now_ticks() reading) instead of from construction:
+  /// an open-loop op counts from its scheduled arrival, queueing included.
+  OpTimer(Site* site, std::uint64_t t0) : site_(site) {
     if (PTO_UNLIKELY(hist_on()) &&
         (++detail::tls_op_seq & detail::g_sample_mask) == 0) {
       fb0_ = detail::tls_fallbacks;
-      t0_ = now_ticks();
+      t0_ = t0;
       armed_ = true;
     }
   }

@@ -35,13 +35,6 @@ std::ostream& out() {
   return s.os != nullptr ? *s.os : std::cout;
 }
 
-double fallback_fraction(const PrefixStats& p) {
-  const std::uint64_t done = p.commits + p.fallbacks;
-  return done == 0 ? 0.0
-                   : static_cast<double>(p.fallbacks) /
-                         static_cast<double>(done);
-}
-
 double tx_cycle_share(const BenchPoint& p) {
   return p.cpu_cycles == 0 ? 0.0
                            : static_cast<double>(p.sim.tx_cycles) /
@@ -97,7 +90,7 @@ void emit_json(std::ostream& os, const BenchPoint& p) {
      << ",\"prefix_commits\":" << p.prefix.commits
      << ",\"prefix_fallbacks\":" << p.prefix.fallbacks
      << ",\"fallback_fraction\":";
-  json_num(os, fallback_fraction(p.prefix));
+  json_num(os, p.prefix.fallback_rate());
   // v2: per-cause prefix abort buckets — on native runs this is where the
   // decoded RTM/SoftHTM abort causes land (sim.tx_aborts stays zero there).
   os << ",\"prefix_aborts\":{";

@@ -167,7 +167,7 @@ void Site::count(unsigned event, unsigned cause) {
       : event == kEventFallback ? &sh.fallbacks
       : event == kEventAbort
           ? &sh.aborts[cause < kTxCodeCount ? cause : TX_ABORT_OTHER]
-          : nullptr;  // kEventFallbackEnd counts nothing
+          : nullptr;  // kEventFallbackEnd and kEventSpent count nothing
   if (n != nullptr) n->fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -391,8 +391,8 @@ void on_event(Site* site, unsigned event, unsigned cause) {
   // The flight recorder is native-only (simulated runs already have
   // PTO_TRACE with virtual-time fidelity) and rides the slot lease: a
   // thread records into its slot's ring, and one that owns no slot records
-  // nothing (lease_slot warned).
-  if ((t & kTapFlight) && event != kEventFallbackEnd && !sim::active()) {
+  // nothing (lease_slot warned). It keeps the events that are flight codes.
+  if ((t & kTapFlight) && event <= kEventFallback && !sim::active()) {
     if (PTO_UNLIKELY(tls_lease.slot == kNoSlot)) lease_slot();
     if (tls_lease.owned) {
       obs::flight_record(g_slot_rings[tls_lease.slot],
@@ -404,6 +404,10 @@ void on_event(Site* site, unsigned event, unsigned cause) {
   // setup) fall back at once and carry no cycles.
   if ((t & (kTapProf | kTapCheck)) == 0 || !sim::active()) return;
   const unsigned tid = sim::thread_id();
+  if (event == kEventSpent) {
+    if (t & kTapCheck) check::on_span_end(site, event, span_depth(tid));
+    return;
+  }
   const Span* s = step_spans(tid, site, event);
   if (event == kEventAttempt || event == kEventFallback) return;
   if (t & kTapProf) prof::on_span_end(site, event, cause, s);

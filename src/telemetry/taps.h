@@ -40,6 +40,9 @@ enum Event : unsigned {
   kEventFallback = 4,     ///< fallback path entered
   kEventFallbackEnd = 5,  ///< fallback returned: closes the fallback span
                           ///< (telemetry/span.h), counts nothing
+  kEventSpent = 6,  ///< the attempt loop called alone (core/prefix.h) returned
+                    ///< without a commit: ends that call for the checker,
+                    ///< touches no span, counts nothing
 };
 
 namespace detail {

@@ -259,6 +259,25 @@ TEST(LatencySites, OpTimerClassifiesFallback) {
   EXPECT_EQ(m.fast.samples, 1u);
   EXPECT_EQ(m.fallback.samples, 1u);
   obs::reset_latency();
+
+  // The start-tick form (an open-loop op timed from its scheduled arrival)
+  // classifies the same way and counts the time before construction.
+  const std::uint64_t arrival = obs::now_ticks();
+  const std::uint64_t queued = obs::steady_ns();
+  while (obs::steady_ns() - queued < 2'000'000) {  // 2 ms in the queue
+  }
+  {
+    obs::OpTimer t(site, arrival);  // no fallback -> fast
+  }
+  {
+    obs::OpTimer t(site, obs::now_ticks());
+    obs::note_fallback();
+  }
+  const obs::MergedLatency s = obs::merged_latency(nullptr);
+  EXPECT_EQ(s.fast.samples, 1u);
+  EXPECT_EQ(s.fallback.samples, 1u);
+  EXPECT_GE(s.fast.max, 1'000'000u);
+  obs::reset_latency();
   obs::set_hist_on(false);
 }
 

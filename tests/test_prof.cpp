@@ -353,4 +353,60 @@ TEST(Prof, LedgerAccountsSpeedupDelta) {
   sim::reset_memory();
 }
 
+// ---------------------------------------------------------------------------
+// Every fallback span holds the original algorithm it ran: with half the
+// transactional accesses killed, each site that counted a fallback must
+// have classed cycles in it. A slow path that only returned a sentinel and
+// left the real fallback to its caller would carry none.
+// ---------------------------------------------------------------------------
+
+TEST(Prof, EveryFallbackCarriesCycles) {
+  ProfOn guard;
+  sim::reset_memory();
+
+  using Mode = EllenBST<SimPlatform>::Mode;
+  constexpr int kRange = 64;
+  auto* tree = new EllenBST<SimPlatform>();
+  auto* skip = new SkipList<SimPlatform>();
+  sim::Config cfg;
+  cfg.seed = 2028;
+  cfg.explore.fault_rate = 0.5;
+  sim::run(4, cfg, [&](unsigned tid) {
+    auto tctx = tree->make_ctx();
+    auto sctx = skip->make_ctx();
+    const Mode mode = tid % 2 == 0 ? Mode::kPto12 : Mode::kPto2;
+    for (int i = 0; i < 300; ++i) {
+      auto k = static_cast<std::int64_t>(sim::rnd() % kRange);
+      if (sim::rnd() % 2 == 0) {
+        tree->insert(tctx, k, mode);
+        skip->insert_pto(sctx, k);
+      } else {
+        tree->remove(tctx, k, mode);
+        skip->remove_pto(sctx, k);
+      }
+      sim::op_done();
+    }
+  });
+
+  std::map<std::string, std::uint64_t> fallbacks;
+  for (const auto& sc : prof::snapshot()) {
+    for (const auto& l : sc.sites) {
+      if (l.fallback.count == 0) continue;
+      fallbacks[l.site] += l.fallback.count;
+      EXPECT_GT(l.fallback.total(), 0u)
+          << l.site << ": " << l.fallback.count << " fallbacks, no cycles";
+    }
+  }
+  // Both shapes fell back: a real slow path passed to prefix()
+  // (bst.*.pto1) and a re-search loop (skiplist.*).
+  for (const char* site : {"bst.insert.pto1", "bst.remove.pto1",
+                           "skiplist.insert", "skiplist.remove"}) {
+    EXPECT_GT(fallbacks[site], 0u) << site;
+  }
+
+  delete tree;
+  delete skip;
+  sim::reset_memory();
+}
+
 }  // namespace

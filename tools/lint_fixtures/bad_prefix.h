@@ -27,7 +27,7 @@ int bad_prefix_everything(std::atomic<int>& shared) {
         delete leak;
         return 1;
       },
-      [&]() -> int { return 0; });
+      [&]() -> int { return 0; });  // sentinel fallback
 }
 
 }  // namespace pto::lint_fixture

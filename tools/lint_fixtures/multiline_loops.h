@@ -52,7 +52,7 @@ int good_multiline(std::atomic<int>& a, std::atomic<int>& b) {
         b.store(sum, std::memory_order_relaxed);
         return sum;
       },
-      [&]() -> int { return 0; });
+      [&]() -> int { return b.load(); });
 }
 
 template <class P>
@@ -67,7 +67,7 @@ int bad_do_while(std::atomic<int>& a) {
                  sum < 100);
         return sum;
       },
-      [&]() -> int { return 0; });
+      [&]() -> int { return a.load(); });
 }
 
 }  // namespace pto::lint_fixture

@@ -20,6 +20,12 @@ line), extracts the fast body, and rejects:
                                  // pto-lint: bounded(EXPR)
                                on the loop's line or the line before it
 
+and, outside the fast body, a *sentinel fallback*: a slow lambda that only
+returns a literal (or does nothing), which leaves the real fallback to run
+after prefix() returns, where no telemetry layer sees it. Pass the real
+fallback as `slow`, or call the attempt loop alone (pto::kCallerFallback)
+and run the fallback under a pto::FallbackScope.
+
 and emits a per-site static read/write-set footprint estimate checked
 against the HTM capacity, parsed at startup from HtmConfig in src/sim/sim.h
 via tools/htm_params.py (shared with tools/analyze/'s pto-analyze; a parse
@@ -89,6 +95,11 @@ SITE_NAME_RE = re.compile(r'PTO_TELEMETRY_SITE\s*\(\s*"([^"]+)"\s*\)')
 PREFIX_CALL_RE = re.compile(r"\bprefix\s*(?:<[^;(){}]*>)?\s*\(")
 
 INT_RE = re.compile(r"^\s*(\d+)\s*$")
+
+# A slow lambda body (comments stripped) that only returns a literal, or is
+# empty.
+SENTINEL_BODY_RE = re.compile(
+    r"^\s*(?:return\s+(?:-?\d[\w.']*|true|false|nullptr)\s*;)?\s*$")
 
 
 def strip_comments_and_strings(text):
@@ -419,18 +430,30 @@ def count_accesses(body, base_line, annots, problems, site_label):
 
 
 class Site:
-    def __init__(self, path, line, name, fast_body, fast_line):
+    def __init__(self, path, line, name, fast_body, fast_line,
+                 slow_body=None):
         self.path = path
         self.line = line
         self.name = name
         self.fast_body = fast_body
         self.fast_line = fast_line
+        self.slow_body = slow_body  # None unless `slow` is a lambda
         self.problems = []
         self.reads = 0
         self.writes = 0
 
 
 def check_site(site, annots):
+    if site.slow_body is not None and SENTINEL_BODY_RE.match(site.slow_body):
+        site.problems.append({
+            "kind": "sentinel-fallback",
+            "line": site.line,
+            "site": site.name,
+            "detail": "the slow path only returns a literal, so the real "
+                      "fallback runs after prefix() returns, unseen; pass it "
+                      "as slow, or use pto::kCallerFallback and a "
+                      "pto::FallbackScope",
+        })
     body = site.fast_body
     for regex, kind, why in (
         (ALLOC_RE, "allocation",
@@ -504,7 +527,8 @@ def extract_sites_regex(path, raw, stripped):
             name = mname.group(1)
         if name is None:
             name = "%s:%d" % (os.path.basename(path), call_line)
-        sites.append(Site(path, call_line, name, body, fast_line))
+        slow_body, _ = lambda_body(args[2])
+        sites.append(Site(path, call_line, name, body, fast_line, slow_body))
     return sites
 
 
@@ -517,8 +541,8 @@ def find_clang():
 
 def extract_sites_clang(clang, path, raw, stripped, root):
     """Best-effort clang -ast-dump=json extraction: locate prefix CallExprs
-    and slice the fast lambda's source range. Any failure returns None and
-    the caller uses the regex extractor."""
+    and slice the fast (and a slow) lambda's source range. Any failure
+    returns None and the caller uses the regex extractor."""
     try:
         proc = subprocess.run(
             [clang, "-x", "c++", "-std=c++20", "-fsyntax-only",
@@ -533,6 +557,20 @@ def extract_sites_clang(clang, path, raw, stripped, root):
 
     sites = []
 
+    def is_lambda(node):
+        return '"LambdaExpr"' in json.dumps(node)
+
+    def sliced_lambda(node):
+        """(body, offset of the body, offset of the lambda) of an argument
+        node's source range; body is None when it is not a lambda."""
+        rng = node.get("range", {})
+        b = rng.get("begin", {}).get("offset")
+        e = rng.get("end", {}).get("offset")
+        if b is None or e is None or e <= b:
+            return None, -1, b
+        body, rel = lambda_body(stripped[b : e + 1])
+        return body, rel, b
+
     def walk(node):
         if not isinstance(node, dict):
             return
@@ -540,26 +578,20 @@ def extract_sites_clang(clang, path, raw, stripped, root):
             inner = node.get("inner", [])
             callee_txt = json.dumps(inner[0]) if inner else ""
             if '"prefix"' in callee_txt and len(inner) >= 3:
-                lam = None
-                for cand in inner[1:]:
-                    t = json.dumps(cand)
-                    if '"LambdaExpr"' in t:
-                        lam = cand
-                        break
-                rng = (lam or {}).get("range", {})
-                b = rng.get("begin", {}).get("offset")
-                e = rng.get("end", {}).get("offset")
-                if b is not None and e is not None and e > b:
-                    text = stripped[b : e + 1]
-                    body, rel = lambda_body(text)
-                    if body is not None:
-                        call_line = line_of(stripped, b)
-                        mname = SITE_NAME_RE.search(
-                            raw[b : b + 4096])
-                        name = mname.group(1) if mname else (
-                            "%s:%d" % (os.path.basename(path), call_line))
-                        sites.append(Site(path, call_line, name, body,
-                                          line_of(stripped, b + rel)))
+                k = next((i for i in range(1, len(inner))
+                          if is_lambda(inner[i])), None)
+                body, rel, b = (None, -1, None) if k is None else \
+                    sliced_lambda(inner[k])
+                if body is not None:
+                    slow_body = None
+                    if k + 1 < len(inner) and is_lambda(inner[k + 1]):
+                        slow_body = sliced_lambda(inner[k + 1])[0]
+                    call_line = line_of(stripped, b)
+                    mname = SITE_NAME_RE.search(raw[b : b + 4096])
+                    name = mname.group(1) if mname else (
+                        "%s:%d" % (os.path.basename(path), call_line))
+                    sites.append(Site(path, call_line, name, body,
+                                      line_of(stripped, b + rel), slow_body))
         for child in node.get("inner", []) or []:
             walk(child)
 

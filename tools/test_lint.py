@@ -7,7 +7,8 @@ Registered in ctest as `lint_unit` (tests/CMakeLists.txt). Covers:
   - the lint's values match the parser's (no drift back to constants);
   - the multi-line loop regression fixture (do-while tail phantom,
     annotations on multi-line header lines);
-  - the seeded-defect fixture is still rejected with the expected kinds;
+  - the seeded-defect fixture is still rejected with the expected kinds,
+    its constant slow path as a sentinel fallback;
   - src/ds is clean and the per-file site counts are emitted (the CI
     static-analysis job cross-checks them against pto-analyze's).
 
@@ -117,8 +118,8 @@ class FixtureRejectionTest(unittest.TestCase):
             os.path.join(HERE, "lint_fixtures", "bad_prefix.h"))
         self.assertEqual(rc, 1)
         kinds = {v["kind"] for s in doc["sites"] for v in s["violations"]}
-        self.assertLessEqual({"allocation", "raw-fence", "unbounded-loop"},
-                             kinds)
+        self.assertLessEqual({"allocation", "raw-fence", "unbounded-loop",
+                              "sentinel-fallback"}, kinds)
 
 
 class DsCleanTest(unittest.TestCase):
